@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import make_power_train
+from repro.core import LoadState, make_power_train
 from repro.sim.fleet_engine import FleetScenario, run_fleet
 
 #: Fleet size named by the acceptance gate.  Thirty seconds gives every
@@ -86,12 +86,19 @@ INNER_TX_LOADS = {"mcu": 250e-6, "sensor": 0.3e-6,
                   "radio-digital": 50e-6, "radio-rf": 4.0e-3}
 
 
-def test_compiled_inner_solve_at_least_2x_interpreted():
+def test_compiled_inner_solve_at_least_180x_scalar_loop():
     """Acceptance gate: the plan-compiled kernel behind the cohort
-    chain's ``solve_graph_batch`` must beat the interpreted plan walk
-    by >= 2x at 1024 points.  Both sides are the same call — only
-    ``compiled`` flips — and each timing sample amortizes a block of
-    calls so scheduler noise cannot fail a healthy build.
+    chain's ``solve_graph_batch`` must beat a loop of scalar
+    ``solve_graph`` calls by >= 180x at 1024 points.
+
+    The floor re-anchors the earlier ">= 2x the interpreted batch walk"
+    gate, whose reference no longer exists.  Just before the walk was
+    removed, on this TX profile at 1024 points (2-vCPU Intel Xeon
+    host), the walk ran 96-102x faster than the scalar loop and the
+    compiled kernel 251-271x, so 2x the walk meant about 180x the loop.
+    Each round times a block of kernel calls and one scalar loop back to
+    back, so a host speed change between the two sides cannot skew the
+    ratio; the median round is gated.
     """
     from repro.power.compile import kernel_metrics
 
@@ -103,29 +110,31 @@ def test_compiled_inner_solve_at_least_2x_interpreted():
     train.solve_graph_batch(INNER_V, INNER_TX_LOADS)
     assert kernel_metrics().kernel_solves > before, (
         "compiled fast path is not serving this profile (fell back to "
-        "the interpreted walk), so the speedup gate would be vacuous"
+        "the scalar loop), so the speedup gate would be vacuous"
     )
+    load = LoadState(i_mcu=INNER_TX_LOADS["mcu"],
+                     i_sensor=INNER_TX_LOADS["sensor"],
+                     i_radio_digital=INNER_TX_LOADS["radio-digital"],
+                     i_radio_rf=INNER_TX_LOADS["radio-rf"])
 
-    def best_of(fn, repeats=5, block=20):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(block):
-                fn()
-            best = min(best, (time.perf_counter() - start) / block)
-        return best
+    def timed(fn, block):
+        start = time.perf_counter()
+        for _ in range(block):
+            fn()
+        return (time.perf_counter() - start) / block
 
-    t_compiled = best_of(
-        lambda: train.solve_graph_batch(INNER_V, INNER_TX_LOADS)
-    )
-    t_interpreted = best_of(
-        lambda: train.solve_graph_batch(INNER_V, INNER_TX_LOADS,
-                                        compiled=False)
-    )
-    speedup = t_interpreted / t_compiled
-    assert speedup >= 2.0, (
-        f"compiled solve_graph_batch only {speedup:.2f}x the "
-        f"interpreted walk at {INNER_POINTS} points (interpreted "
-        f"{t_interpreted * 1e6:.1f} us, compiled {t_compiled * 1e6:.1f}"
-        f" us)"
+    rounds = []
+    for _ in range(5):
+        t_compiled = timed(
+            lambda: train.solve_graph_batch(INNER_V, INNER_TX_LOADS),
+            block=20)
+        t_scalar = timed(
+            lambda: [train.solve_graph(float(v), load) for v in INNER_V],
+            block=1)
+        rounds.append((t_scalar / t_compiled, t_scalar, t_compiled))
+    speedup, t_scalar, t_compiled = sorted(rounds)[len(rounds) // 2]
+    assert speedup >= 180.0, (
+        f"compiled solve_graph_batch only {speedup:.0f}x the scalar "
+        f"loop at {INNER_POINTS} points (scalar {t_scalar * 1e6:.0f} us, "
+        f"compiled {t_compiled * 1e6:.1f} us)"
     )

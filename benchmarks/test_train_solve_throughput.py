@@ -114,12 +114,18 @@ TX_BATCH_LOADS = {"mcu": 250e-6, "sensor": 0.3e-6,
                   "radio-digital": 50e-6, "radio-rf": 4.0e-3}
 
 
-def test_compiled_solve_batch_at_least_2x_interpreted():
-    """Acceptance gate: the plan-compiled fused kernel must beat the
-    interpreted plan walk by >= 2x at 1024 operating points.  Both
-    sides are the same ``solve_batch`` call — only ``compiled`` flips —
-    and each timing sample amortizes a block of calls so scheduler
-    noise cannot fail a healthy build.
+def test_compiled_solve_batch_at_least_180x_scalar_loop():
+    """Acceptance gate: the plan-compiled fused kernel must beat a loop
+    of scalar ``solve`` calls by >= 180x at 1024 operating points.
+
+    The floor re-anchors the earlier ">= 2x the interpreted batch walk"
+    gate, whose reference no longer exists.  Just before the walk was
+    removed, on this TX profile at 1024 points (2-vCPU Intel Xeon
+    host), the walk ran 83-102x faster than the scalar loop and the
+    compiled kernel 233-271x, so 2x the walk meant about 180x the loop.
+    Each round times a block of kernel calls and one scalar loop back to
+    back, so a host speed change between the two sides cannot skew the
+    ratio; the median round is gated.
     """
     from repro.power.compile import kernel_metrics
 
@@ -131,30 +137,27 @@ def test_compiled_solve_batch_at_least_2x_interpreted():
     graph.solve_batch(BATCH_V, TX_BATCH_LOADS, open_gates=gates)
     assert kernel_metrics().kernel_solves > before, (
         "compiled fast path is not serving this profile (fell back to "
-        "the interpreted walk), so the speedup gate would be vacuous"
+        "the scalar loop), so the speedup gate would be vacuous"
     )
 
-    def best_of(fn, repeats=5, block=20):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(block):
-                fn()
-            best = min(best, (time.perf_counter() - start) / block)
-        return best
+    def timed(fn, block):
+        start = time.perf_counter()
+        for _ in range(block):
+            fn()
+        return (time.perf_counter() - start) / block
 
-    t_compiled = best_of(
-        lambda: graph.solve_batch(BATCH_V, TX_BATCH_LOADS,
-                                  open_gates=gates)
-    )
-    t_interpreted = best_of(
-        lambda: graph.solve_batch(BATCH_V, TX_BATCH_LOADS,
-                                  open_gates=gates, compiled=False)
-    )
-    speedup = t_interpreted / t_compiled
-    assert speedup >= 2.0, (
-        f"compiled solve_batch only {speedup:.2f}x the interpreted walk "
-        f"at {BATCH_POINTS} points (interpreted "
-        f"{t_interpreted * 1e6:.1f} us, compiled {t_compiled * 1e6:.1f}"
-        f" us)"
+    rounds = []
+    for _ in range(5):
+        t_compiled = timed(
+            lambda: graph.solve_batch(BATCH_V, TX_BATCH_LOADS,
+                                      open_gates=gates), block=20)
+        t_scalar = timed(
+            lambda: [graph.solve(float(v), TX_BATCH_LOADS, open_gates=gates)
+                     for v in BATCH_V], block=1)
+        rounds.append((t_scalar / t_compiled, t_scalar, t_compiled))
+    speedup, t_scalar, t_compiled = sorted(rounds)[len(rounds) // 2]
+    assert speedup >= 180.0, (
+        f"compiled solve_batch only {speedup:.0f}x the scalar loop at "
+        f"{BATCH_POINTS} points (scalar {t_scalar * 1e6:.0f} us, "
+        f"compiled {t_compiled * 1e6:.1f} us)"
     )

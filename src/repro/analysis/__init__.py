@@ -22,10 +22,9 @@ AST level, before a simulation ever runs:
   dataclasses, missing ``__slots__`` on registered hot-path classes,
   mutable default arguments, and rail-graph topology specs that are
   not frozen dataclasses.
-- **Parity rules** (``VEC001``–``VEC002``): scalar↔batch mirrors —
-  every ``solve``/``solve_batch`` pair is normalized to canonical
-  op-trees and compared, and ``PARITY_MIRRORS`` markers tie the cohort
-  engine's elementwise mirrors to the scalar functions they replay.
+- **Parity rule** (``VEC002``): ``PARITY_MIRRORS`` markers tie the
+  cohort engine's elementwise mirrors to the scalar functions they
+  replay.
 - **Kernel rules** (``KER001``–``KER002``): the code the compiler
   *writes* — every registered topology × gate signature is emitted via
   ``iter_registered_kernel_sources`` and audited for structural and
@@ -70,7 +69,7 @@ from .rules_kernels import (
     audit_kernel_source,
     audit_registered_kernels,
 )
-from .rules_parity import MirrorConstantParityRule, ScalarBatchParityRule
+from .rules_parity import MirrorConstantParityRule
 from .rules_units import (
     UnitBareSiLiteralRule,
     UnitBindingMismatchRule,
@@ -100,7 +99,6 @@ def default_rules(*, flow: bool = True):
         MutableDefaultRule(),
         UnfrozenRailSpecRule(),
         UnregisteredCheckpointStateRule(),
-        ScalarBatchParityRule(),
         MirrorConstantParityRule(),
         KernelStructureRule(),
         KernelHygieneRule(),
@@ -125,7 +123,6 @@ __all__ = [
     "SEVERITY_WARNING",
     "SLOTS_REGISTRY",
     "SUFFIX_DIMENSIONS",
-    "ScalarBatchParityRule",
     "UnfrozenFaultEventRule",
     "UnfrozenRailSpecRule",
     "UnregisteredCheckpointStateRule",

@@ -26,7 +26,7 @@ wall-clock read silently breaks all three.  Three rules:
 ``DET004 dynamic-code``
     ``exec``/``eval`` anywhere except ``repro.power.compile`` — the one
     sanctioned codegen escape hatch (plan-compiled solve kernels, whose
-    generated source is bitwise-verified against the interpreted walk on
+    generated source is bitwise-verified against the scalar solve on
     first use).  Dynamic code anywhere else would let untracked source
     into the replay contract.
 """

@@ -13,10 +13,9 @@ families over the synthetic module:
     ``_kernel`` signature, single-assignment locals (a name may be
     rebound only by an expression reading its own prior value — the
     accumulator pattern; anything else is the cross-rail name collision
-    the counter exists to prevent), every envelope mask (``_b*`` /
-    ``_bg*``) consumed downstream, ``_bad`` consumed by ``.any()``,
-    contiguous ``guards[0..n-1]`` calls matching the guard list, a
-    final 2-tuple return, and no float32 narrowing anywhere.
+    the counter exists to prevent), every envelope mask (``_b*``)
+    consumed downstream, ``_bad`` consumed by ``.any()``, a final
+    2-tuple return, and no float32 narrowing anywhere.
 
 ``KER002 kernel-hygiene``
     The repository-wide determinism rules applied to kernel source:
@@ -54,7 +53,7 @@ from .rules_determinism import (
 KERNEL_MODULE = "repro.power.compile._kernel"
 
 #: The exact positional parameters ``generate_kernel_source`` emits.
-KERNEL_PARAMS = ("v", "loads", "masks", "factors", "guards", "shape", "_np")
+KERNEL_PARAMS = ("v", "loads", "masks", "factors", "shape", "_np")
 
 
 def kernel_context(kind: str, signature: tuple,
@@ -111,12 +110,8 @@ class KernelStructureRule(Rule):
     severity = SEVERITY_ERROR
     description = ("emitted kernel violates the generator's structural "
                    "contract (signature, single-assignment, mask "
-                   "consumption, guard wiring, return shape)")
+                   "consumption, return shape)")
     module_prefixes = (KERNEL_MODULE,)
-
-    #: Guard names for the kernel under audit; the audit entry point
-    #: sets this per kernel (empty when unknown: guard checks relax).
-    guard_names: Tuple[str, ...] = ()
 
     def check(self, ctx: ModuleContext,
               index: ProjectIndex) -> Iterator[Finding]:
@@ -140,7 +135,6 @@ class KernelStructureRule(Rule):
             )
         yield from self._check_bindings(ctx, func)
         yield from self._check_masks(ctx, func)
-        yield from self._check_guards(ctx, func)
         yield from self._check_return(ctx, func)
         yield from self._check_narrowing(ctx, func)
 
@@ -177,8 +171,7 @@ class KernelStructureRule(Rule):
                 elif isinstance(node.ctx, ast.Store):
                     assigned.setdefault(node.id, node)
         for name in sorted(assigned):
-            is_mask = (name.startswith("_b") and name[2:].isdigit()) \
-                or (name.startswith("_bg") and name[3:].isdigit())
+            is_mask = name.startswith("_b") and name[2:].isdigit()
             if is_mask and name not in loaded:
                 yield self.finding(
                     ctx, assigned[name],
@@ -198,30 +191,8 @@ class KernelStructureRule(Rule):
                 yield self.finding(
                     ctx, assigned["_bad"],
                     "`_bad` is accumulated but never checked with "
-                    "`.any()` — guard block missing",
+                    "`.any()` — envelope check missing",
                 )
-
-    # -- guards[0..n-1] wiring ---------------------------------------------
-
-    def _check_guards(self, ctx: ModuleContext,
-                      func: ast.FunctionDef) -> Iterator[Finding]:
-        indices: List[int] = []
-        for node in ast.walk(func):
-            if isinstance(node, ast.Subscript) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "guards" \
-                    and isinstance(node.slice, ast.Constant) \
-                    and isinstance(node.slice.value, int):
-                indices.append(node.slice.value)
-        expected = list(range(len(self.guard_names))) if self.guard_names \
-            else list(range(len(indices)))
-        if sorted(indices) != expected:
-            yield self.finding(
-                ctx, func,
-                f"guard calls use indices {sorted(indices)}, expected "
-                f"contiguous {expected} for guards "
-                f"{list(self.guard_names)}",
-            )
 
     # -- final return shape ------------------------------------------------
 
@@ -301,8 +272,8 @@ class KernelHygieneRule(Rule):
                                           rule_name=self.rule_name)
 
 
-def audit_kernel_source(kind: str, signature: tuple, source: str,
-                        guard_names: Tuple[str, ...] = ()) -> List[Finding]:
+def audit_kernel_source(kind: str, signature: tuple,
+                        source: str) -> List[Finding]:
     """Run both kernel rule families over one emitted kernel source."""
     ctx, parse_finding = kernel_context(kind, signature, source)
     if parse_finding is not None:
@@ -310,10 +281,8 @@ def audit_kernel_source(kind: str, signature: tuple, source: str,
     assert ctx is not None
     index = ProjectIndex()
     index.add_module(ctx)
-    structure = KernelStructureRule()
-    structure.guard_names = tuple(guard_names)
     findings: List[Finding] = []
-    for rule in (structure, KernelHygieneRule()):
+    for rule in (KernelStructureRule(), KernelHygieneRule()):
         findings.extend(rule.check(ctx, index))
     return findings
 
@@ -329,7 +298,7 @@ def audit_registered_kernels() -> List[Finding]:
 
     findings: List[Finding] = []
     try:
-        for kind, signature, source, guard_names \
+        for kind, signature, source, failure \
                 in iter_registered_kernel_sources():
             if source is None:
                 label = ",".join(f"{g}={s}" for g, s in signature)
@@ -340,12 +309,11 @@ def audit_registered_kernels() -> List[Finding]:
                     rule_id="KER001",
                     rule_name="kernel-structure",
                     severity=SEVERITY_ERROR,
-                    message=f"kernel generation failed: {guard_names}",
+                    message=f"kernel generation failed: {failure}",
                     snippet="",
                 ))
                 continue
-            findings.extend(
-                audit_kernel_source(kind, signature, source, guard_names))
+            findings.extend(audit_kernel_source(kind, signature, source))
     except Exception as exc:  # registry import/build failure
         findings.append(Finding(
             path="<kernel:registry>",

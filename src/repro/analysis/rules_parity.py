@@ -1,23 +1,10 @@
-"""Scalar<->batch mirror parity rules.
+"""Scalar<->mirror parity rules.
 
-The reproduction keeps three generations of the same float arithmetic
-in sync by hand: every converter's scalar ``solve`` against its
-vectorized ``solve_batch``, and the cohort engine's elementwise
-mirrors of the scalar battery/terminal-sag code.  Runtime goldens
-catch drift *eventually*; these rules catch it at lint time.
-
-``VEC001 scalar-batch-drift``
-    For every class defining both ``solve`` and ``solve_batch``, the
-    *result expression* of each (the ``i_in`` the method hands back) is
-    normalized into a canonical op-tree: names resolve through their
-    single prior straight-line assignment, numpy spellings collapse to
-    their scalar equivalents (``np.where`` -> ternary, ``np.maximum``
-    -> ``max``, ``np.zeros`` -> ``0.0``…), and anything genuinely
-    batch-shaped (reassigned accumulators, unresolvable calls) becomes
-    a wildcard that matches any subtree.  The two trees must then agree
-    operator-for-operator **in order** — order of summation is part of
-    the bit-exactness contract — and any term, constant, or operator
-    present on one side only is flagged.
+The cohort engine keeps elementwise float64 mirrors of the scalar
+battery/terminal-sag code in sync by hand.  Runtime goldens catch drift
+*eventually*; this rule catches it at lint time.  (Rail-graph batch
+solving has no hand-written mirror: its compiled kernels are verified
+bitwise against the scalar ``RailGraph.solve`` at runtime.)
 
 ``VEC002 mirror-constant-drift``
     Modules may declare a ``PARITY_MIRRORS`` mapping from a mirror
@@ -34,16 +21,7 @@ catch drift *eventually*; these rules catch it at lint time.
 from __future__ import annotations
 
 import ast
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .driver import (
     FunctionDefNode,
@@ -52,340 +30,6 @@ from .driver import (
     Rule,
 )
 from .findings import SEVERITY_ERROR, Finding
-
-#: Canonical op-tree node: a nested tuple whose first element tags the
-#: kind.  ``("wild",)`` matches any subtree.
-Canon = Tuple[object, ...]
-
-WILD: Canon = ("wild",)
-
-#: numpy reducers with a scalar builtin equivalent.
-_NUMPY_TO_SCALAR = {
-    "maximum": "max",
-    "minimum": "min",
-    "fmax": "max",
-    "fmin": "min",
-    "absolute": "abs",
-    "fabs": "abs",
-    "power": "pow",
-}
-
-#: Attribute bases treated as namespaces, not values: ``np.sqrt`` and
-#: ``math.sqrt`` canonicalize to the same call.
-_NAMESPACE_BASES = frozenset({"np", "_np", "numpy", "math"})
-
-_MAX_RESOLVE_DEPTH = 12
-
-
-def _name_of(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-class _Canonicalizer:
-    """Normalize one method body's result arithmetic to a canon tree."""
-
-    def __init__(self, func: FunctionDefNode) -> None:
-        self.assignments: Dict[str, Optional[ast.expr]] = {}
-        params = [a.arg for a in func.args.posonlyargs + func.args.args]
-        if params and params[0] in ("self", "cls"):
-            params = params[1:]
-        #: Parameters unify positionally: ``solve(v_in, ...)`` and a
-        #: ``solve_batch(v, ...)`` spelled differently still compare.
-        self.params: Dict[str, int] = {name: i
-                                       for i, name in enumerate(params)}
-        self._collect(func.body, straight_line=True)
-
-    def _collect(self, stmts: Sequence[ast.stmt],
-                 straight_line: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    for leaf in self._flatten(target):
-                        if isinstance(leaf, ast.Name):
-                            self._record(leaf.id, stmt.value,
-                                         straight_line
-                                         and not isinstance(target,
-                                                            (ast.Tuple,
-                                                             ast.List)))
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name):
-                    self._record(stmt.target.id, stmt.value, straight_line)
-            elif isinstance(stmt, ast.AugAssign):
-                if isinstance(stmt.target, ast.Name):
-                    self.assignments[stmt.target.id] = None  # accumulator
-            else:
-                if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    for leaf in self._flatten(stmt.target):
-                        if isinstance(leaf, ast.Name):
-                            self.assignments[leaf.id] = None
-                for body in self._inner_blocks(stmt):
-                    self._collect(body, straight_line=False)
-
-    @staticmethod
-    def _inner_blocks(
-            stmt: ast.stmt) -> Iterator[Sequence[ast.stmt]]:
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(stmt, field, None)
-            if block:
-                yield block
-        for handler in getattr(stmt, "handlers", []) or []:
-            yield handler.body
-
-    @staticmethod
-    def _flatten(target: ast.AST) -> Iterator[ast.AST]:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from _Canonicalizer._flatten(element)
-        else:
-            yield target
-
-    def _record(self, name: str, value: Optional[ast.expr],
-                resolvable: bool) -> None:
-        if name in self.assignments or not resolvable:
-            self.assignments[name] = None  # reassigned or conditional
-        else:
-            self.assignments[name] = value
-
-    def canon(self, node: ast.AST,
-              depth: int = _MAX_RESOLVE_DEPTH,
-              resolving: AbstractSet[str] = frozenset()) -> Canon:
-        if depth <= 0:
-            return WILD
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or node.value is None:
-                return ("const", repr(node.value))
-            if isinstance(node.value, (int, float)):
-                return ("const", repr(float(node.value)))
-            return ("const", repr(node.value))
-        if isinstance(node, ast.Name):
-            if node.id in resolving:
-                return WILD
-            if node.id in self.assignments:
-                value = self.assignments[node.id]
-                if value is None:
-                    return WILD
-                return self.canon(value, depth - 1,
-                                  frozenset(resolving) | {node.id})
-            if node.id in self.params:
-                return ("param", self.params[node.id])
-            return ("leaf", node.id)
-        if isinstance(node, ast.Attribute):
-            return ("leaf", node.attr)
-        if isinstance(node, ast.UnaryOp):
-            op = ("not" if isinstance(node.op, ast.Not)
-                  else type(node.op).__name__)
-            return ("unary", op,
-                    self.canon(node.operand, depth, resolving))
-        if isinstance(node, ast.BinOp):
-            op = type(node.op).__name__
-            if isinstance(node.op, ast.BitAnd):
-                op = "And"
-            elif isinstance(node.op, ast.BitOr):
-                op = "Or"
-            return ("bin", op,
-                    self.canon(node.left, depth, resolving),
-                    self.canon(node.right, depth, resolving))
-        if isinstance(node, ast.BoolOp):
-            op = "And" if isinstance(node.op, ast.And) else "Or"
-            parts: Canon = tuple(self.canon(v, depth, resolving)
-                                 for v in node.values)
-            tree = parts[0]
-            for part in parts[1:]:
-                tree = ("bin", op, tree, part)
-            return tree
-        if isinstance(node, ast.Compare):
-            if len(node.ops) == 1:
-                return ("cmp", type(node.ops[0]).__name__,
-                        self.canon(node.left, depth, resolving),
-                        self.canon(node.comparators[0], depth, resolving))
-            return WILD
-        if isinstance(node, ast.IfExp):
-            return ("ternary",
-                    self.canon(node.test, depth, resolving),
-                    self.canon(node.body, depth, resolving),
-                    self.canon(node.orelse, depth, resolving))
-        if isinstance(node, ast.Call):
-            return self._canon_call(node, depth, resolving)
-        if isinstance(node, ast.Subscript):
-            return WILD
-        return WILD
-
-    def _canon_call(self, node: ast.Call, depth: int,
-                    resolving: AbstractSet[str]) -> Canon:
-        name = _name_of(node.func)
-        if name is None:
-            return WILD
-        if isinstance(node.func, ast.Attribute):
-            base = node.func.value
-            if not (isinstance(base, ast.Name)
-                    and base.id in _NAMESPACE_BASES):
-                # a method call on a value (self.select_gain(...)): opaque
-                return WILD
-        args = node.args
-        if name == "where" and len(args) == 3:
-            return ("ternary",
-                    self.canon(args[0], depth, resolving),
-                    self.canon(args[1], depth, resolving),
-                    self.canon(args[2], depth, resolving))
-        if name == "full" and len(args) == 2:
-            return self.canon(args[1], depth, resolving)
-        if name == "full_like" and len(args) == 2:
-            return self.canon(args[1], depth, resolving)
-        if name in ("zeros", "zeros_like"):
-            return ("const", repr(0.0))
-        if name in ("ones", "ones_like"):
-            return ("const", repr(1.0))
-        if name in ("float", "asarray", "float64"):
-            if len(args) == 1:
-                return self.canon(args[0], depth, resolving)
-            return WILD
-        mapped = _NUMPY_TO_SCALAR.get(name, name)
-        return ("call", mapped,
-                tuple(self.canon(arg, depth, resolving) for arg in args))
-
-
-def canonical_result(func: FunctionDefNode) -> Optional[Canon]:
-    """The canon tree of a solve method's result expression.
-
-    The result expression is the last ``return``'s value; when that is
-    a constructor call carrying an ``i_in=`` keyword (the scalar
-    ``OperatingPoint`` shape), the keyword's value is the result slice.
-    ``None`` when the method has no usable return.
-    """
-    returns = [node for node in ast.walk(func)
-               if isinstance(node, ast.Return) and node.value is not None]
-    if not returns:
-        return None
-    # ast.walk is breadth-first; the *lexically* last return is the
-    # steady-state result (early returns handle disabled/edge states).
-    value = max(returns, key=lambda n: (n.lineno, n.col_offset)).value
-    if isinstance(value, ast.Call):
-        for kw in value.keywords:
-            if kw.arg == "i_in":
-                value = kw.value
-                break
-    canonicalizer = _Canonicalizer(func)
-    return canonicalizer.canon(value)
-
-
-def _matches(a: object, b: object) -> bool:
-    """Structural equality where ``("wild",)`` matches any subtree.
-
-    Canon nodes and call-argument tuples are both plain tuples, so one
-    recursive structural walk covers both.
-    """
-    if a == WILD or b == WILD:
-        return True
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return (len(a) == len(b)
-                and all(_matches(x, y) for x, y in zip(a, b)))
-    return a == b
-
-
-def _is_wild(tree: Canon) -> bool:
-    return tree == WILD
-
-
-def _sum_terms(tree: Canon) -> List[Canon]:
-    """Flatten a top-level ``+`` chain into its ordered terms."""
-    if tree[0] == "bin" and tree[1] == "Add":
-        return _sum_terms(tree[2]) + _sum_terms(tree[3])  # type: ignore[arg-type]
-    return [tree]
-
-
-def _describe(tree: Canon) -> str:
-    """Compact human-readable rendering of a canon tree."""
-    kind = tree[0]
-    if kind == "wild":
-        return "<batch-shaped>"
-    if kind == "const":
-        return str(tree[1])
-    if kind == "leaf":
-        return str(tree[1])
-    if kind == "param":
-        return f"<arg{tree[1]}>"
-    if kind == "unary":
-        return f"{tree[1]}({_describe(tree[2])})"  # type: ignore[arg-type]
-    if kind == "bin":
-        symbol = {"Add": "+", "Sub": "-", "Mult": "*", "Div": "/",
-                  "Pow": "**", "And": "&", "Or": "|",
-                  "Mod": "%", "FloorDiv": "//"}.get(str(tree[1]),
-                                                    str(tree[1]))
-        return (f"({_describe(tree[2])} {symbol} "  # type: ignore[arg-type]
-                f"{_describe(tree[3])})")  # type: ignore[arg-type]
-    if kind == "cmp":
-        return (f"({_describe(tree[2])} {tree[1]} "  # type: ignore[arg-type]
-                f"{_describe(tree[3])})")  # type: ignore[arg-type]
-    if kind == "ternary":
-        return (f"({_describe(tree[3])} if "  # type: ignore[arg-type]
-                f"{_describe(tree[1])} else "  # type: ignore[arg-type]
-                f"{_describe(tree[2])})")  # type: ignore[arg-type]
-    if kind == "call":
-        args = ", ".join(_describe(arg)  # type: ignore[arg-type]
-                         for arg in tree[2])  # type: ignore[union-attr]
-        return f"{tree[1]}({args})"
-    return repr(tree)
-
-
-def _drift_message(scalar: Canon, batch: Canon) -> str:
-    scalar_terms = _sum_terms(scalar)
-    batch_terms = _sum_terms(batch)
-    if len(scalar_terms) != len(batch_terms):
-        return (f"solve sums {len(scalar_terms)} term(s) but solve_batch "
-                f"sums {len(batch_terms)}: solve computes "
-                f"{_describe(scalar)}; solve_batch computes "
-                f"{_describe(batch)}")
-    if sorted(map(repr, scalar_terms)) == sorted(map(repr, batch_terms)):
-        return (f"order of summation differs between solve and "
-                f"solve_batch: solve computes {_describe(scalar)}; "
-                f"solve_batch computes {_describe(batch)} (summation "
-                f"order is part of the bit-exactness contract)")
-    return (f"solve and solve_batch compute different arithmetic: "
-            f"solve computes {_describe(scalar)}; solve_batch computes "
-            f"{_describe(batch)}")
-
-
-class ScalarBatchParityRule(Rule):
-    """``solve`` and ``solve_batch`` of one class drifting apart."""
-
-    rule_id = "VEC001"
-    rule_name = "scalar-batch-drift"
-    severity = SEVERITY_ERROR
-    description = ("solve and solve_batch of the same class disagree "
-                   "on operators, constants, or summation order")
-
-    def check(self, ctx: ModuleContext,
-              index: ProjectIndex) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            methods = {child.name: child for child in node.body
-                       if isinstance(child, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef))}
-            scalar = methods.get("solve")
-            batch = methods.get("solve_batch")
-            if scalar is None or batch is None:
-                continue
-            scalar_tree = canonical_result(scalar)
-            batch_tree = canonical_result(batch)
-            if scalar_tree is None or batch_tree is None:
-                continue
-            if _is_wild(scalar_tree) or _is_wild(batch_tree):
-                continue  # no structure to compare against
-            if not _matches(scalar_tree, batch_tree):
-                yield self.finding(
-                    ctx, batch,
-                    f"`{node.name}.solve_batch` drifted from "
-                    f"`{node.name}.solve`: "
-                    f"{_drift_message(scalar_tree, batch_tree)}",
-                )
 
 
 def _float_constants(func: FunctionDefNode) -> Set[str]:

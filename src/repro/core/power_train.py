@@ -249,19 +249,14 @@ class GraphPowerTrain(PowerTrain):
             degradation=self._component_degradations,
         )
 
-    def solve_graph_batch(
-        self, v_battery, loads: Dict, compiled: bool = True
-    ) -> GraphSolutionBatch:
+    def solve_graph_batch(self, v_battery, loads: Dict) -> GraphSolutionBatch:
         """Batched raw graph solutions over an operating-point axis.
 
         ``v_battery`` and the ``loads`` values (channel name to amperes)
         broadcast along one batch axis; the train's current gate state
-        and per-component degradations apply to every point.  The scalar
-        :meth:`solve_graph` stays the bit-exact reference — see
-        :data:`repro.power.graph.ULP_BUDGET`.  ``compiled`` is passed
-        through to :meth:`RailGraph.solve_batch`: the default runs the
-        fused plan-compiled kernel (bitwise-identical, auto-fallback),
-        ``compiled=False`` forces the interpreted walk.
+        and per-component degradations apply to every point.  Results
+        are bitwise equal to a loop of :meth:`solve_graph` calls (see
+        :meth:`RailGraph.solve_batch`).
         """
         if not self.radio_enabled:
             for channel in ("radio-digital", "radio-rf"):
@@ -280,7 +275,6 @@ class GraphPowerTrain(PowerTrain):
             loads,
             open_gates=self._open_gates,
             degradation=self._component_degradations,
-            compiled=compiled,
         )
 
     def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:

@@ -33,7 +33,6 @@ from .optimizer import (
 )
 from .graph import (
     CHANNELS,
-    ULP_BUDGET,
     ChargePumpSpec,
     DrainSpec,
     FrozenMapping,
@@ -76,7 +75,6 @@ from . import topologies
 __all__ = [
     "BoostRectifier",
     "CHANNELS",
-    "ULP_BUDGET",
     "ChargePumpSpec",
     "Converter",
     "DrainSpec",

@@ -18,8 +18,6 @@ import abc
 import dataclasses
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..errors import ConfigurationError, ElectricalError
 
 
@@ -112,27 +110,6 @@ class Converter(abc.ABC):
             raise ElectricalError(
                 f"{self.name}: negative load current {i_out} A not supported"
             )
-
-    def _batch_guard(self, v_in, i_out, bad, active=None) -> None:
-        """Raise this converter's scalar error for an invalid batch point.
-
-        ``bad`` flags the batch points a ``solve_batch`` found outside the
-        operating envelope; ``active`` (optional boolean mask) limits the
-        check to the points a per-point gate actually energises.  The
-        error is produced by re-running the scalar :meth:`solve` at the
-        lowest flagged index, so batch and scalar callers see the same
-        exception type and message.
-        """
-        if active is not None:
-            bad = bad & active
-        if not bad.any():
-            return
-        index = int(np.argmax(bad))
-        self.solve(float(v_in[index]), float(i_out[index]))
-        raise ElectricalError(  # pragma: no cover - scalar solve raises
-            f"{self.name}: batch point {index} out of envelope but the "
-            f"scalar reference accepted it"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "on" if self.enabled else "off"

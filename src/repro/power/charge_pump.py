@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError, ElectricalError
 from .base import Converter, OperatingPoint, VoltageRange
 
@@ -109,27 +107,3 @@ class RegulatedChargePump(Converter):
                 "quiescent": v_in * i_house,
             },
         )
-
-    def solve_batch(self, v_in, i_out, active=None) -> np.ndarray:
-        """Vectorized input current over ``(n,)`` operating-point arrays.
-
-        Mirrors :meth:`solve` — per-point gain hopping, snooze-mode
-        selection, linear-like regulation loss — with the checks applied
-        only where ``active`` (optional boolean mask) is set; an invalid
-        active point raises the scalar error.  Returns the input-current
-        array only (the quantity a rail-graph walk aggregates).
-        """
-        if not self.enabled:
-            return np.zeros(v_in.shape)
-        bad = (i_out < 0.0) | (v_in < self.input_range.minimum)
-        bad |= v_in > self.input_range.maximum
-        bad |= ~np.isfinite(v_in)
-        threshold = self.v_out + self.headroom
-        gain = np.zeros(v_in.shape)
-        for candidate in self.gains:  # ascending: smallest workable wins
-            gain = np.where((gain == 0.0) & (candidate * v_in >= threshold),
-                            candidate, gain)
-        self._batch_guard(v_in, i_out, bad | (gain == 0.0), active)
-        i_house = np.where(i_out <= self.snooze_load_threshold,
-                           self.i_snooze, self.i_quiescent)
-        return gain * i_out + i_house

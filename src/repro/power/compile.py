@@ -1,11 +1,12 @@
 """Plan-compiled fused kernels for :meth:`RailGraph.solve_batch`.
 
-The batched solver in :mod:`repro.power.graph` walks the precomputed
-dispatch plan in interpreted Python: one dynamic dispatch, one gate
-check, and a handful of short-lived temporaries per component per call.
-At fleet scale (``net/cohort.py``'s advance chain, ``sim/fleet_engine``,
-``topology_sweep_campaign``) that walk overhead dominates the actual
-numpy arithmetic.  This module removes it by *compiling the plan*:
+The batch solver would otherwise walk the precomputed dispatch plan in
+interpreted Python: one dynamic dispatch, one gate check, and a handful
+of short-lived temporaries per component per call.  At fleet scale
+(``net/cohort.py``'s advance chain, ``sim/fleet_engine``,
+``topology_sweep_campaign``) that walk overhead would dominate the
+actual numpy arithmetic.  This module removes it by *compiling the
+plan*:
 
 * :func:`generate_kernel_source` turns a ``RailGraph``'s plan plus a
   **gate signature** (each gate group resolved to uniformly-open,
@@ -17,27 +18,29 @@ numpy arithmetic.  This module removes it by *compiling the plan*:
   a content-addressed cache (a :class:`repro.runner.cache.MemoCache`)
   keyed on ``(plan hash, gate signature, code version)``, so every graph
   built from an equal spec shares one kernel per signature;
-* :func:`solve_batch_compiled` is the fast path behind
-  ``RailGraph.solve_batch(compiled=True)``.
+* :func:`solve_batch_compiled` and :func:`solve_batch_fast` serve
+  ``RailGraph.solve_batch`` from those kernels.
 
-**Bit-exactness contract.**  The scalar solver and its 440 float-hex
-goldens remain the authority; the interpreted batch walk mirrors it
-within :data:`repro.power.graph.ULP_BUDGET` ulps; and compiled kernels
-must match the interpreted walk **bitwise** — the generated source
-replays the exact operation sequence (declaration-order summation
-accumulating from a zeros seed, cascades solved at the parent's nominal
-rail, constants pre-folded only where scalar CPython would fold them).
-The first call through each cached kernel runs both paths and compares
-every output array byte-for-byte; any divergence permanently marks the
-kernel failed, falls back to the interpreted walk, and is surfaced in
-:func:`kernel_metrics`.
+**Bit-exactness contract.**  The scalar :meth:`RailGraph.solve` and its
+440 float-hex goldens are the only reference: a kernel's result must be
+bitwise equal to a loop of scalar solves, one per batch point.  The
+generated source replays the scalar operation sequence exactly
+(declaration-order summation accumulating from a zeros seed, cascades
+solved at the parent's nominal rail, squares as multiplications,
+constants pre-folded only where scalar CPython folds them).  The first
+batch each cached kernel serves is checked against that scalar loop at
+every point — ``i_source`` plus every component current the scalar walk
+visits there; components behind a gate closed at a point are never
+compared.  A divergence permanently retires the kernel, and every batch
+a kernel cannot serve (unsupported plan, disabled converter, retired
+kernel, unexpected kernel error) is answered by the scalar loop itself.
+:func:`kernel_metrics` counts each such fallback.
 
-**Error parity.**  Envelope checks are hoisted, but each converter's
-per-point ``bad`` mask (with ancestor gate masks folded in) is kept
-alive; on ``_bad.any()`` the kernel invokes the converters'
-``_batch_guard`` in walk order, so batch callers see the identical
-scalar :class:`~repro.errors.ElectricalError` the interpreted walk
-raises — first failing component in walk order, lowest failing index.
+**Error semantics.**  Envelope checks are hoisted into one per-point
+``_bad`` mask (ancestor gate masks folded in).  When ``_bad.any()``, the
+kernel raises and the lowest flagged point is re-solved with scalar
+:meth:`RailGraph.solve`, which raises exactly the
+:class:`~repro.errors.ElectricalError` a scalar loop would raise first.
 
 Set the :data:`CACHE_DIR_ENV` environment variable to also persist
 generated kernel source on disk (content-addressed filenames); a warm
@@ -64,19 +67,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, ElectricalError
+from ..errors import ElectricalError
 from ..runner.cache import MemoCache
 from ..runner.cacheroot import resolve_cache_dir
 from .charge_pump import RegulatedChargePump
-from .graph import FrozenMapping, GraphSolutionBatch, RailGraph
+from .graph import (
+    FrozenMapping, GraphSolution, GraphSolutionBatch, RailGraph,
+)
 from .linear_regulator import LinearRegulator
 from .sc_converter import SwitchedCapacitorConverter
 from .shunt_regulator import ShuntRegulator
 
-#: Bump when the generated source or the interpreted walk changes shape:
-#: it keys the kernel cache, so old in-memory and on-disk artifacts are
-#: never matched against a newer plan walk.
-KERNEL_CODE_VERSION = 3
+#: Bump when the generated source or the kernel signature changes: it
+#: keys the kernel cache, so old in-memory and on-disk artifacts are
+#: never called with a newer argument list.
+KERNEL_CODE_VERSION = 4
 
 #: Environment variable naming a directory for the persistent source
 #: cache (used by CI's cold/warm equivalence check).  This is a
@@ -119,6 +124,14 @@ class KernelUnsupported(Exception):
     """The plan contains a component this compiler has no emitter for."""
 
 
+class _OutOfEnvelope(Exception):
+    """Raised by a kernel whose hoisted envelope check flagged points."""
+
+    def __init__(self, bad: np.ndarray) -> None:
+        super().__init__("batch point outside a component's envelope")
+        self.bad = bad
+
+
 def _min_satisfying_v(scale: float, target: float) -> Optional[float]:
     """Smallest float ``x`` with ``fl(scale * x) >= target``, or ``None``.
 
@@ -158,11 +171,8 @@ class CompiledKernel:
     key: tuple
     source: str
     fn: Optional[Callable]
-    #: Converter component names whose ``_batch_guard`` the kernel calls
-    #: (in walk order) when a batch point is out of envelope.
-    guard_names: Tuple[str, ...]
-    #: True once a call has compared bitwise-equal to the interpreted
-    #: walk; until then every call runs both paths.
+    #: True once a non-empty batch has compared bitwise-equal to the
+    #: scalar loop; until then every call runs both.
     verified: bool = False
     #: True when the kernel is permanently out of service (unsupported
     #: plan, bad artifact, or a bitwise mismatch); callers fall back.
@@ -193,12 +203,13 @@ class KernelMetrics:
     disk_loads: int
     #: Batch solves served by a compiled kernel.
     kernel_solves: int
-    #: First-use bitwise comparisons against the interpreted walk.
+    #: First-use bitwise comparisons against the scalar loop.
     verifications: int
-    #: Verifications that diverged (kernel permanently failed).
+    #: Kernels retired for disagreeing with the scalar reference
+    #: (diverged, raised, or flagged a point the scalar solve accepts).
     mismatches: int
-    #: Solves that fell back to the interpreted walk (disabled
-    #: converters, failed kernels, unexpected runtime errors).
+    #: Solves answered by the scalar loop (unsupported plans, disabled
+    #: converters, retired kernels, unexpected kernel errors).
     fallbacks: int
     #: Plans the compiler refused (no emitter / bad source).
     unsupported: int
@@ -247,7 +258,7 @@ def gate_signature(graph: RailGraph, gates: Dict[str, object]) -> tuple:
     ``gates`` is the output of ``RailGraph._normalize_gates``: gate name
     to ``True`` (uniformly open), ``False`` (uniformly closed), or a
     boolean per-point mask.  Gates absent from the mapping are closed,
-    matching the interpreted walk's ``gates.get(gate, False)``.
+    as they are for the scalar walk.
     """
     signature = []
     for gate in graph._gate_names:
@@ -279,31 +290,24 @@ def _normalize_gate_input(graph: RailGraph, open_gates) -> Dict[str, object]:
     return graph._normalize_gates(open_gates, shape)
 
 
-def generate_kernel_source(
-    graph: RailGraph, signature: tuple
-) -> Tuple[str, Tuple[str, ...]]:
+def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
     """Emit straight-line fused source for one (plan, signature) pair.
 
-    Returns ``(source, guard_names)`` where ``guard_names`` lists the
-    converter components whose bound ``_batch_guard`` methods the caller
-    must pass (in order) as the kernel's ``guards`` argument.  Raises
-    :class:`KernelUnsupported` when the plan holds a converter type this
-    compiler has no emitter for.
+    Raises :class:`KernelUnsupported` when the plan holds a converter
+    type this compiler has no emitter for.
 
-    The emitted operation sequence replays the interpreted walk exactly
-    (see the module docstring), with two safe strengthenings: scalar
-    constants that the interpreted path computes with CPython float
+    The emitted operation sequence replays the scalar walk exactly (see
+    the module docstring), with two safe strengthenings: scalar
+    constants that the scalar walk computes with CPython float
     arithmetic are pre-folded at codegen time using the *same* CPython
     operations, and per-stage envelope masks are OR-merged into a single
-    hoisted ``_bad.any()`` check whose failure path calls the stage
-    guards in walk order.
+    hoisted ``_bad.any()`` check that raises :class:`_OutOfEnvelope`
+    with the mask of failing points.
     """
     states = dict(signature)
     comp_kind = {comp.name: comp.kind for comp in graph.spec.components}
     lines: List[str] = []
     order: List[Tuple[str, str]] = []       # currents insertion order
-    guard_names: List[str] = []
-    guard_calls: List[Tuple[str, str, str]] = []
     counter = [0]
     bad_seen = [False]
     uses_errstate = [False]
@@ -322,8 +326,7 @@ def generate_kernel_source(
         ``_z + value`` reproduces ``np.full(shape, value)`` bitwise
         (IEEE ``0.0 + x == x``) at less than half the cost — except for
         ``-0.0`` and NaN payloads, which keep the literal ``np.full``.
-        A plain zero is the zeros seed itself: the interpreted walk
-        already shares one zeros array between all-zero components.
+        A plain zero is the zeros seed itself.
         """
         if value != value or (value == 0.0
                               and math.copysign(1.0, value) < 0.0):
@@ -332,26 +335,17 @@ def generate_kernel_source(
             return "_z"
         return f"_z + {value!r}"
 
-    def accumulate_bad(bad: str) -> None:
+    def flag(bad: str, active: Optional[str]) -> None:
+        # One stage's envelope mask, limited to the points its gates
+        # energise (the scalar walk never visits the others), merged
+        # into the hoisted _bad.
+        if active is not None:
+            bad = f"({bad} & {active})"
         if not bad_seen[0]:
             bad_seen[0] = True
             emit(f"_bad = {bad}")
         else:
             emit(f"_bad = _bad | {bad}")
-
-    def guard(name: str, v_expr: str, i_expr: str, bad: str,
-              active: Optional[str]) -> None:
-        # The interpreted _batch_guard folds the active mask itself;
-        # here it is folded at the call site so the hoisted _bad carries
-        # exactly the points the interpreted walk would raise on.
-        if active is not None:
-            folded = new("bg")
-            emit(f"{folded} = {bad} & {active}")
-        else:
-            folded = bad
-        accumulate_bad(folded)
-        guard_names.append(name)
-        guard_calls.append((v_expr, i_expr, folded))
 
     def emit_charge_pump(name, conv, v_expr, s_var, active, v_const):
         bad = new("b")
@@ -387,7 +381,7 @@ def generate_kernel_source(
                      f"({cand!r} * {v_expr} >= {threshold!r}), "
                      f"{cand!r}, {gain})")
         emit(f"{bad} = {bad} | ({gain} == 0.0)")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         house = new("h")
         emit(f"{house} = _np.where({s_var} <= {conv.snooze_load_threshold!r},"
              f" {conv.i_snooze!r}, {conv.i_quiescent!r})")
@@ -397,8 +391,8 @@ def generate_kernel_source(
 
     def emit_sc_converter(name, conv, v_expr, s_var, active, v_const):
         # Only the SC stage divides/sqrts through possibly-invalid
-        # intermediates (its interpreted solve_batch runs under its own
-        # errstate); plans without one skip the errstate context.
+        # intermediates (at points the scalar walk would reject or never
+        # visit); plans without one skip the errstate context.
         uses_errstate[0] = True
         bad = new("b")
         emit(f"{bad} = ({s_var} < 0.0) | ({v_expr} <= 0.0)")
@@ -415,7 +409,7 @@ def generate_kernel_source(
         emit(f"{r_needed} = ({v_ideal} - {conv.v_target!r}) / {i_safe}")
         emit(f"{bad} |= {loaded} & ({r_needed} <= {r_fsl!r})")
         r_gap = new("rg")
-        emit(f"{r_gap} = {r_needed} ** 2 - {r_fsl ** 2!r}")
+        emit(f"{r_gap} = {r_needed} * {r_needed} - {r_fsl ** 2!r}")
         r_ssl = new("rs")
         emit(f"{r_ssl} = _np.sqrt(_np.where({r_gap} > 0.0, {r_gap}, 1.0))")
         f_sw = new("fs")
@@ -429,9 +423,9 @@ def generate_kernel_source(
         v_sag = new("vs")
         emit(f"{v_sag} = {v_ideal} - {s_var} * {r_out}")
         emit(f"{bad} |= {loaded} & ({v_sag} < {conv.v_target - 1e-9!r})")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         v_sq = new("vv")
-        emit(f"{v_sq} = {v_expr} ** 2")
+        emit(f"{v_sq} = {v_expr} * {v_expr}")
         p_gate = new("pg")
         emit(f"{p_gate} = {f_sw} * {conv.g_total!r} * {conv.tau_gate!r} "
              f"* {v_sq}")
@@ -445,9 +439,9 @@ def generate_kernel_source(
 
     def emit_ldo(name, conv, v_expr, s_var, active, v_const):
         # Under a converter rail the input voltage is one compile-time
-        # constant at every point (the interpreted walk broadcasts it),
-        # so its window comparison folds to a scalar bool: OR-ing a
-        # Python bool into a bool array is elementwise-identical to
+        # constant at every point (the scalar walk passes the nominal
+        # rail), so its window comparison folds to a scalar bool: OR-ing
+        # a Python bool into a bool array is elementwise-identical to
         # OR-ing the comparison of the broadcast rail.
         bad = new("b")
         v_min = conv.minimum_input_voltage()
@@ -458,7 +452,7 @@ def generate_kernel_source(
         else:
             emit(f"{bad} = {s_var} < 0.0")
         emit(f"{bad} |= {s_var} > {conv.i_max!r}")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         i_var = new("i")
         emit(f"{i_var} = {s_var} + {conv.i_ground!r}")
         return i_var
@@ -485,7 +479,7 @@ def generate_kernel_source(
         shunted = new("sh")
         emit(f"{shunted} = {supply_expr} - {s_var}")
         emit(f"{bad} |= {shunted} < {conv.i_bias_min!r}")
-        guard(name, v_expr, s_var, bad, active)
+        flag(bad, active)
         i_var = new("i")
         emit(f"{i_var} = {supply}")
         return i_var
@@ -551,8 +545,8 @@ def generate_kernel_source(
                 v_out, converter = arg
                 v_rail = new("vr")
                 # The nominal-rail array is only materialized when some
-                # descendant expression (or guard call) actually reads
-                # it — resolved after the whole body is emitted.
+                # descendant expression actually reads it — resolved
+                # after the whole body is emitted.
                 rail_at = len(lines)
                 s_var = child_sum(name, v_rail, child_active, v_out)
                 i_var = emit_converter(name, converter, v_expr, s_var,
@@ -587,53 +581,35 @@ def generate_kernel_source(
         seed = "_z" if index == 0 else "_i_src"
         emit(f"_i_src = {seed} + {c_var}")
 
-    guard_at = None
-    if guard_calls:
-        guard_at = len(lines)
+    if bad_seen[0]:
         emit("if _bad.any():")
-        for idx, (v_expr, i_expr, bad) in enumerate(guard_calls):
-            emit(f"guards[{idx}]({v_expr}, {i_expr}, {bad}, None)", depth=1)
-        emit("raise _kernel_inconsistent()", depth=1)
+        emit("raise _OutOfEnvelope(_bad)", depth=1)
     currents = ", ".join(f"{name!r}: {var}" for name, var in order)
     emit(f"return _i_src, {{{currents}}}")
 
-    # Materialize only the nominal-rail arrays some later line reads
-    # (a converter whose children are all taps or closed gates never
-    # touches its rail), and when the sole readers are the cold-path
-    # stage-guard calls — the usual case after constant-rail folding —
-    # materialize inside the ``_bad.any()`` block so the hot path never
-    # pays for it.  Reverse order keeps earlier insert points valid
-    # while later insertions shift down.
+    # Materialize only the nominal-rail arrays some later line reads (a
+    # converter whose children are all taps, closed gates, or
+    # constant-rail folds never touches its rail).  Reverse order keeps
+    # earlier insert points valid while later insertions shift down.
     for rail_at, v_rail, v_out in sorted(deferred_rails, reverse=True):
         pattern = re.compile(re.escape(v_rail) + r"\b")
-        first_use = next(
-            (idx for idx in range(rail_at, len(lines))
-             if pattern.search(lines[idx])),
-            None,
-        )
-        if first_use is None:
-            continue
-        text = f"{v_rail} = {const_array(v_out)}"
-        if guard_at is not None and first_use > guard_at:
-            lines.insert(guard_at + 1, "    " * 3 + text)
-        else:
-            lines.insert(rail_at, "    " * 2 + text)
-            if guard_at is not None and rail_at <= guard_at:
-                guard_at += 1
+        if any(pattern.search(line) for line in lines[rail_at:]):
+            lines.insert(rail_at,
+                         "    " * 2 + f"{v_rail} = {const_array(v_out)}")
 
     sig_text = ", ".join(f"{gate}={state}" for gate, state in signature)
     header = [
         f'"""Fused solve_batch kernel: topology {graph.spec.name!r}, '
         f'gates [{sig_text or "none"}], '
         f'code version {KERNEL_CODE_VERSION}."""',
-        "def _kernel(v, loads, masks, factors, guards, shape, _np=np):",
+        "def _kernel(v, loads, masks, factors, shape, _np=np):",
     ]
     if uses_errstate[0]:
         header.append('    with _np.errstate(divide="ignore", '
                       'invalid="ignore", over="ignore"):')
     else:
         lines = [line[4:] for line in lines]
-    return "\n".join(header + lines) + "\n", tuple(guard_names)
+    return "\n".join(header + lines) + "\n"
 
 
 def kernel_source(graph: RailGraph, open_gates=frozenset()) -> str:
@@ -644,13 +620,13 @@ def kernel_source(graph: RailGraph, open_gates=frozenset()) -> str:
     same frozenset-or-mapping forms as :meth:`RailGraph.solve_batch`.
     """
     gates = _normalize_gate_input(graph, open_gates)
-    return generate_kernel_source(graph, gate_signature(graph, gates))[0]
+    return generate_kernel_source(graph, gate_signature(graph, gates))
 
 
 def iter_registered_kernel_sources():
     """Every kernel this compiler can emit for the registered topologies.
 
-    Yields ``(kind, signature, source, guard_names)`` for each
+    Yields ``(kind, signature, source, failure)`` for each
     registered rail topology crossed with every gate-state combination
     (open/closed/mask per gate) — the full space the runtime kernel
     cache can ever hold.  The lint kernel auditor
@@ -658,10 +634,11 @@ def iter_registered_kernel_sources():
     structural invariants; keeping enumeration here means the auditor
     never has to know how plans, signatures, or gates are spelled.
 
-    Pure codegen: no caching, no ``exec``.  A plan the compiler has no
-    emitter for yields ``(kind, signature, None, reason)`` instead of
-    raising, so one unsupported topology never hides the rest of the
-    registry from an auditor.
+    Pure codegen: no caching, no ``exec``.  ``failure`` is ``None`` for
+    an emitted kernel; a plan the compiler has no emitter for yields
+    ``(kind, signature, None, reason)`` instead of raising, so one
+    unsupported topology never hides the rest of the registry from an
+    auditor.
     """
     import itertools
 
@@ -674,24 +651,16 @@ def iter_registered_kernel_sources():
         for combo in itertools.product(states, repeat=len(gate_names)):
             signature = tuple(zip(gate_names, combo))
             try:
-                source, guard_names = generate_kernel_source(
-                    graph, signature)
+                source = generate_kernel_source(graph, signature)
             except KernelUnsupported as exc:
                 yield kind, signature, None, str(exc)
                 continue
-            yield kind, signature, source, guard_names
+            yield kind, signature, source, None
 
 
 # ---------------------------------------------------------------------------
 # Compilation, caching, and the solve fast path
 # ---------------------------------------------------------------------------
-
-
-def _kernel_inconsistent() -> ElectricalError:
-    return ElectricalError(  # pragma: no cover - stage guards raise first
-        "compiled kernel flagged a batch point out of envelope but no "
-        "stage guard raised"
-    )
 
 
 def _plan_digest(graph: RailGraph) -> str:
@@ -740,11 +709,7 @@ def _disk_write(key: tuple, source: str) -> None:
 
 def _exec_kernel(source: str, key: tuple) -> Callable:
     """Compile and execute kernel source, returning its ``_kernel``."""
-    namespace = {
-        "np": np,
-        "ElectricalError": ElectricalError,
-        "_kernel_inconsistent": _kernel_inconsistent,
-    }
+    namespace = {"np": np, "_OutOfEnvelope": _OutOfEnvelope}
     code = compile(source, f"<railgraph-kernel {key[0][:12]}>", "exec")
     # The one sanctioned exec in the tree (lint rule DET004): the source
     # is generated above from the frozen plan, never from user input.
@@ -758,11 +723,11 @@ def _exec_kernel(source: str, key: tuple) -> Callable:
 def _build_kernel(graph: RailGraph, signature: tuple,
                   key: tuple) -> CompiledKernel:
     try:
-        source, guard_names = generate_kernel_source(graph, signature)
+        source = generate_kernel_source(graph, signature)
     except KernelUnsupported as exc:
         _bump("unsupported")
-        return CompiledKernel(key=key, source="", fn=None, guard_names=(),
-                              failed=True, failure=str(exc))
+        return CompiledKernel(key=key, source="", fn=None, failed=True,
+                              failure=str(exc))
     fn = None
     chosen = source
     from_disk = False
@@ -780,7 +745,7 @@ def _build_kernel(graph: RailGraph, signature: tuple,
         except Exception as exc:
             _bump("unsupported")
             return CompiledKernel(key=key, source=source, fn=None,
-                                  guard_names=guard_names, failed=True,
+                                  failed=True,
                                   failure=f"kernel source failed to "
                                           f"compile: {exc}")
     if not from_disk:
@@ -788,8 +753,15 @@ def _build_kernel(graph: RailGraph, signature: tuple,
     _bump("compiles")
     if from_disk:
         _bump("disk_loads")
-    return CompiledKernel(key=key, source=chosen, fn=fn,
-                          guard_names=guard_names)
+    return CompiledKernel(key=key, source=chosen, fn=fn)
+
+
+def _kernel_entry(graph: RailGraph, signature: tuple) -> CompiledKernel:
+    """The shared cache entry for one (plan, signature) pair."""
+    key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION)
+    return _KERNELS.get_or_compute(
+        key, lambda: _build_kernel(graph, signature, key)
+    )
 
 
 def compiled_kernel_for(graph: RailGraph,
@@ -799,60 +771,169 @@ def compiled_kernel_for(graph: RailGraph,
     source, verification state, and failure reasons.
     """
     gates = _normalize_gate_input(graph, open_gates)
-    signature = gate_signature(graph, gates)
-    key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION)
-    return _KERNELS.get_or_compute(
-        key, lambda: _build_kernel(graph, signature, key)
+    return _kernel_entry(graph, gate_signature(graph, gates))
+
+
+# ---------------------------------------------------------------------------
+# The scalar reference: verification, error re-solve, and fallback
+# ---------------------------------------------------------------------------
+
+
+def _solve_point(graph: RailGraph, v, loads, signature, masks, factors,
+                 index: int) -> GraphSolution:
+    """Scalar :meth:`RailGraph.solve` at one point of kernel inputs."""
+    return graph.solve(
+        float(v[index]),
+        {channel: float(amps[index]) for channel, amps in loads.items()},
+        open_gates=frozenset(
+            gate for gate, state in signature
+            if state == GATE_OPEN
+            or (state == GATE_MASK and masks[gate][index])
+        ),
+        degradation={
+            name: factor if type(factor) is float else float(factor[index])
+            for name, factor in factors.items()
+        },
     )
 
 
-def _bitwise_equal(i_source: np.ndarray, currents: Dict[str, np.ndarray],
-                   reference: GraphSolutionBatch) -> bool:
-    if i_source.shape != reference.i_source.shape:
+def _walk_order(graph: RailGraph, signature: tuple) -> List[str]:
+    """The components a kernel reports, in scalar-walk record order.
+
+    That is every component but those behind a gate closed at every
+    point, which neither the kernel nor the scalar walk descends into.
+    """
+    closed = {gate for gate, state in signature if state == GATE_CLOSED}
+    order: List[str] = []
+
+    def visit(name: str) -> None:
+        if graph._plan[name][0] not in closed:
+            for child in graph._child_names[name]:
+                visit(child)
+        order.append(name)
+
+    for child in graph._child_names[graph.spec.source.name]:
+        visit(child)
+    return order
+
+
+def _scalar_loop(graph: RailGraph, v, loads, signature, masks, factors,
+                 shape) -> Tuple[GraphSolutionBatch, Dict[str, np.ndarray]]:
+    """Solve every batch point with scalar :meth:`RailGraph.solve`.
+
+    Returns the batch and, per component, the mask of points the scalar
+    walk visited; a component behind a gate closed at a point is not
+    visited there and reads ``0.0``.  Raises the first point's
+    :class:`~repro.errors.ElectricalError`, exactly as the loop would.
+    """
+    size = shape[0]
+    i_source = np.zeros(size)
+    currents = {name: np.zeros(size)
+                for name in _walk_order(graph, signature)}
+    visited = {name: np.zeros(size, dtype=bool) for name in currents}
+    for index in range(size):
+        solution = _solve_point(graph, v, loads, signature, masks, factors,
+                                index)
+        i_source[index] = solution.i_source
+        for name, amps in solution.component_i_in.items():
+            currents[name][index] = amps
+            visited[name][index] = True
+    batch = GraphSolutionBatch(
+        v_source=v, i_source=i_source,
+        component_i_in=FrozenMapping._adopt(currents),
+    )
+    return batch, visited
+
+
+def _bitwise_equal(i_source, currents: Dict[str, np.ndarray],
+                   reference: GraphSolutionBatch,
+                   visited: Dict[str, np.ndarray]) -> bool:
+    """Kernel output vs the scalar loop, at every point each visited."""
+    if np.shape(i_source) != reference.i_source.shape \
+            or np.asarray(i_source).tobytes() != \
+            reference.i_source.tobytes():
         return False
-    if i_source.tobytes() != reference.i_source.tobytes():
+    if list(currents) != list(reference.component_i_in):
         return False
-    ref_currents = reference.component_i_in
-    if list(currents) != list(ref_currents):
-        return False
-    for name, arr in currents.items():
-        ref_arr = np.asarray(ref_currents[name])
-        arr = np.asarray(arr)
-        if arr.shape != ref_arr.shape:
+    for name, amps in currents.items():
+        seen = visited[name]
+        if np.shape(amps) != seen.shape:
             return False
-        if arr.tobytes() != ref_arr.tobytes():
+        if np.asarray(amps)[seen].tobytes() != \
+                reference.component_i_in[name][seen].tobytes():
             return False
     return True
 
 
-def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
-                         shape) -> Optional[GraphSolutionBatch]:
-    """The compiled fast path behind ``RailGraph.solve_batch``.
+def _retire(entry: CompiledKernel, reason: str) -> None:
+    """Take a kernel that disagreed with the scalar reference out of
+    service for good."""
+    entry.failed = True
+    entry.failure = reason
+    _bump("mismatches")
 
-    Arguments are the *normalized* batch inputs the interpreted walk
-    consumes (broadcast voltage/load arrays, normalized gates and
-    degradation factors, the resolved batch shape).  Returns a
-    :class:`GraphSolutionBatch`, or ``None`` when the caller must run
-    the interpreted walk (disabled converter, unsupported or failed
-    kernel, unexpected runtime error — counted in
-    :func:`kernel_metrics`).  Out-of-envelope operating points raise the
-    stage's scalar :class:`~repro.errors.ElectricalError`, identically
-    to the interpreted walk.
-    """
-    for converter in graph._converters.values():
-        # enable()/disable() mutate runtime state the kernels bake in as
-        # constants, so any disabled stage routes to the interpreter.
-        if not converter.enabled:
+
+def _fall_back(graph: RailGraph, inputs: tuple) -> GraphSolutionBatch:
+    """Answer a batch with the scalar loop."""
+    _bump("fallbacks")
+    return _scalar_loop(graph, *inputs)[0]
+
+
+def _serve(graph: RailGraph, entry: CompiledKernel, v, loads, signature,
+           masks, factors, shape) -> GraphSolutionBatch:
+    """Run one batch through a live kernel, verifying its first use."""
+    inputs = (v, loads, signature, masks, factors, shape)
+    bad: Optional[np.ndarray] = None
+    try:
+        i_source, currents = entry.fn(v, loads, masks, factors, shape)
+    except _OutOfEnvelope as flagged:
+        bad = flagged.bad
+    except Exception as exc:
+        _retire(entry, f"compiled kernel raised an unexpected error: "
+                       f"{exc!r}")
+        return _fall_back(graph, inputs)
+    if bad is not None:
+        # Raises the scalar loop's first error: the lowest flagged point
+        # is the first point the loop would fail at.
+        _solve_point(graph, v, loads, signature, masks, factors,
+                     int(np.argmax(bad)))
+        _retire(entry, "kernel flagged a point the scalar solve accepts")
+        return _fall_back(graph, inputs)
+    if not entry.verified:
+        try:
+            reference, visited = _scalar_loop(graph, *inputs)
+        except ElectricalError:
+            _retire(entry, "kernel missed a point the scalar solve rejects")
+            raise
+        _bump("verifications")
+        if not _bitwise_equal(i_source, currents, reference, visited):
+            _retire(entry, "kernel result diverged bitwise from the scalar "
+                           "solve")
             _bump("fallbacks")
-            return None
-    signature = gate_signature(graph, gates)
-    key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION)
-    entry = _KERNELS.get_or_compute(
-        key, lambda: _build_kernel(graph, signature, key)
+            return reference
+        # An empty batch compares equal without evidence: keep checking.
+        entry.verified = shape[0] > 0
+    _bump("kernel_solves")
+    return GraphSolutionBatch(
+        v_source=v, i_source=i_source,
+        component_i_in=FrozenMapping._adopt(currents),
     )
-    if entry.failed:
-        _bump("fallbacks")
-        return None
+
+
+def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
+                         shape) -> GraphSolutionBatch:
+    """The generic batch path behind ``RailGraph.solve_batch``.
+
+    Arguments are the *normalized* batch inputs (broadcast voltage/load
+    arrays, normalized gates and degradation factors, the resolved batch
+    shape).  The batch is served by the cached kernel for its gate
+    signature — verified against the scalar loop on first use — or,
+    when no kernel can serve it (disabled converter, unsupported or
+    retired kernel), by the scalar loop, counted in
+    :func:`kernel_metrics`.  Out-of-envelope points raise the scalar
+    loop's first :class:`~repro.errors.ElectricalError`.
+    """
+    signature = gate_signature(graph, gates)
     kernel_loads = {}
     zeros = None
     for channel in graph._taps:
@@ -868,60 +949,24 @@ def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
         name: factor for name, factor in factors.items()
         if isinstance(factor, np.ndarray) or factor != 1.0
     }
-    guards = tuple(graph._converters[name]._batch_guard
-                   for name in entry.guard_names)
-    args = (v, kernel_loads, masks, kernel_factors, guards, shape)
-    if not entry.verified:
-        # First use of this cache entry: run both paths and compare
-        # byte-for-byte.  (If the interpreted walk raises, the error
-        # propagates — exactly what the caller would have seen — and
-        # verification is retried on the next in-envelope call.)
-        reference = graph._solve_batch_interpreted(v, loads, gates,
-                                                   factors, shape)
-        try:
-            i_source, currents = entry.fn(*args)
-        except Exception:
-            entry.failed = True
-            entry.failure = ("kernel raised where the interpreted walk "
-                             "did not")
-            _bump("mismatches")
-            return reference
-        _bump("verifications")
-        if not _bitwise_equal(i_source, currents, reference):
-            entry.failed = True
-            entry.failure = ("kernel result diverged bitwise from the "
-                             "interpreted walk")
-            _bump("mismatches")
-            return reference
-        entry.verified = True
-        _bump("kernel_solves")
-        return GraphSolutionBatch(
-            v_source=v, i_source=i_source,
-            component_i_in=FrozenMapping._adopt(currents),
-        )
-    try:
-        i_source, currents = entry.fn(*args)
-    except (ElectricalError, ConfigurationError):
-        raise
-    except Exception:
-        entry.failed = True
-        entry.failure = "compiled kernel raised an unexpected error"
-        _bump("fallbacks")
-        return None
-    _bump("kernel_solves")
-    return GraphSolutionBatch(
-        v_source=v, i_source=i_source,
-        component_i_in=FrozenMapping._adopt(currents),
-    )
+    inputs = (v, kernel_loads, signature, masks, kernel_factors, shape)
+    # enable()/disable() mutate runtime state the kernels bake in as
+    # constants, so any disabled stage routes to the scalar loop.
+    if not all(conv.enabled for conv in graph._converters.values()):
+        return _fall_back(graph, inputs)
+    entry = _kernel_entry(graph, signature)
+    if entry.failed:
+        return _fall_back(graph, inputs)
+    return _serve(graph, entry, *inputs)
 
 
 # ---------------------------------------------------------------------------
 # The specialized whole-call fast path
 # ---------------------------------------------------------------------------
 
-#: Per-graph kernel call contexts (entry + bound guard tuple per gate
-#: signature).  Keyed weakly so graphs stay collectable, and kept out of
-#: graph.__dict__ so graphs stay picklable (kernels are not).
+#: Per-graph kernel entries by gate signature (plus cached constant
+#: load arrays).  Keyed weakly so graphs stay collectable, and kept out
+#: of graph.__dict__ so graphs stay picklable (kernels are not).
 _FAST_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 _F64 = np.dtype(np.float64)
@@ -929,32 +974,15 @@ _F64_ZERO = np.float64(0.0)
 _NO_MASKS: Dict[str, np.ndarray] = {}
 
 
-def _fast_context(graph: RailGraph, per_graph: dict, signature: tuple):
-    """The ``(entry, guards)`` pair serving ``graph`` under ``signature``."""
-    ctx = per_graph.get(signature)
-    if ctx is None:
-        key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION)
-        entry = _KERNELS.get_or_compute(
-            key, lambda: _build_kernel(graph, signature, key)
-        )
-        guards = () if entry.failed else tuple(
-            graph._converters[name]._batch_guard
-            for name in entry.guard_names
-        )
-        ctx = (entry, guards)
-        per_graph[signature] = ctx
-    return ctx
-
-
 def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
                      degradation) -> Optional[GraphSolutionBatch]:
     """Whole-call fast path: raw ``solve_batch`` inputs to a solution.
 
     The generic prologue in :meth:`RailGraph.solve_batch` spends more
-    time normalizing and validating inputs than the interpreted walk
-    spends solving (per-channel broadcast + finite/negative array checks
-    even for plain-float loads), so a kernel behind that prologue cannot
-    win big.  This entry point replays the same normalization for the
+    time normalizing and validating inputs than a kernel spends solving
+    (per-channel broadcast + finite/negative array checks even for
+    plain-float loads), so a kernel behind that prologue cannot win
+    big.  This entry point replays the same normalization for the
     common input shapes — a 1-D float64 voltage axis, float or matching
     1-D float64 loads, frozenset or bool/mask gate mappings, scalar or
     matching-array degradation — with scalar checks where the inputs are
@@ -962,10 +990,9 @@ def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
     gates, out-of-domain values, exotic dtypes, unverified or failed
     kernels, disabled converters) **declines** by returning ``None`` and
     the caller falls through to the generic prologue, which raises
-    exactly the errors it always raised or runs the verifying compiled
-    path.  Out-of-envelope points raise the stage's scalar
-    :class:`~repro.errors.ElectricalError` from inside the kernel,
-    identically to the interpreted walk.
+    exactly the errors it always raised, verifies new kernels, or runs
+    the scalar loop.  Out-of-envelope points raise the scalar loop's
+    first :class:`~repro.errors.ElectricalError`.
     """
     if type(v_source) is not np.ndarray or v_source.ndim != 1 \
             or v_source.dtype != _F64:
@@ -1021,7 +1048,7 @@ def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
     masks = _NO_MASKS
     if isinstance(open_gates, (frozenset, set)):
         # Names absent from the plan are inert for set-style gates in
-        # the interpreted walk too, so membership alone decides.
+        # the scalar walk too, so membership alone decides.
         signature = tuple(
             (gate, GATE_OPEN if gate in open_gates else GATE_CLOSED)
             for gate in graph._gate_names
@@ -1073,23 +1100,12 @@ def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
     for converter in graph._converters.values():
         if not converter.enabled:
             return None
-    entry, guards = _fast_context(graph, per_graph, signature)
+    entry = per_graph.get(signature)
+    if entry is None:
+        entry = per_graph[signature] = _kernel_entry(graph, signature)
     if entry.failed or not entry.verified:
         # First use still goes through solve_batch_compiled's bitwise
-        # verification against the interpreted walk.
+        # verification against the scalar loop.
         return None
-    try:
-        i_source, currents = entry.fn(v_source, kernel_loads, masks,
-                                      factors, guards, shape)
-    except (ElectricalError, ConfigurationError):
-        raise
-    except Exception:
-        entry.failed = True
-        entry.failure = "compiled kernel raised an unexpected error"
-        _bump("fallbacks")
-        return None
-    _bump("kernel_solves")
-    return GraphSolutionBatch(
-        v_source=v_source, i_source=i_source,
-        component_i_in=FrozenMapping._adopt(currents),
-    )
+    return _serve(graph, entry, v_source, kernel_loads, signature, masks,
+                  factors, shape)

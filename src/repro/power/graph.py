@@ -55,16 +55,6 @@ from .topologies import rail_network
 #: The node's subsystem channels, in recorder attribution order.
 CHANNELS = ("mcu", "sensor", "radio-digital", "radio-rf")
 
-#: Largest allowed ulp distance between :meth:`RailGraph.solve_batch` and
-#: the scalar :meth:`RailGraph.solve` reference, per component current.
-#: The batched path mirrors the scalar expressions operation for
-#: operation, but numpy may square via multiplication where CPython calls
-#: ``pow`` — at most a correctly-rounded-result-vs-correctly-rounded-
-#: result difference.  ``tests/power/test_graph_batch.py`` enforces this
-#: budget over every registered topology; the 440 float-hex goldens pin
-#: the scalar solver itself.
-ULP_BUDGET = 4
-
 _COMPILE_MODULE = None
 
 
@@ -478,11 +468,11 @@ class GraphSolution:
 class GraphSolutionBatch:
     """A vectorized solve of one rail graph over a batch of points.
 
-    Shapes are ``(n,)`` along the batch axis.  Values agree with the
-    scalar :class:`GraphSolution` reference within :data:`ULP_BUDGET`
-    ulps per component; where a per-point gate mask closes a subtree, the
-    descendants' entries in :attr:`component_i_in` are meaningful only at
-    the points where the gate is open.
+    Shapes are ``(n,)`` along the batch axis.  Values are bitwise equal
+    to the scalar :class:`GraphSolution` of each point; where a
+    per-point gate mask closes a subtree, the descendants' entries in
+    :attr:`component_i_in` are meaningful only at the points where the
+    gate is open (the scalar walk does not visit them elsewhere).
     """
 
     v_source: np.ndarray
@@ -766,15 +756,14 @@ class RailGraph:
         loads: Mapping,
         open_gates: Union[FrozenSet[str], Mapping] = frozenset(),
         degradation: Optional[Mapping] = None,
-        compiled: bool = True,
     ) -> GraphSolutionBatch:
         """Vectorized :meth:`solve` over a batch of operating points.
 
-        The precomputed dispatch plan is executed **once per component**
-        over the whole batch instead of once per point, so a sweep over
-        thousands of (loads, degradation, voltage) points pays component
-        arithmetic, not Python walk overhead.  Inputs broadcast along one
-        batch axis:
+        The solve runs through a fused straight-line kernel that
+        :mod:`repro.power.compile` generates from the dispatch plan, so
+        a sweep over thousands of (loads, degradation, voltage) points
+        pays component arithmetic, not Python walk overhead.  Inputs
+        broadcast along one batch axis:
 
         * ``v_source`` — scalar or ``(n,)`` array of source voltages;
         * ``loads`` — channel name to scalar or ``(n,)`` amperes;
@@ -784,32 +773,23 @@ class RailGraph:
         * ``degradation`` — component name to a scalar or ``(n,)``
           multiplier.
 
-        With ``compiled=True`` (the default) the solve runs through a
-        fused straight-line kernel generated from the dispatch plan by
-        :mod:`repro.power.compile` — bitwise-identical to the
-        interpreted walk, falling back to it automatically (see that
-        module's metrics) — so callers opt *out* with
-        ``compiled=False`` rather than in.
-
-        The scalar solver stays the bit-exact reference: batched results
-        agree with a loop of :meth:`solve` calls within
-        :data:`ULP_BUDGET` ulps per component current.  If any batch
-        point is outside a component's operating envelope the component's
-        scalar :class:`~repro.errors.ElectricalError` is raised for the
-        lowest-index failing point of the first failing component in
-        walk order (a scalar loop would raise for the lowest failing
-        *point* instead; the error set is the same).
+        The result is bitwise equal to a loop of :meth:`solve` calls,
+        one per point: each kernel's first batch is checked against that
+        loop, and anything a kernel cannot serve runs the loop itself.
+        Errors are the loop's too: if any point is outside a component's
+        operating envelope, the :class:`~repro.errors.ElectricalError`
+        raised is the one :meth:`solve` raises at the lowest failing
+        point.
         """
-        if compiled:
-            # Common input shapes skip the generic prologue entirely:
-            # the specialized path declines (returns None) on anything
-            # it does not model, falling through to the full
-            # normalization below with identical error behavior.
-            result = _compile_module().solve_batch_fast(
-                self, v_source, loads, open_gates, degradation
-            )
-            if result is not None:
-                return result
+        # Common input shapes skip the generic prologue entirely: the
+        # specialized path declines (returns None) on anything it does
+        # not model, falling through to the full normalization below
+        # with identical error behavior.
+        result = _compile_module().solve_batch_fast(
+            self, v_source, loads, open_gates, degradation
+        )
+        if result is not None:
+            return result
         v = np.asarray(v_source, dtype=np.float64)
         if v.ndim > 1:
             raise ConfigurationError(
@@ -864,34 +844,8 @@ class RailGraph:
             load_arrays[channel] = arr
         gates = self._normalize_gates(open_gates, shape)
         factors = self._normalize_degradation(degradation, shape)
-        if compiled:
-            result = _compile_module().solve_batch_compiled(
-                self, v, load_arrays, gates, factors, shape
-            )
-            if result is not None:
-                return result
-        return self._solve_batch_interpreted(v, load_arrays, gates,
-                                             factors, shape)
-
-    def _solve_batch_interpreted(self, v, load_arrays, gates, factors,
-                                 shape) -> GraphSolutionBatch:
-        """The plan-walking batch path: the compiled kernels' reference.
-
-        The batch shape is resolved once by :meth:`solve_batch` and
-        threaded through the walk (with one shared zeros seed) instead
-        of being re-derived from every input per component.
-        """
-        zeros = np.zeros(shape)
-        currents: Dict[str, np.ndarray] = {}
-        i_source = zeros
-        for child in self._child_names[self.spec.source.name]:
-            i_source = i_source + self._branch_batch(
-                child, v, load_arrays, gates, factors, currents, None,
-                shape, zeros
-            )
-        return GraphSolutionBatch(
-            v_source=v, i_source=i_source,
-            component_i_in=FrozenMapping._adopt(currents),
+        return _compile_module().solve_batch_compiled(
+            self, v, load_arrays, gates, factors, shape
         )
 
     def _normalize_gates(self, open_gates, shape) -> Dict[str, object]:
@@ -925,59 +879,6 @@ class RailGraph:
             else:
                 factors[name] = np.broadcast_to(arr, shape)
         return factors
-
-    def _branch_batch(self, name, v_in, loads, gates, degradation,
-                      currents, active, shape, zeros) -> np.ndarray:
-        gate, leak, (tag, arg) = self._plan[name]
-        mask = None
-        closed = False
-        if gate is not None:
-            state = gates.get(gate, False)
-            if state is False:
-                closed = True
-            elif state is not True:
-                mask = state
-        if closed:
-            i_in = np.full(shape, leak)
-        else:
-            child_active = active
-            if mask is not None:
-                child_active = mask if active is None else (active & mask)
-            if tag == self._TAP:
-                i_in = loads.get(arg)
-                if i_in is None:
-                    i_in = zeros
-            elif tag == self._DRAIN:
-                i_in = np.full(shape, arg)
-            elif tag == self._SWITCH:
-                i_in = self._child_sum_batch(name, v_in, loads, gates,
-                                             degradation, currents,
-                                             child_active, shape, zeros)
-            else:
-                v_out, converter = arg
-                v_rail = np.broadcast_to(np.float64(v_out), shape)
-                i_load = self._child_sum_batch(name, v_rail, loads, gates,
-                                               degradation, currents,
-                                               child_active, shape, zeros)
-                i_in = converter.solve_batch(v_in, i_load,
-                                             active=child_active)
-            if mask is not None:
-                i_in = np.where(mask, i_in, leak)
-        factor = degradation.get(name, 1.0)
-        if isinstance(factor, np.ndarray) or factor != 1.0:
-            i_in = i_in * factor
-        currents[name] = i_in
-        return i_in
-
-    def _child_sum_batch(self, name, v_rail, loads, gates, degradation,
-                         currents, active, shape, zeros) -> np.ndarray:
-        i_load = zeros
-        for child in self._child_names[name]:
-            i_load = i_load + self._branch_batch(
-                child, v_rail, loads, gates, degradation, currents,
-                active, shape, zeros
-            )
-        return i_load
 
     def quiescent_current(self, v_source: float) -> float:
         """Standing source draw with zero loads and every gate closed."""

@@ -14,8 +14,6 @@ exceed ``v_out / v_in``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigurationError, ElectricalError
 from .base import Converter, OperatingPoint
 
@@ -108,21 +106,6 @@ class LinearRegulator(Converter):
                 "ground-pin": v_in * self.i_ground,
             },
         )
-
-    def solve_batch(self, v_in, i_out, active=None) -> np.ndarray:
-        """Vectorized input current over ``(n,)`` operating-point arrays.
-
-        Mirrors :meth:`solve` (``i_in = i_out + i_ground``) with the
-        dropout and current-limit checks applied only where ``active``
-        (optional boolean mask) is set; an invalid active point raises
-        the scalar error.
-        """
-        if not self.enabled:
-            return np.full(v_in.shape, self.i_shutdown)
-        bad = (i_out < 0.0) | (v_in < self.minimum_input_voltage())
-        bad |= i_out > self.i_max
-        self._batch_guard(v_in, i_out, bad, active)
-        return i_out + self.i_ground
 
     def off_state_current(self, v_in: float) -> float:
         return self.i_shutdown

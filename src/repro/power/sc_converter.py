@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import ConfigurationError, ElectricalError
 from .base import Converter, OperatingPoint
 from .scnetwork import SCAnalysis, SCNetwork
@@ -154,7 +152,9 @@ class SwitchedCapacitorConverter(Converter):
                 f"{self.name}: load {i_out:.4g} A needs R_out "
                 f"{r_needed:.3g} ohm but FSL floor is {self.r_fsl:.3g} ohm"
             )
-        r_ssl_needed = math.sqrt(r_needed**2 - self.r_fsl**2)
+        # Runtime squares multiply: CPython's ``x**2`` calls libm ``pow``,
+        # which can round differently from the batch kernels' ``x * x``.
+        r_ssl_needed = math.sqrt(r_needed * r_needed - self.r_fsl**2)
         f_sw = self.analysis.cap_multiplier_sum**2 / (self.c_total * r_ssl_needed)
         return min(max(f_sw, self.f_min), self.f_max)
 
@@ -206,8 +206,9 @@ class SwitchedCapacitorConverter(Converter):
         # so conduction loss is headroom * current, not i^2 R at the clamp
         # frequency.  This keeps P_in == P_out + sum(losses) exactly.
         p_conduction = (self.ratio * v_in - self.v_target) * i_out
-        p_gate = f_sw * self.g_total * self.tau_gate * v_in**2
-        p_bottom = f_sw * self.alpha_bottom_plate * self.c_total * v_in**2
+        p_gate = f_sw * self.g_total * self.tau_gate * (v_in * v_in)
+        p_bottom = (f_sw * self.alpha_bottom_plate * self.c_total
+                    * (v_in * v_in))
         p_controller = v_in * self.i_controller
         i_in = (
             self.ratio * i_out
@@ -226,53 +227,6 @@ class SwitchedCapacitorConverter(Converter):
                 "controller": p_controller,
             },
         )
-
-    def solve_batch(self, v_in, i_out, active=None) -> np.ndarray:
-        """Vectorized input current over ``(n,)`` operating-point arrays.
-
-        Mirrors :meth:`solve` term for term — per-point PFM frequency from
-        the SSL/FSL impedance split, gate-drive and bottom-plate loss at
-        that frequency, the controller draw — with the envelope checks
-        (ratio headroom, FSL floor, regulation sag) applied only where
-        ``active`` (optional boolean mask) is set; an invalid active
-        point raises the scalar error.  Arithmetic at inactive points is
-        computed against safe substitutes and discarded by the caller's
-        gate mask.
-        """
-        if not self.enabled:
-            return np.full(v_in.shape, self.i_leak_off)
-        bad = (i_out < 0.0) | (v_in <= 0.0)
-        v_ideal = self.ratio * v_in
-        bad |= v_ideal <= self.v_target
-        loaded = i_out > 0.0
-        r_fsl = self.r_fsl
-        cap_sq = self.analysis.cap_multiplier_sum ** 2
-        with np.errstate(divide="ignore", invalid="ignore",
-                         over="ignore"):
-            i_safe = np.where(loaded, i_out, 1.0)
-            r_needed = (v_ideal - self.v_target) / i_safe
-            bad |= loaded & (r_needed <= r_fsl)
-            r_gap = r_needed ** 2 - r_fsl ** 2
-            r_ssl_needed = np.sqrt(np.where(r_gap > 0.0, r_gap, 1.0))
-            f_sw = cap_sq / (self.c_total * r_ssl_needed)
-            f_sw = np.minimum(np.maximum(f_sw, self.f_min), self.f_max)
-            f_sw = np.where(loaded, f_sw, self.f_min)
-            # The scalar regulation check: at the clamped frequency the
-            # output impedance must not sag the output below target.
-            r_out = np.hypot(cap_sq / (self.c_total * f_sw), r_fsl)
-            v_sagged = v_ideal - i_out * r_out
-            bad |= loaded & (v_sagged < self.v_target - 1e-9)
-        self._batch_guard(v_in, i_out, bad, active)
-        with np.errstate(divide="ignore", invalid="ignore",
-                         over="ignore"):
-            p_gate = f_sw * self.g_total * self.tau_gate * v_in ** 2
-            p_bottom = (f_sw * self.alpha_bottom_plate * self.c_total
-                        * v_in ** 2)
-            return (
-                self.ratio * i_out
-                + (p_gate + p_bottom) / v_in
-                + self.i_controller
-            )
 
     def off_state_current(self, v_in: float) -> float:
         return self.i_leak_off

@@ -16,8 +16,6 @@ whatever current the load does not take, clamping the output:
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigurationError, ElectricalError
 from .base import Converter, OperatingPoint
 
@@ -86,21 +84,3 @@ class ShuntRegulator(Converter):
                 "shunt-bleed": self.v_out * i_shunt,
             },
         )
-
-    def solve_batch(self, v_in, i_out, active=None) -> np.ndarray:
-        """Vectorized input current over ``(n,)`` operating-point arrays.
-
-        Mirrors :meth:`solve` — the series resistor carries
-        ``(v_in - v_out) / r_series`` regardless of load — with the
-        clamp-headroom and bias-floor checks applied only where
-        ``active`` (optional boolean mask) is set; an invalid active
-        point raises the scalar error.
-        """
-        if not self.enabled:
-            return np.zeros(v_in.shape)
-        bad = (i_out < 0.0) | (v_in <= self.v_out)
-        i_supply = (v_in - self.v_out) / self.r_series
-        i_shunt = i_supply - i_out
-        bad |= i_shunt < self.i_bias_min
-        self._batch_guard(v_in, i_out, bad, active)
-        return i_supply

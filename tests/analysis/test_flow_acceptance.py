@@ -11,7 +11,6 @@ from repro.analysis import (
     MirrorConstantParityRule,
     MissingSlotsRule,
     MutableDefaultRule,
-    ScalarBatchParityRule,
     UnfrozenFaultEventRule,
     UnfrozenRailSpecRule,
     UnitBareSiLiteralRule,
@@ -64,37 +63,6 @@ def test_flow_rule_catches_one_hop_dimension_bug(lint_snippet):
     assert rule_ids(findings) == ["UNIT004"]
     assert "voltage and current" in findings[0].message
     assert "assignment dataflow" in findings[0].message
-
-
-# solve_batch grows an extra leakage term solve never had: runtime
-# goldens only catch this when a scenario exercises the batch path;
-# nothing in the PR 4 rule set even pairs the two methods.
-BATCH_DRIFT_BUG = """
-    import numpy as np
-
-    class DriftedRegulator:
-        def solve(self, v_in, i_out):
-            i_in = i_out + self.i_ground
-            return OperatingPoint(v_in=v_in, v_out=self.v_out,
-                                  i_in=i_in, i_out=i_out)
-
-        def solve_batch(self, v_in, i_out, active=None):
-            if not self.enabled:
-                return np.full(v_in.shape, 0.0)
-            return i_out + self.i_ground + self.i_leak
-"""
-
-
-def test_legacy_rules_miss_scalar_batch_drift(lint_snippet):
-    assert lint_snippet(BATCH_DRIFT_BUG, rules=legacy_rules()) == []
-
-
-def test_parity_rule_catches_scalar_batch_drift(lint_snippet):
-    findings = lint_snippet(BATCH_DRIFT_BUG,
-                            rules=[ScalarBatchParityRule()])
-    assert rule_ids(findings) == ["VEC001"]
-    assert "2 term(s)" in findings[0].message
-    assert "3" in findings[0].message
 
 
 # The cohort-mirror variant: a degradation knee constant edited in the

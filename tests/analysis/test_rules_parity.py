@@ -1,107 +1,11 @@
-"""VEC001/VEC002: scalar<->batch parity rules."""
+"""VEC002: cohort-mirror constant parity."""
 
 import pathlib
 import textwrap
 
-from repro.analysis import (
-    MirrorConstantParityRule,
-    ScalarBatchParityRule,
-    analyze_paths,
-)
+from repro.analysis import MirrorConstantParityRule, analyze_paths
 
 from .conftest import rule_ids
-
-PARITY = [ScalarBatchParityRule()]
-
-
-def test_matching_pair_is_silent(lint_snippet):
-    assert lint_snippet("""
-        import numpy as np
-
-        class Reg:
-            def solve(self, v_in, i_out):
-                i_in = i_out + self.i_ground
-                return OperatingPoint(v_in=v_in, i_in=i_in)
-
-            def solve_batch(self, v_in, i_out, active=None):
-                return i_out + self.i_ground
-    """, rules=PARITY) == []
-
-
-def test_numpy_spellings_canonicalize(lint_snippet):
-    # np.where <-> ternary, np.maximum <-> max: same canonical tree.
-    assert lint_snippet("""
-        import numpy as np
-
-        class Reg:
-            def solve(self, v_in, i_out):
-                i_house = self.i_snooze if i_out <= self.knee else self.i_q
-                i_in = max(i_out, self.i_min) + i_house
-                return OperatingPoint(v_in=v_in, i_in=i_in)
-
-            def solve_batch(self, v_in, i_out, active=None):
-                i_house = np.where(i_out <= self.knee,
-                                   self.i_snooze, self.i_q)
-                return np.maximum(i_out, self.i_min) + i_house
-    """, rules=PARITY) == []
-
-
-def test_summation_order_flip_is_flagged(lint_snippet):
-    findings = lint_snippet("""
-        class Reg:
-            def solve(self, v_in, i_out):
-                i_in = i_out + self.i_ground
-                return OperatingPoint(v_in=v_in, i_in=i_in)
-
-            def solve_batch(self, v_in, i_out, active=None):
-                return self.i_ground + i_out
-    """, rules=PARITY)
-    assert rule_ids(findings) == ["VEC001"]
-    assert "order of summation" in findings[0].message
-
-
-def test_constant_drift_is_flagged(lint_snippet):
-    findings = lint_snippet("""
-        class Reg:
-            def solve(self, v_in, i_out):
-                i_in = i_out * 1.5 + self.i_ground
-                return OperatingPoint(v_in=v_in, i_in=i_in)
-
-            def solve_batch(self, v_in, i_out, active=None):
-                return i_out * 1.6 + self.i_ground
-    """, rules=PARITY)
-    assert rule_ids(findings) == ["VEC001"]
-
-
-def test_parameter_names_unify_positionally(lint_snippet):
-    assert lint_snippet("""
-        class Reg:
-            def solve(self, v_in, i_out):
-                return OperatingPoint(i_in=i_out + self.i_ground)
-
-            def solve_batch(self, v, i, active=None):
-                return i + self.i_ground
-    """, rules=PARITY) == []
-
-
-def test_batch_shaped_internals_wildcard(lint_snippet):
-    # A loop-built gain has no scalar-comparable structure: wildcard,
-    # but the surrounding sum must still line up.
-    assert lint_snippet("""
-        import numpy as np
-
-        class Pump:
-            def solve(self, v_in, i_out):
-                gain = self.select_gain(v_in)
-                i_in = gain * i_out + self.i_q
-                return OperatingPoint(i_in=i_in)
-
-            def solve_batch(self, v_in, i_out, active=None):
-                gain = np.zeros(v_in.shape)
-                for candidate in self.gains:
-                    gain = np.where(gain == 0.0, candidate, gain)
-                return gain * i_out + self.i_q
-    """, rules=PARITY) == []
 
 
 def test_real_source_tree_is_parity_clean():
@@ -110,7 +14,7 @@ def test_real_source_tree_is_parity_clean():
         [root / "src" / "repro" / "power",
          root / "src" / "repro" / "core",
          root / "src" / "repro" / "net"],
-        [ScalarBatchParityRule(), MirrorConstantParityRule()],
+        [MirrorConstantParityRule()],
         root=root,
     )
     assert findings == []
