@@ -15,7 +15,10 @@ families over the synthetic module:
     accumulator pattern; anything else is the cross-rail name collision
     the counter exists to prevent), every envelope mask (``_b*``)
     consumed downstream, ``_bad`` consumed by ``.any()``, a final
-    2-tuple return, and no float32 narrowing anywhere.
+    2-tuple return, and no float32 narrowing anywhere.  A float-dialect
+    ``_float_kernel`` has its own parameters, consumes each ``_b*`` by
+    an early ``if _bN: return None``, and ends by returning one flat
+    tuple of currents.
 
 ``KER002 kernel-hygiene``
     The repository-wide determinism rules applied to kernel source:
@@ -55,6 +58,10 @@ KERNEL_MODULE = "repro.power.compile._kernel"
 #: The exact positional parameters ``generate_kernel_source`` emits.
 KERNEL_PARAMS = ("v", "loads", "masks", "factors", "shape", "_np")
 
+#: The same for the float dialect's ``_float_kernel``.
+FLOAT_KERNEL_PARAMS = ("v", "i_mcu", "i_sensor", "i_radio_digital",
+                       "i_radio_rf", "factors")
+
 
 def kernel_context(kind: str, signature: tuple,
                    source: str) -> Tuple[Optional[ModuleContext],
@@ -69,6 +76,8 @@ def kernel_context(kind: str, signature: tuple,
     relpath = f"<kernel:{kind}:{label or 'no-gates'}>"
     try:
         tree = ast.parse(source)
+        if "def _float_kernel(" in source:
+            relpath = relpath[:-1] + ":float>"
     except SyntaxError as exc:
         return None, Finding(
             path=relpath,
@@ -117,7 +126,7 @@ class KernelStructureRule(Rule):
               index: ProjectIndex) -> Iterator[Finding]:
         kernels = [node for node in ctx.tree.body
                    if isinstance(node, ast.FunctionDef)
-                   and node.name == "_kernel"]
+                   and node.name in ("_kernel", "_float_kernel")]
         if len(kernels) != 1:
             yield self.finding(
                 ctx, ctx.tree,
@@ -125,24 +134,25 @@ class KernelStructureRule(Rule):
             )
             return
         func = kernels[0]
+        scalar = func.name == "_float_kernel"
+        expected = FLOAT_KERNEL_PARAMS if scalar else KERNEL_PARAMS
         params = tuple(a.arg for a in func.args.posonlyargs
                        + func.args.args)
-        if params != KERNEL_PARAMS:
+        if params != expected:
             yield self.finding(
                 ctx, func,
-                f"kernel signature is {params!r}, expected "
-                f"{KERNEL_PARAMS!r}",
+                f"kernel signature is {params!r}, expected {expected!r}",
             )
-        yield from self._check_bindings(ctx, func)
-        yield from self._check_masks(ctx, func)
-        yield from self._check_return(ctx, func)
+        yield from self._check_bindings(ctx, func, expected)
+        yield from self._check_masks(ctx, func, scalar)
+        yield from self._check_return(ctx, func, scalar)
         yield from self._check_narrowing(ctx, func)
 
     # -- single-assignment / accumulator discipline -----------------------
 
-    def _check_bindings(self, ctx: ModuleContext,
-                        func: ast.FunctionDef) -> Iterator[Finding]:
-        bound: Set[str] = set(KERNEL_PARAMS)
+    def _check_bindings(self, ctx: ModuleContext, func: ast.FunctionDef,
+                        params: Tuple[str, ...]) -> Iterator[Finding]:
+        bound: Set[str] = set(params)
         for stmt in _statements_in_order(func.body):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name):
@@ -160,23 +170,30 @@ class KernelStructureRule(Rule):
 
     # -- every envelope mask must be consumed ------------------------------
 
-    def _check_masks(self, ctx: ModuleContext,
-                     func: ast.FunctionDef) -> Iterator[Finding]:
+    def _check_masks(self, ctx: ModuleContext, func: ast.FunctionDef,
+                     scalar: bool) -> Iterator[Finding]:
+        # A float kernel consumes a mask only by returning None on it.
         assigned = {}
         loaded: Set[str] = set()
         for node in ast.walk(func):
             if isinstance(node, ast.Name):
-                if isinstance(node.ctx, ast.Load):
+                if isinstance(node.ctx, ast.Load) and not scalar:
                     loaded.add(node.id)
                 elif isinstance(node.ctx, ast.Store):
                     assigned.setdefault(node.id, node)
+            elif isinstance(node, ast.If) and scalar \
+                    and isinstance(node.test, ast.Name) \
+                    and len(node.body) == 1 \
+                    and _returns_none(node.body[0]):
+                loaded.add(node.test.id)
         for name in sorted(assigned):
             is_mask = name.startswith("_b") and name[2:].isdigit()
             if is_mask and name not in loaded:
                 yield self.finding(
                     ctx, assigned[name],
                     f"envelope mask `{name}` is computed but never "
-                    f"consumed — an unguarded out-of-envelope point",
+                    f"consumed{' by an early return' if scalar else ''} — "
+                    f"an unguarded out-of-envelope point",
                 )
         if "_bad" in assigned:
             consumed = any(
@@ -196,10 +213,24 @@ class KernelStructureRule(Rule):
 
     # -- final return shape ------------------------------------------------
 
-    def _check_return(self, ctx: ModuleContext,
-                      func: ast.FunctionDef) -> Iterator[Finding]:
+    def _check_return(self, ctx: ModuleContext, func: ast.FunctionDef,
+                      scalar: bool) -> Iterator[Finding]:
         returns = [node for node in ast.walk(func)
                    if isinstance(node, ast.Return)]
+        if scalar:
+            last = func.body[-1]
+            if not (isinstance(last, ast.Return)
+                    and isinstance(last.value, ast.Tuple)
+                    and all(isinstance(e, ast.Name)
+                            for e in last.value.elts)
+                    and all(_returns_none(node) for node in returns
+                            if node is not last)):
+                yield self.finding(
+                    ctx, last,
+                    "float kernel must return None early and end with "
+                    "the flat tuple `(i_source, *component currents)`",
+                )
+            return
         ok = any(
             node.value is not None
             and isinstance(node.value, ast.Tuple)
@@ -233,6 +264,11 @@ class KernelStructureRule(Rule):
                     "kernel references dtype 'float32' — float64 end to "
                     "end is part of the bit-exactness contract",
                 )
+
+
+def _returns_none(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Return) \
+        and isinstance(node.value, ast.Constant) and node.value.value is None
 
 
 class KernelHygieneRule(Rule):

@@ -180,9 +180,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if loads.i_radio_digital > 0.0 or loads.i_radio_rf > 0.0:
         train.enable_radio()
     if args.emit_kernel:
-        from .power.compile import kernel_source
+        from .power.compile import DIALECT_FLOAT, kernel_source
 
         print(kernel_source(train.graph, train._open_gates))
+        print(kernel_source(train.graph, train._open_gates, DIALECT_FLOAT))
         return 0
     if args.batch:
         return _solve_train_batch(train, loads, args)
@@ -583,8 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="high end of the --batch sweep (default: 1.40 V)")
     train.add_argument("--emit-kernel", action="store_true",
                        help="with --solve: print the plan-compiled fused "
-                            "kernel source for the train's current gate "
-                            "state instead of solving")
+                            "kernel sources (numpy batch, then float "
+                            "point) for the train's current gate state "
+                            "instead of solving")
     train.set_defaults(handler=_cmd_train)
 
     chaos = sub.add_parser("chaos", help="seeded fault-storm Monte Carlo")

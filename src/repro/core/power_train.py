@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import ConfigurationError, ElectricalError
 from ..power import ConverterIC, ConverterICConfig, PowerSwitch
 from ..power.graph import (
-    GraphSolution,
+    CHANNELS,
     GraphSolutionBatch,
     RailGraph,
     RailGraphSpec,
@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 
+_INF = math.inf
+
+
 @dataclasses.dataclass(frozen=True)
 class LoadState:
     """Instantaneous load currents of the node's subsystems, amperes."""
@@ -70,6 +73,17 @@ class LoadState:
     i_radio_rf: float = 0.0
 
     def __post_init__(self) -> None:
+        # One chained test per field; ``x + 0.0`` converts as
+        # math.isfinite does, so anything else (an exception included)
+        # falls through to the loop and its exact error.
+        try:
+            if (0.0 <= self.i_mcu + 0.0 < _INF
+                    and 0.0 <= self.i_sensor + 0.0 < _INF
+                    and 0.0 <= self.i_radio_digital + 0.0 < _INF
+                    and 0.0 <= self.i_radio_rf + 0.0 < _INF):
+                return
+        except Exception:
+            pass
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if not math.isfinite(value):
@@ -133,14 +147,6 @@ class PowerTrain(abc.ABC):
             )
         self._loss_factor = loss_factor
 
-    def _finish(self, solution: TrainSolution) -> TrainSolution:
-        """Apply any injected degradation to a healthy solve result."""
-        if self._loss_factor == 1.0:
-            return solution
-        return dataclasses.replace(
-            solution, i_battery=solution.i_battery * self._loss_factor
-        )
-
     @abc.abstractmethod
     def mcu_rail_voltage(self) -> float:
         """The always-on logic rail voltage."""
@@ -161,20 +167,12 @@ class PowerTrain(abc.ABC):
                 f"{self.name}: radio load with its supplies gated off"
             )
 
-    def _subsystem_power(self, loads: LoadState) -> Dict[str, float]:
-        return {
-            "mcu": self.mcu_rail_voltage() * loads.i_mcu,
-            "sensor": self.mcu_rail_voltage() * loads.i_sensor,
-            "radio-digital": V_RADIO_DIGITAL * loads.i_radio_digital,
-            "radio-rf": V_RADIO_RF * loads.i_radio_rf,
-        }
-
 
 class GraphPowerTrain(PowerTrain):
     """Any registered rail-graph topology, behind the node's train API.
 
-    ``enable_radio`` opens the spec's ``'radio'`` gate group (other gate
-    groups, if a topology defines them, are driven via
+    ``enable_radio`` opens the spec's ``'radio'`` gate group when the
+    spec defines one (other gate groups are driven via
     :meth:`set_gate`).  Fault injection can address the whole train
     (:meth:`set_degradation`, inherited) or one component by name
     (:meth:`set_component_degradation`).
@@ -186,20 +184,26 @@ class GraphPowerTrain(PowerTrain):
         self.graph = RailGraph(spec)
         self._open_gates: frozenset = frozenset()
         self._component_degradations: Dict[str, float] = {}
+        # Attribution uses each channel's own tap voltage, so topologies
+        # with non-paper rail voltages stay correctly accounted.
+        self._tap_v = tuple(self.graph.tap_voltage(c) for c in CHANNELS)
 
     def mcu_rail_voltage(self) -> float:
         return self.graph.tap_voltage("mcu")
 
     def enable_radio(self) -> None:
-        self.set_gate(RADIO_GATE, True)
+        if RADIO_GATE in self.graph._gate_set:
+            self.set_gate(RADIO_GATE, True)
         super().enable_radio()
 
     def disable_radio(self) -> None:
-        self.set_gate(RADIO_GATE, False)
+        if RADIO_GATE in self.graph._gate_set:
+            self.set_gate(RADIO_GATE, False)
         super().disable_radio()
 
     def set_gate(self, gate: str, conducting: bool) -> None:
         """Open or close one of the spec's gate groups by name."""
+        self.graph._require_gate(gate)
         if conducting:
             self._open_gates = self._open_gates | {gate}
         else:
@@ -234,28 +238,13 @@ class GraphPowerTrain(PowerTrain):
         """Deterministic text rendering of the topology tree."""
         return self.graph.describe()
 
-    def solve_graph(self, v_battery: float, loads: LoadState) -> GraphSolution:
-        """The raw graph solution (per-component currents included)."""
-        self._check_radio_load(loads)
-        return self.graph.solve(
-            v_battery,
-            {
-                "mcu": loads.i_mcu,
-                "sensor": loads.i_sensor,
-                "radio-digital": loads.i_radio_digital,
-                "radio-rf": loads.i_radio_rf,
-            },
-            open_gates=self._open_gates,
-            degradation=self._component_degradations,
-        )
-
     def solve_graph_batch(self, v_battery, loads: Dict) -> GraphSolutionBatch:
         """Batched raw graph solutions over an operating-point axis.
 
         ``v_battery`` and the ``loads`` values (channel name to amperes)
         broadcast along one batch axis; the train's current gate state
         and per-component degradations apply to every point.  Results
-        are bitwise equal to a loop of :meth:`solve_graph` calls (see
+        are bitwise equal to a loop of graph solves (see
         :meth:`RailGraph.solve_batch`).
         """
         if not self.radio_enabled:
@@ -278,24 +267,26 @@ class GraphPowerTrain(PowerTrain):
         )
 
     def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:
-        result = self.solve_graph(v_battery, loads)
-        return self._finish(TrainSolution(
-            v_battery=v_battery,
-            i_battery=result.i_source,
-            v_mcu_rail=self.mcu_rail_voltage(),
-            subsystem_power=self._subsystem_power(loads),
-        ))
-
-    def _subsystem_power(self, loads: LoadState) -> Dict[str, float]:
-        # Attribution uses each channel's own tap voltage, so topologies
-        # with non-paper rail voltages stay correctly accounted.
-        tap = self.graph.tap_voltage
-        return {
-            "mcu": tap("mcu") * loads.i_mcu,
-            "sensor": tap("sensor") * loads.i_sensor,
-            "radio-digital": tap("radio-digital") * loads.i_radio_digital,
-            "radio-rf": tap("radio-rf") * loads.i_radio_rf,
-        }
+        # The node's hot path (twice per PicoCube._update): LoadState has
+        # validated the four currents, so they go straight to the graph's
+        # point solve with no loads dict and no GraphSolution.
+        if not self.radio_enabled:
+            self._check_radio_load(loads)
+        degradation = self._component_degradations
+        if degradation:
+            self.graph._check_degradation_keys(degradation)
+        i_mcu, i_sensor = loads.i_mcu, loads.i_sensor
+        i_digital, i_rf = loads.i_radio_digital, loads.i_radio_rf
+        i_battery = self.graph._solve_currents(
+            v_battery, i_mcu, i_sensor, i_digital, i_rf, self._open_gates,
+            degradation)[1][0]
+        if self._loss_factor != 1.0:
+            i_battery = i_battery * self._loss_factor
+        v_mcu, v_sensor, v_digital, v_rf = self._tap_v
+        return TrainSolution(v_battery, i_battery, v_mcu, {
+            "mcu": v_mcu * i_mcu, "sensor": v_sensor * i_sensor,
+            "radio-digital": v_digital * i_digital, "radio-rf": v_rf * i_rf,
+        })
 
 
 class CotsPowerTrain(GraphPowerTrain):

@@ -1,4 +1,5 @@
-"""Plan-compiled fused kernels for :meth:`RailGraph.solve_batch`.
+"""Plan-compiled fused kernels for :meth:`RailGraph.solve_batch` and
+scalar :meth:`RailGraph.solve`.
 
 The batch solver would otherwise walk the precomputed dispatch plan in
 interpreted Python: one dynamic dispatch, one gate check, and a handful
@@ -19,28 +20,33 @@ plan*:
   keyed on ``(plan hash, gate signature, code version)``, so every graph
   built from an equal spec shares one kernel per signature;
 * :func:`solve_batch_compiled` and :func:`solve_batch_fast` serve
-  ``RailGraph.solve_batch`` from those kernels.
+  ``RailGraph.solve_batch`` from those kernels;
+* the same emitters also write a **float dialect** serving scalar
+  ``RailGraph.solve`` (:func:`solve_point_slow` verifies and promotes
+  those kernels).
 
-**Bit-exactness contract.**  The scalar :meth:`RailGraph.solve` and its
-440 float-hex goldens are the only reference: a kernel's result must be
-bitwise equal to a loop of scalar solves, one per batch point.  The
-generated source replays the scalar operation sequence exactly
-(declaration-order summation accumulating from a zeros seed, cascades
-solved at the parent's nominal rail, squares as multiplications,
-constants pre-folded only where scalar CPython folds them).  The first
-batch each cached kernel serves is checked against that scalar loop at
-every point — ``i_source`` plus every component current the scalar walk
-visits there; components behind a gate closed at a point are never
-compared.  A divergence permanently retires the kernel, and every batch
-a kernel cannot serve (unsupported plan, disabled converter, retired
-kernel, unexpected kernel error) is answered by the scalar loop itself.
+**Bit-exactness contract.**  The reference walk
+(:meth:`RailGraph.solve_reference`) and its 440 float-hex goldens are
+the only reference: a batch kernel's result must be bitwise equal to a
+loop of walk solves, one per batch point, and a float kernel's to one
+walk solve.  The generated source replays the walk's operation
+sequence exactly (declaration-order summation accumulating from a zeros
+seed, cascades solved at the parent's nominal rail, squares as
+multiplications, constants pre-folded only where scalar CPython folds
+them).  The first batch each cached kernel serves is checked against
+that walk loop at every point — ``i_source`` plus every component
+current the walk visits there; components behind a gate closed at a
+point are never compared.  A divergence permanently retires the kernel,
+and every batch a kernel cannot serve (unsupported plan, disabled
+converter, retired kernel, unexpected kernel error) is answered by the
+walk loop itself.
 :func:`kernel_metrics` counts each such fallback.
 
 **Error semantics.**  Envelope checks are hoisted into one per-point
 ``_bad`` mask (ancestor gate masks folded in).  When ``_bad.any()``, the
-kernel raises and the lowest flagged point is re-solved with scalar
-:meth:`RailGraph.solve`, which raises exactly the
-:class:`~repro.errors.ElectricalError` a scalar loop would raise first.
+kernel raises and the lowest flagged point is re-solved with the walk,
+which raises exactly the :class:`~repro.errors.ElectricalError` a loop
+of solves would raise first.
 
 Set the :data:`CACHE_DIR_ENV` environment variable to also persist
 generated kernel source on disk (content-addressed filenames); a warm
@@ -72,7 +78,7 @@ from ..runner.cache import MemoCache
 from ..runner.cacheroot import resolve_cache_dir
 from .charge_pump import RegulatedChargePump
 from .graph import (
-    FrozenMapping, GraphSolution, GraphSolutionBatch, RailGraph,
+    CHANNELS, FrozenMapping, GraphSolution, GraphSolutionBatch, RailGraph,
 )
 from .linear_regulator import LinearRegulator
 from .sc_converter import SwitchedCapacitorConverter
@@ -97,8 +103,19 @@ GATE_OPEN = "open"
 GATE_CLOSED = "closed"
 GATE_MASK = "mask"
 
+#: Kernel dialects :func:`generate_kernel_source` writes: numpy batch
+#: kernels behind ``solve_batch``, float point kernels behind ``solve``.
+DIALECT_NUMPY = "numpy"
+DIALECT_FLOAT = "float"
+
+#: The float dialect's spelling of the emitters' numpy calls.
+_FLOAT_CALLS = {"sqrt": "math.sqrt", "hypot": "math.hypot",
+                "minimum": "min", "maximum": "max"}
+
 __all__ = [
     "CACHE_DIR_ENV",
+    "DIALECT_FLOAT",
+    "DIALECT_NUMPY",
     "GATE_CLOSED",
     "GATE_MASK",
     "GATE_OPEN",
@@ -117,6 +134,7 @@ __all__ = [
     "reset_kernel_metrics",
     "solve_batch_compiled",
     "solve_batch_fast",
+    "solve_point_slow",
 ]
 
 
@@ -178,6 +196,8 @@ class CompiledKernel:
     #: plan, bad artifact, or a bitwise mismatch); callers fall back.
     failed: bool = False
     failure: Optional[str] = None
+    #: Float kernels: names of the returned currents (set on promotion).
+    names: Tuple[str, ...] = ()
 
 
 #: One kernel per (plan digest, gate signature, code version), shared by
@@ -213,21 +233,23 @@ class KernelMetrics:
     fallbacks: int
     #: Plans the compiler refused (no emitter / bad source).
     unsupported: int
+    #: The same counts for the float kernels behind scalar ``solve``
+    #: (the walk is their reference and their fallback).
+    scalar_compiles: int
+    scalar_disk_loads: int
+    scalar_verifications: int
+    scalar_mismatches: int
+    scalar_fallbacks: int
+    scalar_unsupported: int
 
 
 def kernel_metrics() -> KernelMetrics:
     """Current process-wide compiled-path counters."""
     with _METRICS_LOCK:
-        get = _METRICS.get
-        return KernelMetrics(
-            compiles=get("compiles", 0),
-            disk_loads=get("disk_loads", 0),
-            kernel_solves=get("kernel_solves", 0),
-            verifications=get("verifications", 0),
-            mismatches=get("mismatches", 0),
-            fallbacks=get("fallbacks", 0),
-            unsupported=get("unsupported", 0),
-        )
+        return KernelMetrics(**{
+            field.name: _METRICS.get(field.name, 0)
+            for field in dataclasses.fields(KernelMetrics)
+        })
 
 
 def reset_kernel_metrics() -> None:
@@ -240,6 +262,8 @@ def clear_kernel_cache() -> None:
     """Drop every compiled kernel (they recompile on next use)."""
     _KERNELS.clear()
     _FAST_CONTEXTS.clear()
+    for graph in list(_FLOAT_GRAPHS):
+        graph._float_kernels.clear()
 
 
 def kernel_cache_stats():
@@ -290,11 +314,18 @@ def _normalize_gate_input(graph: RailGraph, open_gates) -> Dict[str, object]:
     return graph._normalize_gates(open_gates, shape)
 
 
-def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
+def generate_kernel_source(graph: RailGraph, signature: tuple,
+                           dialect: str = DIALECT_NUMPY) -> str:
     """Emit straight-line fused source for one (plan, signature) pair.
 
     Raises :class:`KernelUnsupported` when the plan holds a converter
-    type this compiler has no emitter for.
+    type this compiler has no emitter for (or a float signature holds
+    a per-point mask).
+
+    :data:`DIALECT_FLOAT` writes ``_float_kernel(v, i_mcu, i_sensor,
+    i_radio_digital, i_radio_rf, factors)`` on plain floats: numpy calls
+    spelled as the converter models' own, an early ``return None`` per
+    envelope test, else ``(i_source, *currents)`` in walk order.
 
     The emitted operation sequence replays the scalar walk exactly (see
     the module docstring), with two safe strengthenings: scalar
@@ -304,7 +335,11 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
     hoisted ``_bad.any()`` check that raises :class:`_OutOfEnvelope`
     with the mask of failing points.
     """
+    scalar = dialect == DIALECT_FLOAT
     states = dict(signature)
+    if scalar and GATE_MASK in states.values():
+        raise KernelUnsupported(f"{graph.spec.name}: float kernels take "
+                                f"no per-point gate masks")
     comp_kind = {comp.name: comp.kind for comp in graph.spec.components}
     lines: List[str] = []
     order: List[Tuple[str, str]] = []       # currents insertion order
@@ -326,8 +361,11 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
         ``_z + value`` reproduces ``np.full(shape, value)`` bitwise
         (IEEE ``0.0 + x == x``) at less than half the cost — except for
         ``-0.0`` and NaN payloads, which keep the literal ``np.full``.
-        A plain zero is the zeros seed itself.
+        A plain zero is the zeros seed itself (a float kernel's constant
+        is its literal).
         """
+        if scalar:
+            return repr(value) if math.isfinite(value) else f"float('{value}')"
         if value != value or (value == 0.0
                               and math.copysign(1.0, value) < 0.0):
             return f"_np.full(shape, {value!r})"
@@ -335,10 +373,23 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
             return "_z"
         return f"_z + {value!r}"
 
+    def where(cond: str, a: str, b: str) -> str:
+        return f"({a} if {cond} else {b})" if scalar \
+            else f"_np.where({cond}, {a}, {b})"
+
+    def call(fn: str, *args: str) -> str:
+        name = _FLOAT_CALLS[fn] if scalar else f"_np.{fn}"
+        return f"{name}({', '.join(args)})"
+
     def flag(bad: str, active: Optional[str]) -> None:
         # One stage's envelope mask, limited to the points its gates
         # energise (the scalar walk never visits the others), merged
-        # into the hoisted _bad.
+        # into the hoisted _bad.  A float kernel returns None instead:
+        # the walk raises there.
+        if scalar:
+            emit(f"if {bad}:")
+            emit("return None", depth=1)
+            return
         if active is not None:
             bad = f"({bad} & {active})"
         if not bad_seen[0]:
@@ -352,10 +403,12 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
         rng = conv.input_range
         emit(f"{bad} = ({s_var} < 0.0) | ({v_expr} < {rng.minimum!r})")
         emit(f"{bad} |= {v_expr} > {rng.maximum!r}")
-        if math.isfinite(rng.minimum) and math.isfinite(rng.maximum):
+        if scalar or (math.isfinite(rng.minimum)
+                      and math.isfinite(rng.maximum)):
             # With a finite window the +-inf cases are already caught by
             # the range comparisons; only NaN needs the extra term, and
-            # a self-compare is cheaper than invert-isfinite.
+            # a self-compare is cheaper than invert-isfinite.  (A float
+            # kernel keeps the model's own rule, which rejects only NaN.)
             emit(f"{bad} |= {v_expr} != {v_expr}")
         else:
             emit(f"{bad} |= ~_np.isfinite({v_expr})")
@@ -371,20 +424,21 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
             # selection is two ops per gain instead of five.
             tail = "0.0"
             for cand, bound in list(zip(gains, bounds))[::-1]:
-                emit(f"{gain} = _np.where({v_expr} >= {bound!r}, "
-                     f"{cand!r}, {tail})")
+                emit(f"{gain} = "
+                     f"{where(f'{v_expr} >= {bound!r}', repr(cand), tail)}")
                 tail = gain
         else:
-            emit(f"{gain} = _np.zeros(shape)")
+            emit(f"{gain} = {'0.0' if scalar else '_np.zeros(shape)'}")
             for cand in gains:
-                emit(f"{gain} = _np.where(({gain} == 0.0) & "
-                     f"({cand!r} * {v_expr} >= {threshold!r}), "
-                     f"{cand!r}, {gain})")
+                test = (f"({gain} == 0.0) & ({cand!r} * {v_expr} >= "
+                        f"{threshold!r})")
+                emit(f"{gain} = {where(test, repr(cand), gain)}")
         emit(f"{bad} = {bad} | ({gain} == 0.0)")
         flag(bad, active)
         house = new("h")
-        emit(f"{house} = _np.where({s_var} <= {conv.snooze_load_threshold!r},"
-             f" {conv.i_snooze!r}, {conv.i_quiescent!r})")
+        emit(f"{house} = " + where(
+            f"{s_var} <= {conv.snooze_load_threshold!r}",
+            repr(conv.i_snooze), repr(conv.i_quiescent)))
         i_var = new("i")
         emit(f"{i_var} = {gain} * {s_var} + {house}")
         return i_var
@@ -404,22 +458,24 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
         r_fsl = conv.r_fsl
         cap_sq = conv.analysis.cap_multiplier_sum ** 2
         i_safe = new("is")
-        emit(f"{i_safe} = _np.where({loaded}, {s_var}, 1.0)")
+        emit(f"{i_safe} = {where(loaded, s_var, '1.0')}")
         r_needed = new("rn")
         emit(f"{r_needed} = ({v_ideal} - {conv.v_target!r}) / {i_safe}")
         emit(f"{bad} |= {loaded} & ({r_needed} <= {r_fsl!r})")
         r_gap = new("rg")
         emit(f"{r_gap} = {r_needed} * {r_needed} - {r_fsl ** 2!r}")
         r_ssl = new("rs")
-        emit(f"{r_ssl} = _np.sqrt(_np.where({r_gap} > 0.0, {r_gap}, 1.0))")
+        emit(f"{r_ssl} = "
+             f"{call('sqrt', where(f'{r_gap} > 0.0', r_gap, '1.0'))}")
         f_sw = new("fs")
         emit(f"{f_sw} = {cap_sq!r} / ({conv.c_total!r} * {r_ssl})")
-        emit(f"{f_sw} = _np.minimum(_np.maximum({f_sw}, {conv.f_min!r}), "
-             f"{conv.f_max!r})")
-        emit(f"{f_sw} = _np.where({loaded}, {f_sw}, {conv.f_min!r})")
+        emit(f"{f_sw} = " + call("minimum", call(
+            "maximum", f_sw, repr(conv.f_min)), repr(conv.f_max)))
+        emit(f"{f_sw} = {where(loaded, f_sw, repr(conv.f_min))}")
         r_out = new("ro")
-        emit(f"{r_out} = _np.hypot({cap_sq!r} / ({conv.c_total!r} * {f_sw}),"
-             f" {r_fsl!r})")
+        emit(f"{r_out} = " + call(
+            "hypot", f"{cap_sq!r} / ({conv.c_total!r} * {f_sw})",
+            repr(r_fsl)))
         v_sag = new("vs")
         emit(f"{v_sag} = {v_ideal} - {s_var} * {r_out}")
         emit(f"{bad} |= {loaded} & ({v_sag} < {conv.v_target - 1e-9!r})")
@@ -501,13 +557,17 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
         )
 
     # Hoisted per-call bindings: the shared zeros seed, one local per
-    # tapped channel, one local per per-point gate mask.
-    emit("_z = _np.zeros(shape)")
+    # tapped channel, one local per per-point gate mask.  A float kernel
+    # takes each load as a parameter and seeds sums with 0.0.
+    zero = "0.0" if scalar else "_z"
     load_vars: Dict[str, str] = {}
+    if not scalar:
+        emit("_z = _np.zeros(shape)")
     for channel in graph._taps:
         var = "_L_" + channel.replace("-", "_")
-        load_vars[channel] = var
-        emit(f"{var} = loads[{channel!r}]")
+        load_vars[channel] = var.replace("_L", "i", 1) if scalar else var
+        if not scalar:
+            emit(f"{var} = loads[{channel!r}]")
     mask_vars: Dict[str, str] = {}
     for gate, state in signature:
         if state == GATE_MASK:
@@ -555,9 +615,15 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
             if mask_var is not None:
                 emit(f"{i_var} = _np.where({mask_var}, {i_var}, {leak!r})")
         factor = new("f")
-        emit(f"{factor} = factors.get({name!r})")
-        emit(f"if {factor} is not None:")
-        emit(f"{i_var} = {i_var} * {factor}", depth=1)
+        if scalar:  # the walk's rule, on the caller's mapping
+            emit("if factors is not None:")
+            emit(f"{factor} = factors.get({name!r}, 1.0)", depth=1)
+            emit(f"if {factor} != 1.0:", depth=1)
+            emit(f"{i_var} = {i_var} * {factor}", depth=2)
+        else:
+            emit(f"{factor} = factors.get({name!r})")
+            emit(f"if {factor} is not None:")
+            emit(f"{i_var} = {i_var} * {factor}", depth=1)
         order.append((name, i_var))
         return i_var
 
@@ -566,11 +632,11 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
         s_var = new("s")
         children = graph._child_names[name]
         if not children:
-            emit(f"{s_var} = _z")
+            emit(f"{s_var} = {zero}")
             return s_var
         for index, child in enumerate(children):
             c_var = branch(child, v_expr, active, v_const)
-            seed = "_z" if index == 0 else s_var
+            seed = zero if index == 0 else s_var
             emit(f"{s_var} = {seed} + {c_var}")
         return s_var
 
@@ -578,14 +644,17 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
         graph._child_names[graph.spec.source.name]
     ):
         c_var = branch(child, "v", None, None)
-        seed = "_z" if index == 0 else "_i_src"
+        seed = zero if index == 0 else "_i_src"
         emit(f"_i_src = {seed} + {c_var}")
 
-    if bad_seen[0]:
-        emit("if _bad.any():")
-        emit("raise _OutOfEnvelope(_bad)", depth=1)
-    currents = ", ".join(f"{name!r}: {var}" for name, var in order)
-    emit(f"return _i_src, {{{currents}}}")
+    if scalar:
+        emit("return " + ", ".join(["_i_src"] + [var for _, var in order]))
+    else:
+        if bad_seen[0]:
+            emit("if _bad.any():")
+            emit("raise _OutOfEnvelope(_bad)", depth=1)
+        currents = ", ".join(f"{name!r}: {var}" for name, var in order)
+        emit(f"return _i_src, {{{currents}}}")
 
     # Materialize only the nominal-rail arrays some later line reads (a
     # converter whose children are all taps, closed gates, or
@@ -598,13 +667,15 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
                          "    " * 2 + f"{v_rail} = {const_array(v_out)}")
 
     sig_text = ", ".join(f"{gate}={state}" for gate, state in signature)
+    params = ", ".join("i_" + c.replace("-", "_") for c in CHANNELS)
     header = [
-        f'"""Fused solve_batch kernel: topology {graph.spec.name!r}, '
-        f'gates [{sig_text or "none"}], '
+        f'"""Fused {"float" if scalar else "solve_batch"} kernel: topology '
+        f'{graph.spec.name!r}, gates [{sig_text or "none"}], '
         f'code version {KERNEL_CODE_VERSION}."""',
-        "def _kernel(v, loads, masks, factors, shape, _np=np):",
+        f"def _float_kernel(v, {params}, factors):" if scalar
+        else "def _kernel(v, loads, masks, factors, shape, _np=np):",
     ]
-    if uses_errstate[0]:
+    if uses_errstate[0] and not scalar:
         header.append('    with _np.errstate(divide="ignore", '
                       'invalid="ignore", over="ignore"):')
     else:
@@ -612,7 +683,8 @@ def generate_kernel_source(graph: RailGraph, signature: tuple) -> str:
     return "\n".join(header + lines) + "\n"
 
 
-def kernel_source(graph: RailGraph, open_gates=frozenset()) -> str:
+def kernel_source(graph: RailGraph, open_gates=frozenset(),
+                  dialect: str = DIALECT_NUMPY) -> str:
     """The generated kernel source for a graph under a gate state.
 
     Debugging/inspection entry point (``--emit-kernel`` on the CLI):
@@ -620,7 +692,8 @@ def kernel_source(graph: RailGraph, open_gates=frozenset()) -> str:
     same frozenset-or-mapping forms as :meth:`RailGraph.solve_batch`.
     """
     gates = _normalize_gate_input(graph, open_gates)
-    return generate_kernel_source(graph, gate_signature(graph, gates))
+    return generate_kernel_source(graph, gate_signature(graph, gates),
+                                  dialect)
 
 
 def iter_registered_kernel_sources():
@@ -628,8 +701,10 @@ def iter_registered_kernel_sources():
 
     Yields ``(kind, signature, source, failure)`` for each
     registered rail topology crossed with every gate-state combination
-    (open/closed/mask per gate) — the full space the runtime kernel
-    cache can ever hold.  The lint kernel auditor
+    (open/closed/mask per gate), then the float-dialect kernel of every
+    open/closed combination — the full space the runtime kernel cache
+    can ever hold.  The two dialects define differently named kernel
+    functions (``_kernel`` and ``_float_kernel``).  The lint kernel auditor
     (``repro lint --kernels``) parses each emitted source and checks the
     structural invariants; keeping enumeration here means the auditor
     never has to know how plans, signatures, or gates are spelled.
@@ -647,15 +722,20 @@ def iter_registered_kernel_sources():
     for kind in rail_topology_names():
         graph = RailGraph(get_rail_spec(kind))
         gate_names = graph._gate_names
-        states = (GATE_OPEN, GATE_CLOSED, GATE_MASK)
-        for combo in itertools.product(states, repeat=len(gate_names)):
-            signature = tuple(zip(gate_names, combo))
-            try:
-                source = generate_kernel_source(graph, signature)
-            except KernelUnsupported as exc:
-                yield kind, signature, None, str(exc)
-                continue
-            yield kind, signature, source, None
+        for dialect, states in (
+            (DIALECT_NUMPY, (GATE_OPEN, GATE_CLOSED, GATE_MASK)),
+            (DIALECT_FLOAT, (GATE_OPEN, GATE_CLOSED)),
+        ):
+            for combo in itertools.product(states,
+                                           repeat=len(gate_names)):
+                signature = tuple(zip(gate_names, combo))
+                try:
+                    source = generate_kernel_source(graph, signature,
+                                                    dialect)
+                except KernelUnsupported as exc:
+                    yield kind, signature, None, str(exc)
+                    continue
+                yield kind, signature, source, None
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +759,9 @@ def _disk_path(key: tuple) -> Optional[str]:
         return None
     token = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
     version = key[2]
-    return os.path.join(cache_dir, f"railgraph-kernel-v{version}-{token}.py")
+    dialect = "float-" if key[3:] == (DIALECT_FLOAT,) else ""
+    return os.path.join(cache_dir,
+                        f"railgraph-{dialect}kernel-v{version}-{token}.py")
 
 
 def _disk_read(key: tuple) -> Optional[str]:
@@ -708,24 +790,30 @@ def _disk_write(key: tuple, source: str) -> None:
 
 
 def _exec_kernel(source: str, key: tuple) -> Callable:
-    """Compile and execute kernel source, returning its ``_kernel``."""
-    namespace = {"np": np, "_OutOfEnvelope": _OutOfEnvelope}
+    """Compile and execute kernel source, returning its kernel function."""
+    float_dialect = key[3:] == (DIALECT_FLOAT,)
+    name = "_float_kernel" if float_dialect else "_kernel"
+    namespace = ({"math": math} if float_dialect
+                 else {"np": np, "_OutOfEnvelope": _OutOfEnvelope})
     code = compile(source, f"<railgraph-kernel {key[0][:12]}>", "exec")
     # The one sanctioned exec in the tree (lint rule DET004): the source
     # is generated above from the frozen plan, never from user input.
     exec(code, namespace)
-    fn = namespace.get("_kernel")
+    fn = namespace.get(name)
     if not callable(fn):
-        raise KernelUnsupported("kernel source defines no _kernel()")
+        raise KernelUnsupported(f"kernel source defines no {name}()")
     return fn
 
 
 def _build_kernel(graph: RailGraph, signature: tuple,
                   key: tuple) -> CompiledKernel:
+    # Float kernels count in their own scalar_* metrics.
+    dialect = key[3] if len(key) > 3 else DIALECT_NUMPY
+    prefix = "scalar_" if dialect == DIALECT_FLOAT else ""
     try:
-        source = generate_kernel_source(graph, signature)
+        source = generate_kernel_source(graph, signature, dialect)
     except KernelUnsupported as exc:
-        _bump("unsupported")
+        _bump(prefix + "unsupported")
         return CompiledKernel(key=key, source="", fn=None, failed=True,
                               failure=str(exc))
     fn = None
@@ -743,16 +831,16 @@ def _build_kernel(graph: RailGraph, signature: tuple,
         try:
             fn = _exec_kernel(source, key)
         except Exception as exc:
-            _bump("unsupported")
+            _bump(prefix + "unsupported")
             return CompiledKernel(key=key, source=source, fn=None,
                                   failed=True,
                                   failure=f"kernel source failed to "
                                           f"compile: {exc}")
     if not from_disk:
         _disk_write(key, chosen)
-    _bump("compiles")
+    _bump(prefix + "compiles")
     if from_disk:
-        _bump("disk_loads")
+        _bump(prefix + "disk_loads")
     return CompiledKernel(key=key, source=chosen, fn=fn)
 
 
@@ -775,14 +863,17 @@ def compiled_kernel_for(graph: RailGraph,
 
 
 # ---------------------------------------------------------------------------
-# The scalar reference: verification, error re-solve, and fallback
+# The reference walk: verification, error re-solve, and fallback
 # ---------------------------------------------------------------------------
 
 
 def _solve_point(graph: RailGraph, v, loads, signature, masks, factors,
                  index: int) -> GraphSolution:
-    """Scalar :meth:`RailGraph.solve` at one point of kernel inputs."""
-    return graph.solve(
+    """The reference walk (:meth:`RailGraph.solve_reference`) at one
+    point of kernel inputs.  Not scalar ``solve``: that is served by
+    float kernels from the same emitters, so a shared emitter bug would
+    check itself."""
+    return graph.solve_reference(
         float(v[index]),
         {channel: float(amps[index]) for channel, amps in loads.items()},
         open_gates=frozenset(
@@ -819,7 +910,7 @@ def _walk_order(graph: RailGraph, signature: tuple) -> List[str]:
 
 def _scalar_loop(graph: RailGraph, v, loads, signature, masks, factors,
                  shape) -> Tuple[GraphSolutionBatch, Dict[str, np.ndarray]]:
-    """Solve every batch point with scalar :meth:`RailGraph.solve`.
+    """Solve every batch point with the reference walk.
 
     Returns the batch and, per component, the mask of points the scalar
     walk visited; a component behind a gate closed at a point is not
@@ -865,12 +956,13 @@ def _bitwise_equal(i_source, currents: Dict[str, np.ndarray],
     return True
 
 
-def _retire(entry: CompiledKernel, reason: str) -> None:
-    """Take a kernel that disagreed with the scalar reference out of
-    service for good."""
+def _retire(entry: CompiledKernel, reason: str,
+            counter: str = "mismatches") -> None:
+    """Take a kernel that disagreed with the walk out of service for
+    good."""
     entry.failed = True
     entry.failure = reason
-    _bump("mismatches")
+    _bump(counter)
 
 
 def _fall_back(graph: RailGraph, inputs: tuple) -> GraphSolutionBatch:
@@ -958,6 +1050,94 @@ def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
     if entry.failed:
         return _fall_back(graph, inputs)
     return _serve(graph, entry, *inputs)
+
+
+# ---------------------------------------------------------------------------
+# The float point path behind scalar RailGraph.solve
+# ---------------------------------------------------------------------------
+
+#: Graphs holding float kernels, so clear_kernel_cache() can drop them.
+_FLOAT_GRAPHS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _float_entry(graph: RailGraph, open_gates) -> CompiledKernel:
+    """The shared float kernel for a gate state, cached on the graph by
+    the ``open_gates`` value itself: a gate state written directly (as
+    checkpoint restore does) never meets a stale kernel."""
+    signature = tuple((gate, GATE_OPEN if gate in open_gates
+                       else GATE_CLOSED) for gate in graph._gate_names)
+    key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION,
+           DIALECT_FLOAT)
+    entry = _KERNELS.get_or_compute(
+        key, lambda: _build_kernel(graph, signature, key))
+    try:
+        if len(graph._float_kernels) < 64:
+            graph._float_kernels[open_gates] = entry
+            _FLOAT_GRAPHS.add(graph)
+    except TypeError:
+        pass  # unhashable gates: looked up again on every call
+    return entry
+
+
+def _same_bits(values: tuple, reference: tuple) -> bool:
+    try:
+        return [*map(type, values)] == [*map(type, reference)] and \
+            np.array(values, dtype=np.float64).tobytes() == \
+            np.array(reference, dtype=np.float64).tobytes()
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def solve_point_slow(graph: RailGraph, entry: Optional[CompiledKernel], v,
+                     i_mcu, i_sensor, i_radio_digital, i_radio_rf,
+                     open_gates, degradation) -> Tuple[tuple, tuple]:
+    """Every scalar solve a promoted float kernel did not answer.
+
+    A kernel's first call is compared bitwise with the reference walk
+    (``i_source`` plus every visited component current) before it is
+    promoted.  The walk answers unsupported or retired kernels, disabled
+    converters and a ``None`` from the kernel, raising its exact error;
+    a kernel whose ``None`` the walk does not confirm is retired.
+    """
+    if entry is None:
+        entry = _float_entry(graph, open_gates)
+    ran, values = False, None
+    if not entry.failed and all(conv.enabled
+                                for conv in graph._converter_list):
+        ran = True
+        try:
+            values = entry.fn(v, i_mcu, i_sensor, i_radio_digital,
+                              i_radio_rf, degradation or None)
+        except Exception:
+            pass
+        if values is not None and entry.verified:
+            return entry.names, values
+    if values is None:
+        _bump("scalar_fallbacks")
+    loads = dict(zip(CHANNELS, (i_mcu, i_sensor, i_radio_digital,
+                                i_radio_rf)))
+    try:
+        solution = graph.solve_reference(v, loads, open_gates, degradation)
+    except Exception:
+        if values is not None:
+            _retire(entry, "kernel missed a point the walk rejects",
+                    "scalar_mismatches")
+        raise
+    currents = solution.component_i_in
+    names, reference = tuple(currents), (solution.i_source,
+                                         *currents.values())
+    if ran and values is None:
+        _retire(entry, "kernel flagged a point the walk accepts",
+                "scalar_mismatches")
+    elif values is not None:
+        _bump("scalar_verifications")
+        if _same_bits(values, reference):
+            entry.names, entry.verified = names, True
+        else:
+            _retire(entry, "kernel result diverged bitwise from the walk",
+                    "scalar_mismatches")
+            _bump("scalar_fallbacks")
+    return names, reference
 
 
 # ---------------------------------------------------------------------------

@@ -560,10 +560,19 @@ class RailGraph:
         )
         self._gate_names = spec.gate_names()
         self._gate_set = frozenset(self._gate_names)
+        self._converter_list = tuple(self._converters.values())
         # Content hash of the plan, computed lazily by the kernel
         # compiler (repro.power.compile) and cached here; plain string,
         # so graphs stay picklable.
         self._kernel_plan_digest: Optional[str] = None
+        # Float kernels by the open_gates value they serve (filled by
+        # the compiler; never pickled).
+        self._float_kernels: dict = {}
+
+    def __getstate__(self) -> Dict:
+        state = self.__dict__.copy()
+        state["_float_kernels"] = {}
+        return state
 
     @staticmethod
     def _build(comp):
@@ -676,8 +685,31 @@ class RailGraph:
         ``degradation`` multiplies named components' input currents (its
         keys must name graph components).  Raises
         :class:`~repro.errors.ElectricalError` (from the component
-        models) when any stage is out of its operating envelope.
+        models) when any stage is out of its operating envelope.  Served
+        by a float kernel verified against :meth:`solve_reference`, whose
+        results and errors it returns bit for bit.
         """
+        self._check_inputs(loads, degradation)
+        names, values = self._solve_currents(
+            v_source, *[loads.get(channel, 0.0) for channel in CHANNELS],
+            open_gates, degradation or {})
+        return GraphSolution(v_source, values[0], FrozenMapping._adopt(
+            dict(zip(names, values[1:]))))
+
+    def solve_reference(self, v_source, loads, open_gates=frozenset(),
+                        degradation=None) -> GraphSolution:
+        """:meth:`solve` by walking the dispatch plan: the one definition
+        of a solve, pinned by the 440 float-hex goldens; every compiled
+        kernel is verified bitwise against it."""
+        self._check_inputs(loads, degradation)
+        currents: Dict[str, float] = {}
+        i_source = self._walk_children(self.spec.source.name, v_source,
+                                       loads, open_gates, degradation or {},
+                                       currents)
+        return GraphSolution(v_source, i_source,
+                             FrozenMapping._adopt(currents))
+
+    def _check_inputs(self, loads: Mapping, degradation) -> None:
         for channel, amps in loads.items():
             if channel not in self._taps:
                 raise ConfigurationError(
@@ -689,18 +721,35 @@ class RailGraph:
                     f"{self.spec.name}: load {channel!r} must be finite "
                     f"and >= 0, got {amps!r}"
                 )
-        degradation = degradation or {}
         if degradation:
             self._check_degradation_keys(degradation)
-        currents: Dict[str, float] = {}
-        i_source = 0.0
-        for child in self._child_names[self.spec.source.name]:
-            i_source = i_source + self._branch(
-                child, v_source, loads, open_gates, degradation, currents
-            )
-        return GraphSolution(
-            v_source=v_source, i_source=i_source,
-            component_i_in=FrozenMapping._adopt(currents),
+
+    def _solve_currents(self, v_source, i_mcu, i_sensor, i_radio_digital,
+                        i_radio_rf, open_gates, degradation):
+        """The point solve behind :meth:`solve` and the node's train, on
+        validated inputs: ``(names, (i_source, *currents))`` in walk
+        order.  A promoted kernel answers with no counter or lock;
+        anything else takes the compiler's slow path."""
+        try:
+            entry = self._float_kernels[open_gates]
+        except (KeyError, TypeError):
+            entry = None
+        if entry is not None and entry.verified and not entry.failed:
+            for converter in self._converter_list:
+                if not converter.enabled:
+                    break
+            else:
+                try:
+                    values = entry.fn(v_source, i_mcu, i_sensor,
+                                      i_radio_digital, i_radio_rf,
+                                      degradation or None)
+                except Exception:
+                    values = None
+                if values is not None:
+                    return entry.names, values
+        return _compile_module().solve_point_slow(
+            self, entry, v_source, i_mcu, i_sensor, i_radio_digital,
+            i_radio_rf, open_gates, degradation,
         )
 
     def _check_degradation_keys(self, degradation: Mapping) -> None:
@@ -716,8 +765,18 @@ class RailGraph:
                     f"components: {', '.join(self.component_names())}"
                 )
 
-    def _branch(self, name, v_in, loads, open_gates, degradation,
-                currents) -> float:
+    def _require_gate(self, gate: str) -> None:
+        """Reject a gate group name the spec does not define."""
+        if gate not in self._gate_set:
+            raise ConfigurationError(
+                f"{self.spec.name}: no gate group {gate!r}; gates: "
+                f"{', '.join(self.spec.gate_names()) or '(none)'}"
+            )
+
+    # -- the reference walk ------------------------------------------------
+
+    def _walk_branch(self, name, v_in, loads, open_gates, degradation,
+                     currents) -> float:
         gate, leak, (tag, arg) = self._plan[name]
         if gate is not None and gate not in open_gates:
             i_in = leak
@@ -726,12 +785,12 @@ class RailGraph:
         elif tag == self._DRAIN:
             i_in = arg
         elif tag == self._SWITCH:
-            i_in = self._child_sum(name, v_in, loads, open_gates,
-                                   degradation, currents)
+            i_in = self._walk_children(name, v_in, loads, open_gates,
+                                       degradation, currents)
         else:
             v_out, converter = arg
-            i_load = self._child_sum(name, v_out, loads, open_gates,
-                                     degradation, currents)
+            i_load = self._walk_children(name, v_out, loads, open_gates,
+                                         degradation, currents)
             i_in = converter.solve(v_in, i_load).i_in
         factor = degradation.get(name, 1.0)
         if factor != 1.0:
@@ -739,11 +798,11 @@ class RailGraph:
         currents[name] = i_in
         return i_in
 
-    def _child_sum(self, name, v_rail, loads, open_gates, degradation,
-                   currents) -> float:
+    def _walk_children(self, name, v_rail, loads, open_gates, degradation,
+                       currents) -> float:
         i_load = 0.0
         for child in self._child_names[name]:
-            i_load = i_load + self._branch(
+            i_load = i_load + self._walk_branch(
                 child, v_rail, loads, open_gates, degradation, currents
             )
         return i_load
@@ -854,11 +913,7 @@ class RailGraph:
             return {gate: True for gate in open_gates}
         gates: Dict[str, object] = {}
         for gate, state in open_gates.items():
-            if gate not in self._gate_set:
-                raise ConfigurationError(
-                    f"{self.spec.name}: no gate group {gate!r}; gates: "
-                    f"{', '.join(self.spec.gate_names()) or '(none)'}"
-                )
+            self._require_gate(gate)
             arr = np.asarray(state)
             if arr.ndim == 0:
                 gates[gate] = bool(arr)

@@ -16,6 +16,15 @@ def sample_kernel():
     raise AssertionError("no emittable kernel in the registry")
 
 
+@pytest.fixture(scope="module")
+def float_kernel():
+    """One real float-dialect kernel (kind, signature, source)."""
+    for kind, sig, source, _failure in iter_registered_kernel_sources():
+        if source is not None and "def _float_kernel(" in source:
+            return kind, sig, source
+    raise AssertionError("no float kernel in the registry")
+
+
 def test_every_registered_kernel_audits_clean():
     findings = audit_registered_kernels()
     assert findings == []
@@ -134,3 +143,44 @@ def test_kernel_findings_have_stable_synthetic_paths(sample_kernel):
     assert [f.fingerprint for f in first] == [f.fingerprint
                                              for f in second]
     assert all(f.path.startswith(f"<kernel:{kind}:") for f in first)
+
+
+def test_registry_emits_a_float_kernel_per_open_closed_signature():
+    seen = list(iter_registered_kernel_sources())
+    floats = [(kind, sig) for kind, sig, source, _failure in seen
+              if source is not None and "def _float_kernel(" in source]
+    kinds = {kind for kind, _sig in floats}
+    assert {"cots", "ic", "direct-ldo", "single-sc"} <= kinds
+    assert all(state != "mask" for _kind, sig in floats
+               for _gate, state in sig)
+    assert len(floats) >= 2 * len(kinds)
+
+
+def test_float_kernel_findings_are_labelled_float(float_kernel):
+    kind, sig, source = float_kernel
+    corrupted = source.replace("factors):", "loads):", 1)
+    findings = audit_kernel_source(kind, sig, corrupted)
+    assert any(f.rule_id == "KER001" and "signature" in f.message
+               for f in findings)
+    assert all(f.path.endswith(":float>") for f in findings)
+
+
+def test_float_kernel_unguarded_envelope_test_fails(float_kernel):
+    kind, sig, source = float_kernel
+    lines = source.splitlines()
+    index = next(i for i, line in enumerate(lines)
+                 if line.strip().startswith("if _b"))
+    # Drop one `if _bN:` / `return None` pair.
+    corrupted = "\n".join(lines[:index] + lines[index + 2:]) + "\n"
+    findings = audit_kernel_source(kind, sig, corrupted)
+    assert any(f.rule_id == "KER001" and "early return" in f.message
+               for f in findings)
+
+
+def test_float_kernel_must_end_with_a_flat_tuple(float_kernel):
+    kind, sig, source = float_kernel
+    corrupted = source.replace("return _i_src,", "return {'i': _i_src},")
+    assert corrupted != source
+    findings = audit_kernel_source(kind, sig, corrupted)
+    assert any(f.rule_id == "KER001" and "flat tuple" in f.message
+               for f in findings)

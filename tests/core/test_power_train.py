@@ -135,3 +135,37 @@ def test_efficiency_rf_chain_cots_vs_ic():
         idle = train.solve(1.25, LoadState()).p_battery
         results[kind] = delivered / (solution.p_battery - idle)
     assert results["ic"] > results["cots"]
+
+
+def test_set_gate_rejects_a_gate_the_topology_does_not_define():
+    train = make_power_train("cots")
+    with pytest.raises(ConfigurationError,
+                       match="no gate group 'radoi'; gates: radio"):
+        train.set_gate("radoi", True)
+    assert train._open_gates == frozenset()
+    train.set_gate("radio", True)
+    assert train._open_gates == frozenset({"radio"})
+
+
+def test_radio_sequencing_skips_a_topology_without_a_radio_gate():
+    from repro.core.power_train import GraphPowerTrain
+    from repro.power.graph import ChargePumpSpec, LoadTapSpec, RailGraphSpec
+    from repro.power.graph import SourceSpec
+
+    taps = tuple(
+        LoadTapSpec(name=f"{channel}-tap", parent="pump", channel=channel,
+                    v_rail=2.2)
+        for channel in ("mcu", "sensor", "radio-digital", "radio-rf")
+    )
+    train = GraphPowerTrain(RailGraphSpec(
+        name="ungated", description="no gate groups",
+        components=(SourceSpec(name="battery"),
+                    ChargePumpSpec(name="pump", parent="battery")) + taps,
+    ))
+    train.enable_radio()
+    assert train.radio_enabled and train._open_gates == frozenset()
+    assert train.solve(1.25, TX).i_battery > 0.0
+    train.disable_radio()
+    assert not train.radio_enabled
+    with pytest.raises(ConfigurationError, match=r"gates: \(none\)"):
+        train.set_gate("radio", True)

@@ -157,6 +157,16 @@ def test_cli_train_emit_kernel_prints_fused_source(capsys):
     assert "gates [radio=closed]" in out
 
 
+def test_cli_train_emit_kernel_prints_both_dialects(capsys):
+    assert cli_main(["train", "--solve", "cots", "--emit-kernel"]) == 0
+    out = capsys.readouterr().out
+    batch = out.index("def _kernel(v, loads, masks, factors, shape")
+    point = out.index("def _float_kernel(v, i_mcu, i_sensor, "
+                      "i_radio_digital, i_radio_rf, factors):")
+    assert batch < point
+    assert out.count("gates [radio=closed]") == 2
+
+
 def test_cli_train_emit_kernel_reflects_gate_state(capsys):
     # A nonzero radio load enables the radio, so the emitted kernel is
     # the radio-open specialization.
