@@ -182,12 +182,15 @@ class PicoCube:
             return
         loads = self._loads()
         # One fixed-point pass on the terminal voltage: NiMH sag is small
-        # at microamp-to-milliamp loads, so one iteration converges.
+        # at microamp-to-milliamp loads, so one iteration converges.  The
+        # cell does not change between the two solves, so it is read once
+        # and both sags are ``terminal_voltage``'s own ``ocv - i * r``.
         try:
-            v_batt = self.battery.terminal_voltage(self._i_battery)
-            solution = self.train.solve(v_batt, loads)
+            ocv = self.battery.open_circuit_voltage()
+            resistance = self.battery.internal_resistance()
+            solution = self.train.solve(ocv - self._i_battery * resistance, loads)
             solution = self.train.solve(
-                self.battery.terminal_voltage(solution.i_battery), loads
+                ocv - solution.i_battery * resistance, loads
             )
         except ElectricalError:
             # The sagging battery fell out of the power train's operating

@@ -13,12 +13,17 @@ from typing import List, Sequence
 from ..errors import PacketError
 
 
+#: MSB-first bits of every byte value: frames are expanded by lookup.
+_BYTE_BITS = tuple(
+    tuple((byte >> k) & 1 for k in range(7, -1, -1)) for byte in range(256)
+)
+
+
 def bytes_to_bits(data: bytes) -> List[int]:
     """MSB-first bit expansion."""
-    bits = []
+    bits: List[int] = []
     for byte in data:
-        for k in range(7, -1, -1):
-            bits.append((byte >> k) & 1)
+        bits.extend(_BYTE_BITS[byte])
     return bits
 
 
@@ -70,4 +75,4 @@ def ones_fraction(bits: Sequence[int]) -> float:
     """Mark density — what sets OOK average power."""
     if not bits:
         raise PacketError("empty bit sequence")
-    return sum(1 for b in bits if b == 1) / len(bits)
+    return bits.count(1) / len(bits)

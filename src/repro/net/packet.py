@@ -24,6 +24,7 @@ import dataclasses
 from typing import List, Sequence
 
 from ..errors import PacketError
+from .framing import bits_to_bytes, bytes_to_bits
 
 PREAMBLE = bytes([0xAA, 0xAA])
 SYNC = 0x7E
@@ -35,8 +36,7 @@ KIND_HEARTBEAT = 0x03
 MAX_PAYLOAD_WORDS = 8
 
 
-def crc8(data: bytes, polynomial: int = 0x31, init: int = 0x00) -> int:
-    """CRC-8 (x^8 + x^5 + x^4 + 1, the Dallas/Maxim polynomial)."""
+def _crc8_bitwise(data: bytes, polynomial: int, init: int) -> int:
     crc = init
     for byte in data:
         crc ^= byte
@@ -45,6 +45,22 @@ def crc8(data: bytes, polynomial: int = 0x31, init: int = 0x00) -> int:
                 crc = ((crc << 1) ^ polynomial) & 0xFF
             else:
                 crc = (crc << 1) & 0xFF
+    return crc
+
+
+#: One byte's worth of the default polynomial's shifts, per byte value.
+#: Eight shifts only ever look at the low eight bits of ``crc ^ byte``,
+#: hence the mask on lookup.
+_CRC8_TABLE = tuple(_crc8_bitwise(bytes([byte]), 0x31, 0) for byte in range(256))
+
+
+def crc8(data: bytes, polynomial: int = 0x31, init: int = 0x00) -> int:
+    """CRC-8 (x^8 + x^5 + x^4 + 1, the Dallas/Maxim polynomial)."""
+    if polynomial != 0x31:
+        return _crc8_bitwise(data, polynomial, init)
+    crc = init
+    for byte in data:
+        crc = _CRC8_TABLE[(crc ^ byte) & 0xFF]
     return crc
 
 
@@ -89,11 +105,7 @@ class PicoPacket:
 
     def to_bits(self) -> List[int]:
         """Frame as a bit list, MSB first — the OOK modulator's input."""
-        bits = []
-        for byte in self.to_bytes():
-            for k in range(7, -1, -1):
-                bits.append((byte >> k) & 1)
-        return bits
+        return bytes_to_bits(self.to_bytes())
 
     @property
     def bit_count(self) -> int:
@@ -108,17 +120,7 @@ class PicoPacket:
 
         Raises :class:`PacketError` on framing or CRC failure.
         """
-        if len(bits) % 8 != 0:
-            raise PacketError(f"bit count {len(bits)} is not a whole byte")
-        data = bytearray()
-        for i in range(0, len(bits), 8):
-            byte = 0
-            for bit in bits[i : i + 8]:
-                if bit not in (0, 1):
-                    raise PacketError(f"bit value {bit!r} is not 0/1")
-                byte = (byte << 1) | bit
-            data.append(byte)
-        return PicoPacket.from_bytes(bytes(data))
+        return PicoPacket.from_bytes(bits_to_bytes(bits))
 
     @staticmethod
     def from_bytes(frame: bytes) -> "PicoPacket":

@@ -18,11 +18,13 @@ Components never poll; they schedule their next state change and return.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional
 
 from ..errors import SchedulingError, SimulationError
 from .events import Event, EventHandle, PRIORITY_NORMAL
+
+_INF = float("inf")
 
 
 class Engine:
@@ -93,13 +95,15 @@ class Engine:
 
         A zero delay is allowed (fires later in the current instant,
         after currently-executing same-time events of lower priority).
-        Negative delays raise :class:`SchedulingError`.
+        Negative and non-finite delays raise :class:`SchedulingError`.
         """
         if delay < 0.0:
             raise SchedulingError(
                 f"cannot schedule event {name!r} {delay} s in the past"
             )
-        return self.schedule_at(self._now + delay, callback, name, priority)
+        return EventHandle(
+            self._push(self._now + delay, callback, name, priority)
+        )
 
     def schedule_at(
         self,
@@ -109,27 +113,33 @@ class Engine:
         priority: int = PRIORITY_NORMAL,
     ) -> EventHandle:
         """Schedule ``callback`` at an absolute simulation time."""
-        if time < self._now:
+        return EventHandle(self._push(time, callback, name, priority))
+
+    def _push(
+        self, time: float, callback: Callable[[], None], name: str, priority: int
+    ) -> Event:
+        """Create and heap-push one event; the shared scheduling core.
+
+        :class:`~repro.sim.process.Process` resumes call this directly:
+        they never cancel, so they skip the :class:`EventHandle`.
+        """
+        # One chained test rejects the past, NaN and +inf alike.
+        if not self._now <= time < _INF:
             raise SchedulingError(
-                f"cannot schedule event {name!r} at t={time} (now is {self._now})"
+                f"cannot schedule event {name!r} at t={time} (now is "
+                f"{self._now}; times must be finite and not in the past)"
             )
         event = Event(
-            time=float(time),
-            priority=priority,
-            sequence=self._sequence,
-            callback=callback,
-            name=name,
-            on_cancel=self._note_cancelled,
+            float(time), priority, self._sequence, callback, name,
+            self._note_cancelled,
         )
         self._sequence += 1
         self._live += 1
-        heapq.heappush(self._heap, event)
-        if (
-            len(self._heap) >= self.COMPACT_MIN_SIZE
-            and self._live * 2 < len(self._heap)
-        ):
+        heap = self._heap
+        heappush(heap, event)
+        if len(heap) >= self.COMPACT_MIN_SIZE and self._live * 2 < len(heap):
             self._compact()
-        return EventHandle(event)
+        return event
 
     # -- time warp (cycle fast-forward support) ----------------------------
 
@@ -187,10 +197,15 @@ class Engine:
 
         Returns False (without advancing time) when the queue is empty.
         """
-        self._drop_cancelled_head()
-        if not self._heap:
-            return False
-        event = heapq.heappop(self._heap)
+        heap = self._heap
+        while True:
+            if not heap:
+                return False
+            event = heappop(heap)
+            # Cancelled events left the live count at cancel time; their
+            # heap corpses are shed here.
+            if not event.cancelled:
+                break
         if event.time < self._now:
             raise SimulationError(
                 f"event {event.name!r} at t={event.time} is before now={self._now}"
@@ -328,7 +343,7 @@ class Engine:
     def _compact(self) -> None:
         """Shed cancelled corpses so heap size stays O(live events)."""
         self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        heapify(self._heap)
 
     def _note_cancelled(self) -> None:
         self._live -= 1
@@ -337,4 +352,4 @@ class Engine:
         # Cancelled events were already removed from the live count at
         # cancel time; this only sheds the dead heap entries.
         while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)

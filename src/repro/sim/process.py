@@ -23,6 +23,9 @@ from typing import Callable, Generator, List, Union
 
 from ..errors import SimulationError
 from .engine import Engine
+from .events import PRIORITY_NORMAL
+
+_INF = float("inf")
 
 Yieldable = Union[float, int, "Signal"]
 ProcessBody = Generator[Yieldable, None, None]
@@ -94,15 +97,22 @@ class Process:
         except StopIteration:
             self.finished = True
             return
-        if isinstance(yielded, Signal):
-            yielded._add_waiter(self._resume)
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
+        if isinstance(yielded, (int, float)):
+            if not 0.0 <= yielded < _INF:
                 self.finished = True
+                problem = "negative" if yielded < 0 else "non-finite"
                 raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {yielded}"
+                    f"process {self.name!r} yielded {problem} delay {yielded}"
                 )
-            self._engine.schedule(float(yielded), self._resume, name=self.name)
+            # Resumes are never cancelled, so they skip schedule()'s
+            # EventHandle; the event itself is exactly the one it makes.
+            engine = self._engine
+            engine._push(
+                engine.now + float(yielded), self._resume, self.name,
+                PRIORITY_NORMAL,
+            )
+        elif isinstance(yielded, Signal):
+            yielded._add_waiter(self._resume)
         else:
             self.finished = True
             raise SimulationError(

@@ -53,7 +53,10 @@ class PowerRecorder:
 
     def record(self, name: str, watts: float) -> None:
         """Set channel ``name`` to ``watts`` at the current sim time."""
-        self.channel(name).set(self._engine.now, watts)
+        trace = self._channels.get(name)
+        if trace is None:
+            trace = self.channel(name)
+        trace.set(self._engine.now, watts)
 
     # -- aggregates --------------------------------------------------------------
 

@@ -173,6 +173,24 @@ def test_process_negative_yield_rejected():
         engine.run_until(1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_process_non_finite_yield_rejected(delay):
+    engine = Engine()
+    resumed = []
+
+    def body():
+        yield delay
+        resumed.append(engine.now)
+
+    proc = spawn(engine, body())
+    with pytest.raises(SimulationError, match="non-finite"):
+        engine.run_until(1.0)
+    assert proc.finished
+    assert engine.pending_count == 0
+    engine.run_until(2.0)
+    assert resumed == []
+
+
 def test_process_bad_yield_type_rejected():
     engine = Engine()
 

@@ -62,6 +62,25 @@ def test_schedule_at_in_past_rejected():
         engine.schedule_at(5.0, lambda: None)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+def test_non_finite_delay_rejected(delay):
+    engine = Engine()
+    with pytest.raises(SchedulingError, match="finite"):
+        engine.schedule(delay, lambda: None, name="bad")
+    assert engine.pending_count == 0
+    assert engine.sequence == 0
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf")])
+def test_non_finite_schedule_at_rejected(time):
+    engine = Engine(start_time=1.0)
+    with pytest.raises(SchedulingError, match="finite"):
+        engine.schedule_at(time, lambda: None, name="bad")
+    assert engine.pending_count == 0
+    assert not engine.step()
+    assert engine.now == 1.0
+
+
 def test_run_until_is_inclusive_of_end_time():
     engine = Engine()
     fired = []

@@ -47,6 +47,7 @@ DEFAULT_TARGETS = [
     "benchmarks/test_train_solve_throughput.py",
     "benchmarks/test_fleet_cohort_throughput.py",
     "benchmarks/test_checkpoint_store_throughput.py",
+    "benchmarks/test_node_event_path.py",
 ]
 
 
