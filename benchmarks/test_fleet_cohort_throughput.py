@@ -7,7 +7,10 @@ plus vectorized chain arithmetic instead of ten thousand event loops.
 This file times the 10k-node path for the ``tools/bench_baseline.py
 --check`` 2x regression gate, and pins the acceptance floor — cohort
 node-cycles/sec must beat per-node stepping by >= 5x — with an
-always-on assertion that runs even without ``--benchmark-only``.
+always-on assertion that runs even without ``--benchmark-only``.  Two
+channel-layer microbenchmarks time ``resolve_channel`` alone: the
+collision sweep over a 50k-node fleet's ~200k bursts, and the retry
+model behind two noise windows.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import make_power_train
+from repro.net.fleet import RetryPolicy, resolve_channel
 from repro.sim.fleet_engine import FleetScenario, run_fleet
 
 #: Fleet size named by the acceptance gate.  Thirty seconds gives every
@@ -45,6 +49,35 @@ def _run(engine, node_count):
 def test_perf_cohort_fleet_10k_throughput(benchmark):
     run = benchmark(_run, "cohort", COHORT_NODES)
     assert run.stats.transmitted > 0
+
+
+def _fleet_records(node_count, duration_s):
+    scenario = FleetScenario(
+        node_count=node_count, duration_s=duration_s, phase_seed=2008
+    )
+    return run_fleet(scenario).records
+
+
+@pytest.mark.benchmark(group="fleet-channel")
+def test_perf_resolve_channel_200k(benchmark):
+    """The collision sweep alone, on a 50k-node, 30 s fleet's bursts."""
+    records = _fleet_records(50_000, 30.0)
+    assert len(records) > 190_000
+    stats = benchmark(resolve_channel, records)
+    assert 0 < stats.collided <= stats.transmitted == len(records)
+
+
+#: Two noise windows a 20k-node, 60 s fleet retries its way around.
+RETRY_NOISE = ((12.0, 14.0), (31.0, 31.5))
+
+
+@pytest.mark.benchmark(group="fleet-channel")
+def test_perf_retry_model(benchmark):
+    """Channel resolution with noise losses and the default retry policy."""
+    records = _fleet_records(20_000, 60.0)
+    stats = benchmark(resolve_channel, records, RETRY_NOISE, RetryPolicy())
+    assert stats.lost_to_noise > 0 and stats.retries >= stats.lost_to_noise
+    assert stats.recovered > 0
 
 
 def test_cohort_at_least_5x_faster_than_per_node():

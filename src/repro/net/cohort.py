@@ -41,7 +41,7 @@ from ..errors import ConfigurationError, ElectricalError, SimulationError
 from ..mcu import Mode
 from ..sim.recorder import PowerRecorder
 from ..units import DAY
-from .fleet import AirTimeRecord, FleetChannel, fleet_node_config, phase_node
+from .fleet import AirTimes, FleetChannel, fleet_node_config, phase_node
 from .packet import crc8
 
 __all__ = [
@@ -147,7 +147,7 @@ class CohortRun:
     """
 
     spec: CohortSpec
-    records: List[AirTimeRecord]
+    records: AirTimes
     charge: np.ndarray
     i_battery: np.ndarray
     cycle_starts: np.ndarray
@@ -689,25 +689,24 @@ class _CohortMachine:
 
     # -- results -----------------------------------------------------------
 
-    def build_records(self, state: _ChainState) -> List[AirTimeRecord]:
-        """Air-time records for every committed packet, in node order."""
+    def build_records(self, state: _ChainState) -> AirTimes:
+        """Air-time records for every committed packet, in node order.
+
+        Burst ``seq`` of a lane starts at ``(epoch + seq * period) +
+        offset``, the same operations the stepped node performs.
+        """
         probe = self.probe
         offset = FleetChannel._transmit_offset(probe)
         on_air = probe.tx.startup_time() + probe.modulator.duration(
             self.n_air_bits
         )
-        records = []
-        for position, node_index in enumerate(self.spec.node_indices):
-            epoch = float(self.epochs[position])
-            for seq in range(int(state.packets[position])):
-                start = (epoch + (seq * self.period)) + offset
-                records.append(AirTimeRecord(
-                    node_id=node_index + 1,
-                    seq=seq,
-                    start=start,
-                    end=start + on_air,
-                ))
-        return records
+        counts = state.packets
+        lanes = np.repeat(np.arange(len(counts)), counts)
+        seq = np.arange(len(lanes)) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+        start = (self.epochs[lanes] + (seq * self.period)) + offset
+        node_ids = np.array(self.spec.node_indices, dtype=np.int64) + 1
+        return AirTimes(node_ids[lanes], seq, start, start + on_air)
 
     def replay_recorder(
         self, stream: Sequence[Tuple[float, Sequence[Tuple[str, float]]]]

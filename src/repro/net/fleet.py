@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..core.config import NodeConfig
@@ -90,6 +92,76 @@ class AirTimeRecord:
     def overlaps(self, other: "AirTimeRecord") -> bool:
         """True when two bursts collide at the receiver."""
         return self.start < other.end and other.start < self.end
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class AirTimes:
+    """Every burst on the channel as four columns, one row per burst.
+
+    ``node_id`` and ``seq`` are int64, ``start`` and ``end`` float64.
+    Iterating or indexing with an int yields :class:`AirTimeRecord`
+    rows; indexing with a slice, mask or index array yields a new
+    :class:`AirTimes`.  ``==`` compares the columns bitwise.
+    """
+
+    node_id: np.ndarray
+    seq: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    @classmethod
+    def of(cls, records: Union["AirTimes", Iterable[AirTimeRecord]]) -> "AirTimes":
+        """Columns for ``records``; an :class:`AirTimes` passes through."""
+        if isinstance(records, AirTimes):
+            return records
+        rows = list(records)
+        return cls(
+            np.array([r.node_id for r in rows], dtype=np.int64),
+            np.array([r.seq for r in rows], dtype=np.int64),
+            np.array([r.start for r in rows], dtype=np.float64),
+            np.array([r.end for r in rows], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["AirTimes"]) -> "AirTimes":
+        """Rows of every part in order (``parts`` must not be empty)."""
+        return cls(*map(np.concatenate, zip(*(p.columns for p in parts))))
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """``(node_id, seq, start, end)``."""
+        return (self.node_id, self.seq, self.start, self.end)
+
+    def sorted(self) -> "AirTimes":
+        """Rows by start time; ties keep their order, as ``list.sort``."""
+        return self[np.argsort(self.start, kind="stable")]
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __iter__(self) -> Iterator[AirTimeRecord]:
+        for row in zip(*(column.tolist() for column in self.columns)):
+            yield AirTimeRecord(*row)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return AirTimeRecord(*(c[index].item() for c in self.columns))
+        return AirTimes(*(column[index] for column in self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AirTimes):
+            return NotImplemented
+        return all(
+            mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            for mine, theirs in zip(self.columns, other.columns)
+        )
+
+
+def check_noise_windows(noise_windows: Sequence[Tuple[float, float]]) -> None:
+    """Reject any noise window that is not ``0 <= lo < hi``."""
+    for lo, hi in noise_windows:
+        if not 0.0 <= lo < hi:
+            raise ConfigurationError(f"invalid noise window [{lo}, {hi}]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,11 +240,7 @@ class FleetChannel:
     ) -> None:
         if node_count < 1:
             raise ConfigurationError("need at least one node")
-        for lo, hi in noise_windows or ():
-            if hi <= lo or lo < 0.0:
-                raise ConfigurationError(
-                    f"invalid noise window [{lo}, {hi}]"
-                )
+        check_noise_windows(noise_windows or ())
         self.noise_windows = [tuple(w) for w in noise_windows or ()]
         self.retry = retry
         self.retry_seed = retry_seed
@@ -201,7 +269,7 @@ class FleetChannel:
 
     # -- channel resolution ----------------------------------------------------
 
-    def air_time_records(self) -> List[AirTimeRecord]:
+    def air_time_records(self) -> AirTimes:
         """Every burst's (start, end) from each node's cycle bookkeeping.
 
         A burst occupies the air from the oscillator start to the last
@@ -230,8 +298,7 @@ class FleetChannel:
                         end=start + offset + on_air,
                     )
                 )
-        records.sort(key=lambda r: r.start)
-        return records
+        return AirTimes.of(records).sorted()
 
     @staticmethod
     def _transmit_offset(node: PicoCube) -> float:
@@ -273,21 +340,6 @@ class FleetChannel:
             retry_seed=self.retry_seed,
         )
 
-    def _in_noise(self, record: AirTimeRecord) -> bool:
-        return burst_in_noise(record, self.noise_windows)
-
-    def _model_retries(
-        self,
-        lost: List[AirTimeRecord],
-        delivered: List[AirTimeRecord],
-    ) -> Tuple[int, int]:
-        return model_retries(
-            lost, delivered,
-            retry=self.retry,
-            noise_windows=self.noise_windows,
-            retry_seed=self.retry_seed,
-        )
-
 
 def burst_in_noise(
     record: AirTimeRecord, noise_windows: Sequence[Tuple[float, float]]
@@ -300,7 +352,7 @@ def burst_in_noise(
 
 
 def resolve_channel(
-    records: Sequence[AirTimeRecord],
+    records: Union[AirTimes, Sequence[AirTimeRecord]],
     noise_windows: Sequence[Tuple[float, float]] = (),
     retry: Optional[RetryPolicy] = None,
     retry_seed: int = 2008,
@@ -311,34 +363,49 @@ def resolve_channel(
     per-node :class:`FleetChannel` path and the cohort engine
     (:mod:`repro.net.cohort`): both feed their records through here, so
     their :class:`FleetStats` agree bit for bit by construction.
-    ``records`` must be sorted by start time (both producers sort).
+    ``records`` must be sorted by start time, with finite times (both
+    producers sort); anything else raises :class:`ConfigurationError`.
+
+    The collision sweep runs over whole columns.  The active burst
+    before row ``i`` is the first row that reached the running maximum
+    of ``end`` (a later burst replaces it only by ending strictly
+    later); row ``i`` collides with it when it starts before that end.
+    Collisions count distinct ``(node_id, seq)`` keys, so a duplicated
+    key counts once and all its rows share the collided outcome.
     """
-    collided_ids = set()
-    active: Optional[AirTimeRecord] = None
-    for record in records:
-        if active is not None and record.start < active.end:
-            collided_ids.add((active.node_id, active.seq))
-            collided_ids.add((record.node_id, record.seq))
-        if active is None or record.end > active.end:
-            active = record
-    noised = [
-        record for record in records
-        if (record.node_id, record.seq) not in collided_ids
-        and burst_in_noise(record, noise_windows)
-    ]
+    records = AirTimes.of(records)
+    start, end = records.start, records.end
+    if not (np.isfinite(start).all() and np.isfinite(end).all()):
+        raise ConfigurationError("air-time records need finite times")
+    if (start[1:] < start[:-1]).any():
+        raise ConfigurationError("air-time records must be sorted by start")
+    n = len(records)
+    if n == 0:
+        return FleetStats()
+    reach = np.maximum.accumulate(end)
+    rises = np.concatenate(([True], end[1:] > reach[:-1]))
+    active = np.maximum.accumulate(np.where(rises, np.arange(n), 0))
+    hit = start[1:] < reach[:-1]
+    flagged = np.concatenate(([False], hit))
+    flagged[active[:-1][hit]] = True
+    keys = _burst_keys(records)
+    # Keys are >= 0, so the prepended -1 opens the first run of equal
+    # sorted keys; each further change of value opens another.
+    collided = np.sort(keys[flagged])
     stats = FleetStats(
-        transmitted=len(records),
-        collided=len(collided_ids),
-        lost_to_noise=len(noised),
+        transmitted=n,
+        collided=int(np.count_nonzero(np.diff(collided, prepend=-1))),
     )
-    if retry is not None and noised:
-        clean = [
-            record for record in records
-            if (record.node_id, record.seq) not in collided_ids
-            and not burst_in_noise(record, noise_windows)
-        ]
+    if not noise_windows:
+        return stats
+    lo, hi = np.array(noise_windows, dtype=np.float64).reshape(-1, 2).T
+    in_noise = ((start[:, None] < hi) & (lo < end[:, None])).any(axis=1)
+    clear = ~np.isin(keys, collided)
+    noised = clear & in_noise
+    stats.lost_to_noise = int(noised.sum())
+    if retry is not None and stats.lost_to_noise:
         stats.retries, stats.recovered = model_retries(
-            noised, clean,
+            records[noised], records[clear & ~in_noise],
             retry=retry,
             noise_windows=noise_windows,
             retry_seed=retry_seed,
@@ -346,9 +413,19 @@ def resolve_channel(
     return stats
 
 
+def _burst_keys(records: AirTimes) -> np.ndarray:
+    """A non-negative int64 per ``(node_id, seq)``, equal iff the pairs are."""
+    node_lo, seq_lo = int(records.node_id.min()), int(records.seq.min())
+    node_span = int(records.node_id.max()) - node_lo + 1
+    seq_span = int(records.seq.max()) - seq_lo + 1
+    if node_span * seq_span > np.iinfo(np.int64).max:
+        raise ConfigurationError("air-time record keys exceed int64 range")
+    return (records.node_id - node_lo) * seq_span + (records.seq - seq_lo)
+
+
 def model_retries(
-    lost: List[AirTimeRecord],
-    delivered: List[AirTimeRecord],
+    lost: Iterable[AirTimeRecord],
+    delivered: Union[AirTimes, Sequence[AirTimeRecord]],
     retry: RetryPolicy,
     noise_windows: Sequence[Tuple[float, float]] = (),
     retry_seed: int = 2008,
@@ -361,13 +438,15 @@ def model_retries(
     for any worker count.  Lost bursts are processed in ``(start,
     node_id)`` order, so the outcome is invariant under permutation of
     the ``lost`` list.  A retry succeeds when it clears every noise
-    window and does not overlap any already-delivered burst (originals
-    or earlier accepted retries).  The model is post-hoc: retry energy
-    is not charged to the nodes, which keeps the per-node power books
-    identical with and without a channel fault schedule.
+    window and does not overlap any already-delivered burst (originals,
+    checked as one mask over their columns, or earlier accepted
+    retries).  The model is post-hoc: retry energy is not charged to
+    the nodes, which keeps the per-node power books identical with and
+    without a channel fault schedule.
     """
-    retries = recovered = 0
-    occupied = list(delivered)
+    delivered = AirTimes.of(delivered)
+    accepted: List[AirTimeRecord] = []
+    retries = 0
     for record in sorted(lost, key=lambda r: (r.start, r.node_id)):
         rng = random.Random(
             f"{retry_seed}:{record.node_id}:{record.seq}"
@@ -389,12 +468,14 @@ def model_retries(
             t = candidate.end
             if burst_in_noise(candidate, noise_windows):
                 continue
-            if any(candidate.overlaps(r) for r in occupied):
+            if ((delivered.start < candidate.end)
+                    & (candidate.start < delivered.end)).any():
                 continue
-            occupied.append(candidate)
-            recovered += 1
+            if any(candidate.overlaps(r) for r in accepted):
+                continue
+            accepted.append(candidate)
             break
-    return retries, recovered
+    return retries, len(accepted)
 
 
 def density_sweep(

@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 #: Bump when task semantics change in a way that invalidates old results.
-RESULT_CODE_VERSION = 1
+#: Version 2: cohort results carry columnar ``AirTimes`` records.
+RESULT_CODE_VERSION = 2
 
 #: Bump when the on-disk entry layout changes.
 STORE_FORMAT_VERSION = 1

@@ -31,10 +31,11 @@ from ..errors import ConfigurationError
 from ..net.cohort import CohortFallback, CohortRun, CohortSpec, advance_cohort
 from ..net.fleet import (
     BEACON_PERIOD_S,
-    AirTimeRecord,
+    AirTimes,
     FleetChannel,
     FleetStats,
     RetryPolicy,
+    check_noise_windows,
     fleet_offsets,
     resolve_channel,
 )
@@ -121,6 +122,7 @@ class FleetScenario:
                 raise ConfigurationError(
                     f"{name} must have one entry per node"
                 )
+        check_noise_windows(self.noise_windows)
 
     def lane_slice(self, name: str, lo: int, hi: int) -> Optional[Tuple[float, ...]]:
         """Slice one per-node multiplier tuple for a cohort, if set."""
@@ -164,7 +166,7 @@ class FleetRun:
 
     scenario: FleetScenario
     stats: FleetStats
-    records: List[AirTimeRecord]
+    records: AirTimes
     engine_used: str
     fallback_reason: Optional[str] = None
     _channel: Optional[FleetChannel] = dataclasses.field(
@@ -269,7 +271,6 @@ def _run_cohorts(
     n = scenario.node_count
     size = n if cohort_size is None else cohort_size
     cohorts: List[CohortRun] = []
-    records: List[AirTimeRecord] = []
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         spec = CohortSpec(
@@ -290,10 +291,9 @@ def _run_cohorts(
         else:
             run = advance_cohort(spec)
         cohorts.append(run)
-        records.extend(run.records)
     # Cohorts are contiguous slices, so concatenation is already in node
     # order; the same stable sort FleetChannel uses makes ties identical.
-    records.sort(key=lambda record: record.start)
+    records = AirTimes.concat([run.records for run in cohorts]).sorted()
     stats = resolve_channel(
         records,
         noise_windows=scenario.noise_windows,

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runner import (
     REPRO_CACHE_DIR_ENV,
+    RESULT_CODE_VERSION,
     ResultStore,
     Sweep,
     cache_root,
@@ -49,7 +50,7 @@ def test_stable_token_rejects_unhashable_junk():
 
 def test_key_separates_config_schedule_and_version(tmp_path):
     store = ResultStore(str(tmp_path))
-    stale = ResultStore(str(tmp_path), code_version=2)
+    stale = ResultStore(str(tmp_path), code_version=RESULT_CODE_VERSION + 1)
     base = store.key(("campaign", 1.0), schedule=7)
     assert base != store.key(("campaign", 2.0), schedule=7)
     assert base != store.key(("campaign", 1.0), schedule=8)
