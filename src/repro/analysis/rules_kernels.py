@@ -56,7 +56,8 @@ from .rules_determinism import (
 KERNEL_MODULE = "repro.power.compile._kernel"
 
 #: The exact positional parameters ``generate_kernel_source`` emits.
-KERNEL_PARAMS = ("v", "loads", "masks", "factors", "shape", "_np")
+KERNEL_PARAMS = ("v", "loads", "masks", "factors", "shape", "work",
+                 "_np")
 
 #: The same for the float dialect's ``_float_kernel``.
 FLOAT_KERNEL_PARAMS = ("v", "i_mcu", "i_sensor", "i_radio_digital",

@@ -111,7 +111,12 @@ class TrainSolution:
     @property
     def p_management(self) -> float:
         """Power-management overhead: battery power minus delivered power."""
-        return max(self.p_battery - sum(self.subsystem_power.values()), 0.0)
+        # An explicit left fold: sum() of floats is compensated from
+        # Python 3.12 on, and the cohort chain replays this order.
+        delivered = 0.0
+        for watts in self.subsystem_power.values():
+            delivered += watts
+        return max(self.p_battery - delivered, 0.0)
 
 
 class PowerTrain(abc.ABC):
@@ -140,6 +145,11 @@ class PowerTrain(abc.ABC):
         ``power-management`` channel, where the paper says the budget is
         won or lost.  ``1.0`` restores the healthy train.
         """
+        if not math.isfinite(loss_factor):
+            raise ConfigurationError(
+                f"{self.name}: degradation loss factor must be finite, "
+                f"got {loss_factor!r}"
+            )
         if loss_factor < 1.0:
             raise ConfigurationError(
                 f"{self.name}: degradation loss factor must be >= 1, "

@@ -41,7 +41,13 @@ from ..errors import ConfigurationError, ElectricalError, SimulationError
 from ..mcu import Mode
 from ..sim.recorder import PowerRecorder
 from ..units import DAY
-from .fleet import AirTimes, FleetChannel, fleet_node_config, phase_node
+from .fleet import (
+    AirTimes,
+    FleetChannel,
+    check_lane_degradation,
+    fleet_node_config,
+    phase_node,
+)
 from .packet import crc8
 
 __all__ = [
@@ -121,6 +127,10 @@ class CohortSpec:
                 raise ConfigurationError(
                     f"{name} must have one entry per cohort node"
                 )
+        check_lane_degradation(
+            self.power_train, self.esr_multipliers,
+            self.self_discharge_multipliers, self.loss_factors,
+        )
 
     @property
     def node_count(self) -> int:
@@ -257,18 +267,68 @@ class _ChainState:
     stream: Optional[List[Tuple[float, List[Tuple[str, float]]]]]
 
 
-def _scalar_pow(base: float, exponents: np.ndarray) -> np.ndarray:
+#: Distinct exponents :func:`_scalar_pow` peels off with ``==`` masks
+#: before it sorts the rest.
+_POW_PEEL_LIMIT = 8
+
+
+class _Lanes:
+    """Per-lane state and scratch buffers of one chain run.
+
+    Allocated once per :meth:`_CohortMachine.advance` and updated in
+    place every step (``out=``, masked ``copyto``), so the chain does not
+    allocate per step.  ``scratch`` rows are shared by the sync
+    (dt, needed/exponent, after, keep) and the update (soc, v, i)
+    temporaries;
+    ``ocv``/``resistance`` hold the current step's cell read.
+    """
+
+    def __init__(self, n: int, charge0: float, i_battery0: float) -> None:
+        self.charge = np.full(n, charge0)
+        self.i_battery = np.full(n, i_battery0)
+        self.last_sync = np.zeros(n)
+        self.t = np.empty(n)
+        self.ocv = np.empty(n)
+        self.resistance = np.empty(n)
+        self.scratch = tuple(np.empty((4, n)))
+        self.mask = np.empty(n, dtype=bool)
+        self.flags = tuple(np.empty((2, n), dtype=bool))
+
+
+def _scalar_pow(base: float, exponents: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """``base ** x`` elementwise using CPython's float pow.
 
     The scalar battery computes self-discharge decay with Python's
     ``**``; numpy's vectorized ``power`` may route through a different
-    libm and drift by an ulp.  Exponents repeat heavily across lanes
-    (same dt, few distinct accelerations), so one Python pow per unique
-    exponent keeps the mirror bit-exact at vector cost.
+    libm and drift by an ulp, so every value is one Python pow per
+    distinct exponent.  Lanes share a few exponents (same step delays,
+    few accelerations), so up to :data:`_POW_PEEL_LIMIT` distinct values
+    are peeled off with one ``==`` mask each; whatever is left (the first
+    sync after t = 0 has an exponent per lane; NaN equals nothing) is
+    resolved with one sort (``np.unique``).  ``==`` merges only 0.0 and
+    -0.0, whose powers are both exactly 1.0.  ``out`` (flat, float64,
+    not ``exponents`` itself) receives the result if given.
     """
-    unique, inverse = np.unique(exponents, return_inverse=True)
-    values = np.array([base ** float(x) for x in unique])
-    return values[inverse].reshape(exponents.shape)
+    flat = exponents.ravel()
+    result = np.empty(flat.shape) if out is None else out
+    done = np.zeros(flat.shape, dtype=bool)
+    same = np.empty(flat.shape, dtype=bool)
+    first = 0
+    for _ in range(_POW_PEEL_LIMIT if flat.size else 0):
+        value = float(flat[first])
+        if value != value:
+            break
+        np.equal(flat, value, out=same)
+        np.copyto(result, base ** value, where=same)
+        done |= same
+        first = int(done.argmin())
+        if done[first]:
+            return result.reshape(exponents.shape)
+    rest = ~done
+    unique, inverse = np.unique(flat[rest], return_inverse=True)
+    result[rest] = np.array([base ** float(x) for x in unique])[inverse]
+    return result.reshape(exponents.shape)
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -360,7 +420,7 @@ class _CohortMachine:
         if sum(delays) >= self.period:
             raise CohortFallback("sample cycle does not fit the wake period")
         u = _Update
-        self.steps: Tuple[_Step, ...] = (
+        steps: Tuple[_Step, ...] = (
             _Step(None, (u(i_active, i_sleep, 0.0, 0.0, False),)),
             _Step(delays[0], ()),
             _Step(delays[1], (u(i_active, i_measure, 0.0, 0.0, False),
@@ -377,6 +437,18 @@ class _CohortMachine:
                               u(i_active, i_sleep, 0.0, 0.0, True))),
             _Step(delays[9], (u(i_lpm3, i_sleep, 0.0, 0.0, False),),
                   commits_packet=True),
+        )
+        # -- step table: each update's load mapping is built once; the
+        # payload update's RF current is filled in per cycle.
+        self.step_table = tuple(
+            (step.delay,
+             tuple((update, {"mcu": update.i_mcu,
+                             "sensor": update.i_sensor,
+                             "radio-digital": update.i_radio_digital,
+                             "radio-rf": update.i_radio_rf})
+                   for update in step.updates),
+             step.commits_packet)
+            for step in steps
         )
         # -- per-lane wake epochs: phase_node arms the timer with
         # first_delay = period + offset at now = 0, so the k-th wake
@@ -510,56 +582,82 @@ class _CohortMachine:
 
     # -- battery mirror ----------------------------------------------------
 
-    def _ocv_and_resistance(
-        self, charge: np.ndarray, esr: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Elementwise NiMH OCV + ESR, op-for-op with the scalar cell."""
-        soc = charge / self.capacity
-        index = np.minimum(
-            np.searchsorted(self.soc_hi, soc, side="left"),
-            len(self.soc_hi) - 1,
+    def _ocv_and_resistance(self, lanes: "_Lanes", esr: np.ndarray) -> None:
+        """Elementwise NiMH OCV + ESR into ``lanes.ocv``/``resistance``,
+        op-for-op with the scalar cell.
+
+        Lanes drain in near lockstep, so usually every soc falls in one
+        OCV segment: its four scalars then replace the per-lane search
+        and gathers, and with no soc below 0.2 the resistance is
+        ``r_mid`` for every lane.  The arithmetic is the same code, in
+        the same order, on the same operand values either way, so each
+        lane's bits do not depend on which path ran.
+        """
+        soc = np.divide(lanes.charge, self.capacity, out=lanes.scratch[0])
+        ocv = lanes.ocv
+        lo, hi = soc.min(), soc.max()
+        last = len(self.soc_hi) - 1
+        # The segment search is monotone, so when the extremes share a
+        # segment every lane does (a NaN soc takes the per-lane search).
+        segment = np.minimum(
+            np.searchsorted(self.soc_hi, (lo, hi), side="left"), last
         )
-        s0 = self.soc_lo[index]
-        s1 = self.soc_hi[index]
-        v0 = self.v_lo[index]
-        v1 = self.v_hi[index]
-        frac = (soc - s0) / (s1 - s0)
-        ocv = v0 + frac * (v1 - v0)
-        resistance = np.where(
-            soc < 0.2,
-            self.r_mid * (1.0 + 4.0 * (0.2 - soc) / 0.2),
-            self.r_mid,
-        )
+        if lo == lo and hi == hi and segment[0] == segment[1]:
+            segment = int(segment[0])
+        else:
+            segment = np.minimum(
+                np.searchsorted(self.soc_hi, soc, side="left"), last
+            )
+        s0, s1 = self.soc_lo[segment], self.soc_hi[segment]
+        v0, v1 = self.v_lo[segment], self.v_hi[segment]
+        np.subtract(soc, s0, out=ocv)
+        np.divide(ocv, s1 - s0, out=ocv)  # frac
+        np.multiply(ocv, v1 - v0, out=ocv)
+        np.add(v0, ocv, out=ocv)
+        if lo >= 0.2:
+            resistance = self.r_mid
+        else:
+            resistance = np.where(
+                soc < 0.2,
+                self.r_mid * (1.0 + 4.0 * (0.2 - soc) / 0.2),
+                self.r_mid,
+            )
         if self.cold_factor is not None:
             resistance = resistance * self.cold_factor
-        resistance = resistance * esr
-        return ocv, resistance
+        np.multiply(resistance, esr, out=lanes.resistance)
 
     def _sync(
         self,
-        charge: np.ndarray,
-        i_battery: np.ndarray,
-        last_sync: np.ndarray,
+        lanes: "_Lanes",
         t,
         mask: np.ndarray,
         accel: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> None:
         """Mirror of ``PicoCube._sync_battery`` over the lane axis."""
-        dt = t - last_sync
-        positive = mask & (dt > 0.0)
+        charge, i_battery = lanes.charge, lanes.i_battery
+        dt, needed, after, keep = lanes.scratch
+        positive, flag = lanes.flags
+        np.subtract(t, lanes.last_sync, out=dt)
+        np.greater(dt, 0.0, out=positive)
+        positive &= mask
         if positive.any():
-            needed = i_battery * dt
-            risk = positive & (needed >= charge) & (i_battery > 0.0)
-            if risk.any():
+            np.multiply(i_battery, dt, out=needed)
+            np.greater_equal(needed, charge, out=flag)
+            flag &= positive
+            if flag.any() and (flag & (i_battery > 0.0)).any():
                 raise CohortFallback(
                     "a lane would brown out; falling back to per-node stepping"
                 )
-            after = np.maximum(charge - needed, 0.0)
-            keep = _scalar_pow(self.sd_base, (dt * accel) / self.month)
-            after = after - after * (1.0 - keep)
-            charge = np.where(positive, after, charge)
-        last_sync = np.where(mask, t, last_sync)
-        return charge, last_sync
+            np.subtract(charge, needed, out=after)
+            np.maximum(after, 0.0, out=after)
+            exponent = np.multiply(dt, accel, out=needed)
+            np.divide(exponent, self.month, out=exponent)
+            _scalar_pow(self.sd_base, exponent, out=keep)
+            np.subtract(1.0, keep, out=keep)
+            np.multiply(after, keep, out=keep)
+            np.subtract(after, keep, out=after)
+            np.copyto(charge, after, where=positive)
+        np.copyto(lanes.last_sync, t, where=mask)
 
     # -- the chain ---------------------------------------------------------
 
@@ -571,16 +669,17 @@ class _CohortMachine:
         Every operation is elementwise over the lane axis, so results
         are independent of the subset width — the property that lets
         one verified probe lane vouch for the full cohort, and lets
-        :meth:`audit_lane` re-run a single lane bit-identically.
+        :meth:`audit_lane` re-run a single lane bit-identically.  The
+        per-lane state and temporaries live in one :class:`_Lanes` set
+        of buffers, updated in place every step.
         """
         lanes = np.asarray(lanes)
         if capture and lanes.size != 1:
             raise ConfigurationError("record capture needs a single lane")
         n = lanes.size
         train = self.probe.train
-        charge = np.full(n, self.charge0)
-        i_battery = np.full(n, self.i_battery0)
-        last_sync = np.zeros(n)
+        state = _Lanes(n, self.charge0, self.i_battery0)
+        t, mask = state.t, state.mask
         starts = np.zeros(n, dtype=np.int64)
         packets = np.zeros(n, dtype=np.int64)
         epochs = self.epochs[lanes]
@@ -597,79 +696,79 @@ class _CohortMachine:
         try:
             cycle = 0
             while True:
-                t = epochs + (cycle * self.period)
-                if not (t <= end).any():
+                np.add(epochs, cycle * self.period, out=t)
+                np.less_equal(t, end, out=mask)
+                if not mask.any():
                     break
-                starts = starts + (t <= end)
-                for step in self.steps:
-                    if step.delay is not None:
-                        t = t + step.delay
-                    mask = t <= end
-                    if step.updates and mask.any():
-                        charge, last_sync = self._sync(
-                            charge, i_battery, last_sync, t, mask, accel
-                        )
-                        for update in step.updates:
+                starts += mask
+                for delay, updates, commits_packet in self.step_table:
+                    if delay is not None:
+                        t += delay
+                    np.less_equal(t, end, out=mask)
+                    if updates and mask.any():
+                        self._sync(state, t, mask, accel)
+                        self._ocv_and_resistance(state, esr)
+                        for update, loads in updates:
                             if update.radio_gate != train.radio_enabled:
                                 if update.radio_gate:
                                     train.enable_radio()
                                 else:
                                     train.disable_radio()
+                            if update.rf_payload:
+                                loads = dict(loads)
+                                loads["radio-rf"] = self._payload_rf_current(
+                                    nids, cycle
+                                )
                             i_new, rows = self._solve_update(
-                                train, update, charge, i_battery, esr, loss,
-                                nids, cycle, capture,
+                                train, update, loads, state, loss, capture,
                             )
-                            i_battery = np.where(mask, i_new, i_battery)
+                            np.copyto(state.i_battery, i_new, where=mask)
                             if capture and bool(mask[0]):
                                 stream.append((float(t[0]), rows))
-                    if step.commits_packet:
-                        packets = packets + mask
+                    if commits_packet:
+                        packets += mask
                 cycle += 1
             # FleetChannel.run syncs every node once more at the horizon.
-            ones = np.ones(n, dtype=bool)
-            charge, last_sync = self._sync(
-                charge, i_battery, last_sync, end, ones, accel
-            )
+            mask.fill(True)
+            self._sync(state, end, mask, accel)
         finally:
             if train.radio_enabled:
                 train.disable_radio()
-        return _ChainState(charge, i_battery, starts, packets, stream)
+        return _ChainState(state.charge, state.i_battery, starts, packets,
+                           stream)
 
     def _solve_update(
         self,
         train,
         update: _Update,
-        charge: np.ndarray,
-        i_battery: np.ndarray,
-        esr: np.ndarray,
+        loads: Dict[str, object],
+        lanes: "_Lanes",
         loss: np.ndarray,
-        nids: np.ndarray,
-        cycle: int,
         capture: bool,
     ) -> Tuple[np.ndarray, List[Tuple[str, float]]]:
-        """Mirror of ``PicoCube._update``: two chained batch solves."""
-        i_rf = (
-            self._payload_rf_current(nids, cycle)
-            if update.rf_payload else update.i_radio_rf
-        )
-        loads = {
-            "mcu": update.i_mcu,
-            "sensor": update.i_sensor,
-            "radio-digital": update.i_radio_digital,
-            "radio-rf": i_rf,
-        }
-        ocv, resistance = self._ocv_and_resistance(charge, esr)
+        """Mirror of ``PicoCube._update``: two chained batch solves.
+
+        Reads the step's OCV and resistance from ``lanes``; returns the
+        new battery current in a ``lanes`` buffer.
+        """
+        ocv, resistance = lanes.ocv, lanes.resistance
+        v, i = lanes.scratch[1], lanes.scratch[2]
+        # Each solution is dropped as soon as its current is read, so
+        # the next solve reuses its memory.
         try:
-            v1 = ocv - i_battery * resistance
-            first = train.solve_graph_batch(v1, loads)
-            i1 = first.i_source * loss
-            v2 = ocv - i1 * resistance
-            second = train.solve_graph_batch(v2, loads)
+            np.multiply(lanes.i_battery, resistance, out=v)
+            np.subtract(ocv, v, out=v)
+            np.multiply(train.solve_graph_batch(v, loads).i_source, loss,
+                        out=i)
+            np.multiply(i, resistance, out=v)
+            np.subtract(ocv, v, out=v)
+            np.multiply(train.solve_graph_batch(v, loads).i_source, loss,
+                        out=i)
         except ElectricalError as exc:
             raise CohortFallback(f"batch solve left the envelope: {exc}")
-        i2 = second.i_source * loss
         rows: List[Tuple[str, float]] = []
         if capture:
+            i_rf = loads["radio-rf"]
             p_mcu = self.tap["mcu"] * update.i_mcu
             p_sensor = self.tap["sensor"] * update.i_sensor
             p_digital = self.tap["radio-digital"] * update.i_radio_digital
@@ -677,7 +776,7 @@ class _CohortMachine:
                 float(i_rf[0]) if update.rf_payload else i_rf
             )
             delivered = ((p_mcu + p_sensor) + p_digital) + p_rf
-            p_management = max(float(v2[0] * i2[0]) - delivered, 0.0)
+            p_management = max(float(v[0] * i[0]) - delivered, 0.0)
             rows = [
                 ("mcu", p_mcu),
                 ("sensor", p_sensor),
@@ -685,7 +784,7 @@ class _CohortMachine:
                 ("radio-rf", p_rf),
                 ("power-management", p_management),
             ]
-        return i2, rows
+        return i, rows
 
     # -- results -----------------------------------------------------------
 

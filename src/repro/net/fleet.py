@@ -20,10 +20,12 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StorageError
 from ..core.config import NodeConfig
 from ..core.node import PicoCube
+from ..core.power_train import make_power_train
 from ..sim import Engine
+from ..storage.nimh import NiMHCell
 
 BEACON_PERIOD_S = 6.0
 """The cube's wake/beacon period: one transmission every six seconds."""
@@ -162,6 +164,43 @@ def check_noise_windows(noise_windows: Sequence[Tuple[float, float]]) -> None:
     for lo, hi in noise_windows:
         if not 0.0 <= lo < hi:
             raise ConfigurationError(f"invalid noise window [{lo}, {hi}]")
+
+
+def check_lane_degradation(
+    power_train: str,
+    esr_multipliers: Optional[Sequence[float]],
+    self_discharge_multipliers: Optional[Sequence[float]],
+    loss_factors: Optional[Sequence[float]],
+) -> None:
+    """Reject per-node degradation values the scalar fault setters reject.
+
+    The per-node path arms node after node through
+    ``battery.set_esr_multiplier``, ``set_self_discharge_multiplier`` and
+    ``train.set_degradation``; a cohort arms only its probe lane.  This
+    runs those same setters (on a scratch cell and train) over every
+    value, so both engines raise the same error for the same first
+    failing node.
+    """
+    cell = NiMHCell()
+    knobs = [
+        (values, setter) for values, setter in (
+            (esr_multipliers, cell.set_esr_multiplier),
+            (self_discharge_multipliers, cell.set_self_discharge_multiplier),
+        ) if values is not None
+    ]
+    if loss_factors is not None:
+        knobs.append((loss_factors,
+                      make_power_train(power_train).set_degradation))
+    try:
+        for values, setter in knobs:
+            for value in set(values):
+                setter(value)
+    except (StorageError, ConfigurationError):
+        # Some value fails: raise for the first node in per-node order.
+        for node in range(len(knobs[0][0])):
+            for values, setter in knobs:
+                setter(values[node])
+        raise
 
 
 @dataclasses.dataclass(frozen=True)

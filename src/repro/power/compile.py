@@ -48,6 +48,13 @@ kernel raises and the lowest flagged point is re-solved with the walk,
 which raises exactly the :class:`~repro.errors.ElectricalError` a loop
 of solves would raise first.
 
+**Workspace.**  A batch kernel writes every temporary it does not return
+(partial sums, gain selects, envelope masks) into reused buffers with
+``out=`` instead of allocating a fresh array per operation: see
+:mod:`repro.power.workspace`.  The buffers belong to one workspace per
+``(graph, batch shape)``, shared by that graph's gate variants; returned
+arrays are always freshly allocated, so no later call overwrites them.
+
 Set the :data:`CACHE_DIR_ENV` environment variable to also persist
 generated kernel source on disk (content-addressed filenames); a warm
 process then ``exec``'s the stored artifact, and the first-use bitwise
@@ -83,11 +90,12 @@ from .graph import (
 from .linear_regulator import LinearRegulator
 from .sc_converter import SwitchedCapacitorConverter
 from .shunt_regulator import ShuntRegulator
+from .workspace import Workspace, fill, lower_to_workspace, select
 
 #: Bump when the generated source or the kernel signature changes: it
 #: keys the kernel cache, so old in-memory and on-disk artifacts are
 #: never called with a newer argument list.
-KERNEL_CODE_VERSION = 4
+KERNEL_CODE_VERSION = 5
 
 #: Environment variable naming a directory for the persistent source
 #: cache (used by CI's cold/warm equivalence check).  This is a
@@ -262,6 +270,7 @@ def clear_kernel_cache() -> None:
     """Drop every compiled kernel (they recompile on next use)."""
     _KERNELS.clear()
     _FAST_CONTEXTS.clear()
+    _WORKSPACES.clear()
     for graph in list(_FLOAT_GRAPHS):
         graph._float_kernels.clear()
 
@@ -325,7 +334,9 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
     :data:`DIALECT_FLOAT` writes ``_float_kernel(v, i_mcu, i_sensor,
     i_radio_digital, i_radio_rf, factors)`` on plain floats: numpy calls
     spelled as the converter models' own, an early ``return None`` per
-    envelope test, else ``(i_source, *currents)`` in walk order.
+    envelope test, else ``(i_source, *currents)`` in walk order.  The
+    numpy dialect's body is then lowered onto a workspace
+    (:func:`repro.power.workspace.lower_to_workspace`).
 
     The emitted operation sequence replays the scalar walk exactly (see
     the module docstring), with two safe strengthenings: scalar
@@ -665,6 +676,8 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         if any(pattern.search(line) for line in lines[rail_at:]):
             lines.insert(rail_at,
                          "    " * 2 + f"{v_rail} = {const_array(v_out)}")
+    if not scalar:
+        lines = lower_to_workspace(lines)
 
     sig_text = ", ".join(f"{gate}={state}" for gate, state in signature)
     params = ", ".join("i_" + c.replace("-", "_") for c in CHANNELS)
@@ -673,7 +686,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         f'{graph.spec.name!r}, gates [{sig_text or "none"}], '
         f'code version {KERNEL_CODE_VERSION}."""',
         f"def _float_kernel(v, {params}, factors):" if scalar
-        else "def _kernel(v, loads, masks, factors, shape, _np=np):",
+        else "def _kernel(v, loads, masks, factors, shape, work, _np=np):",
     ]
     if uses_errstate[0] and not scalar:
         header.append('    with _np.errstate(divide="ignore", '
@@ -794,7 +807,8 @@ def _exec_kernel(source: str, key: tuple) -> Callable:
     float_dialect = key[3:] == (DIALECT_FLOAT,)
     name = "_float_kernel" if float_dialect else "_kernel"
     namespace = ({"math": math} if float_dialect
-                 else {"np": np, "_OutOfEnvelope": _OutOfEnvelope})
+                 else {"np": np, "_OutOfEnvelope": _OutOfEnvelope,
+                       "_fill": fill, "_select": select})
     code = compile(source, f"<railgraph-kernel {key[0][:12]}>", "exec")
     # The one sanctioned exec in the tree (lint rule DET004): the source
     # is generated above from the frozen plan, never from user input.
@@ -971,24 +985,49 @@ def _fall_back(graph: RailGraph, inputs: tuple) -> GraphSolutionBatch:
     return _scalar_loop(graph, *inputs)[0]
 
 
+#: Kernel workspaces per graph, by batch shape.  Keyed weakly so graphs
+#: stay collectable; each graph keeps its few most recent shapes.
+_WORKSPACES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_WORKSPACE_SHAPES = 4
+
+
+def _workspace(graph: RailGraph, shape: tuple) -> Workspace:
+    """The graph's workspace for a batch shape (oldest shape evicted)."""
+    shapes = _WORKSPACES.get(graph)
+    if shapes is None:
+        shapes = _WORKSPACES[graph] = {}
+    work = shapes.get(shape)
+    if work is None:
+        if len(shapes) >= _WORKSPACE_SHAPES:
+            del shapes[next(iter(shapes))]
+        work = shapes[shape] = Workspace(shape)
+    return work
+
+
 def _serve(graph: RailGraph, entry: CompiledKernel, v, loads, signature,
            masks, factors, shape) -> GraphSolutionBatch:
     """Run one batch through a live kernel, verifying its first use."""
     inputs = (v, loads, signature, masks, factors, shape)
-    bad: Optional[np.ndarray] = None
+    first_bad: Optional[int] = None
+    work = _workspace(graph, shape)
+    if not work.lock.acquire(blocking=False):
+        work = Workspace(shape)  # in use (another thread): a private one
+        work.lock.acquire()
     try:
-        i_source, currents = entry.fn(v, loads, masks, factors, shape)
+        i_source, currents = entry.fn(v, loads, masks, factors, shape, work)
     except _OutOfEnvelope as flagged:
-        bad = flagged.bad
+        # Read the mask before the buffers it may live in are released.
+        first_bad = int(np.argmax(flagged.bad))
     except Exception as exc:
         _retire(entry, f"compiled kernel raised an unexpected error: "
                        f"{exc!r}")
         return _fall_back(graph, inputs)
-    if bad is not None:
+    finally:
+        work.lock.release()
+    if first_bad is not None:
         # Raises the scalar loop's first error: the lowest flagged point
         # is the first point the loop would fail at.
-        _solve_point(graph, v, loads, signature, masks, factors,
-                     int(np.argmax(bad)))
+        _solve_point(graph, v, loads, signature, masks, factors, first_bad)
         _retire(entry, "kernel flagged a point the scalar solve accepts")
         return _fall_back(graph, inputs)
     if not entry.verified:

@@ -35,6 +35,7 @@ from ..net.fleet import (
     FleetChannel,
     FleetStats,
     RetryPolicy,
+    check_lane_degradation,
     check_noise_windows,
     fleet_offsets,
     resolve_channel,
@@ -122,6 +123,10 @@ class FleetScenario:
                 raise ConfigurationError(
                     f"{name} must have one entry per node"
                 )
+        check_lane_degradation(
+            self.power_train, self.esr_multipliers,
+            self.self_discharge_multipliers, self.loss_factors,
+        )
         check_noise_windows(self.noise_windows)
 
     def lane_slice(self, name: str, lo: int, hi: int) -> Optional[Tuple[float, ...]]:

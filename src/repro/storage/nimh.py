@@ -15,6 +15,7 @@ and NiMH's notorious self-discharge.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 from ..errors import StorageError
@@ -112,6 +113,11 @@ class NiMHCell(EnergyStorage):
         raises it for a window, modelling a soft internal short or a cell
         soaked past its rating.
         """
+        if not math.isfinite(multiplier):
+            raise StorageError(
+                f"{self.name}: self-discharge multiplier must be finite, "
+                f"got {multiplier!r}"
+            )
         if multiplier < 0.0:
             raise StorageError(
                 f"{self.name}: self-discharge multiplier must be >= 0"
@@ -125,6 +131,10 @@ class NiMHCell(EnergyStorage):
         under the radio burst, which is exactly what pushes a marginal
         node into brownout.
         """
+        if not math.isfinite(multiplier):
+            raise StorageError(
+                f"{self.name}: ESR multiplier must be finite, got {multiplier!r}"
+            )
         if multiplier <= 0.0:
             raise StorageError(f"{self.name}: ESR multiplier must be > 0")
         self._esr_multiplier = multiplier

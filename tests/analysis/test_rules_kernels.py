@@ -44,13 +44,13 @@ def test_rebound_local_without_self_reference_fails(sample_kernel):
     corrupted = None
     for line in source.splitlines():
         text = line.strip()
-        if "=" in text and not text.startswith(("#", "if", "return")):
-            name = text.split("=")[0].strip()
-            rhs = text.split("=", 1)[1]
-            if text.count("=") == 1 and name in rhs and name.startswith("_s"):
-                # accumulator line `_sN = _sN + x` -> drop the self-read
-                corrupted = source.replace(text,
-                                           text.replace(name + " +", "_z +", 1))
+        if " = " in text and not text.startswith(("#", "if", "return")):
+            name, rhs = text.split(" = ", 1)
+            if name.startswith("_s") and f"({name}," in rhs:
+                # accumulator line `_sN = _np.add(_sN, x, out=...)` ->
+                # drop the self-read
+                corrupted = source.replace(
+                    text, f"{name} = " + rhs.replace(f"({name},", "(_z,", 1))
                 break
     assert corrupted is not None and corrupted != source
     findings = audit_kernel_source(kind, sig, corrupted)
@@ -61,7 +61,7 @@ def test_rebound_local_without_self_reference_fails(sample_kernel):
 def test_wrong_signature_fails(sample_kernel):
     kind, sig, source = sample_kernel
     corrupted = source.replace(
-        "def _kernel(v, loads, masks, factors, shape, _np=np):",
+        "def _kernel(v, loads, masks, factors, shape, work, _np=np):",
         "def _kernel(v, loads, factors, shape, _np=np):")
     assert corrupted != source
     findings = audit_kernel_source(kind, sig, corrupted)

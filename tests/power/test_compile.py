@@ -554,3 +554,71 @@ def test_stale_disk_artifact_wrong_results_caught_by_verification(
     metrics = kernel_metrics()
     assert metrics.mismatches == 1
     assert metrics.kernel_solves == 0
+
+
+# -- workspaces: reused temporaries, fresh results ---------------------------
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("state", [GATE_OPEN, GATE_CLOSED, GATE_MASK])
+def test_results_never_live_in_the_workspace(kind, state):
+    """Every array a kernel returns is fresh (or the caller's input), and
+    repeated calls neither grow the workspace nor touch old results."""
+    graph = RailGraph(get_rail_spec(kind))
+    rng = np.random.default_rng(7)
+    mask = rng.random(N_POINTS) < 0.5
+    gates = {gate: {GATE_OPEN: True, GATE_CLOSED: False,
+                    GATE_MASK: mask}[state] for gate in graph._gate_names}
+    loads = _batch_loads(rng, radio=state != GATE_CLOSED)
+    graph.solve_batch(V_GRID, loads, open_gates=gates)  # verified use
+    first = graph.solve_batch(V_GRID, loads, open_gates=gates)
+    kept = [first.i_source.copy()] + [
+        np.array(amps) for amps in first.component_i_in.values()]
+    work = kernel_compile._WORKSPACES[graph][(N_POINTS,)]
+    sizes = (len(work.floats), len(work.bools))
+    second = graph.solve_batch(V_GRID[::-1].copy(), loads, open_gates=gates)
+    assert (len(work.floats), len(work.bools)) == sizes
+    assert [first.i_source.tobytes()] + [
+        np.asarray(amps).tobytes() for amps in first.component_i_in.values()
+    ] == [amps.tobytes() for amps in kept]
+    buffers = work.floats + work.bools
+    for result in (first, second):
+        for amps in [result.i_source, *result.component_i_in.values()]:
+            assert not any(np.shares_memory(amps, buffer)
+                           for buffer in buffers)
+    assert kernel_metrics().fallbacks == 0
+    assert kernel_metrics().kernel_solves == 2 + 1
+
+
+def test_workspaces_keep_a_few_shapes_per_graph():
+    graph = RailGraph(get_rail_spec("cots"))
+    for size in range(1, 10):
+        graph.solve_batch(np.full(size, 1.25), {"mcu": 1e-6})
+    shapes = kernel_compile._WORKSPACES[graph]
+    assert list(shapes) == [(size,) for size in range(10 - len(shapes), 10)]
+    assert len(shapes) == kernel_compile._WORKSPACE_SHAPES
+
+
+def test_busy_workspace_gives_a_private_one():
+    """A workspace in use (another thread) is never shared."""
+    graph = RailGraph(get_rail_spec("cots"))
+    loads = {"mcu": np.full(N_POINTS, 1e-6)}
+    reference = graph.solve_batch(V_GRID, loads)
+    work = kernel_compile._workspace(graph, (N_POINTS,))
+    assert work.lock.acquire(blocking=False)
+    try:
+        before = [buffer.copy() for buffer in work.floats]
+        busy = graph.solve_batch(V_GRID, loads)
+        assert [buffer.tobytes() for buffer in work.floats] == \
+            [buffer.tobytes() for buffer in before]
+    finally:
+        work.lock.release()
+    _assert_bitwise_equal(busy, reference)
+
+
+def test_lowered_kernel_writes_temporaries_with_out():
+    source = kernel_source(RailGraph(get_rail_spec("cots")),
+                           frozenset({RADIO_GATE}))
+    assert "_wf, _wb = work.take(" in source
+    assert "out=_wf[" in source and "out=_wb[" in source
+    assert "_np.zeros(shape)" not in source
