@@ -28,13 +28,15 @@ wall-clock read silently breaks all three.  Three rules:
     sanctioned codegen escape hatch (plan-compiled solve kernels, whose
     generated source is bitwise-verified against the scalar solve on
     first use).  Dynamic code anywhere else would let untracked source
-    into the replay contract.
+    into the replay contract.  ``pickle.load``/``pickle.loads`` run code
+    too and are confined the same way, to the two durable readers
+    ``repro.runner.store`` and ``repro.sim.checkpoint``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .driver import ModuleContext, ProjectIndex, Rule
 from .findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
@@ -70,6 +72,31 @@ _DYNAMIC_CODE_CALLS = frozenset({
 #: (its generated kernels are bitwise-verified on first use).
 _DYNAMIC_CODE_ALLOWED_MODULES = frozenset({"repro.power.compile"})
 
+#: ``pickle`` readers DET004 rejects, and the modules allowed to call
+#: them: the result store and the checkpoint reader, whose directories
+#: are trusted-writer boundaries.
+_UNPICKLE_FUNCTIONS = frozenset({"load", "loads"})
+_UNPICKLE_ALLOWED_MODULES = frozenset({
+    "repro.runner.store", "repro.sim.checkpoint",
+})
+
+
+def _imports_of(tree: ast.Module,
+                module: str) -> Tuple[Set[str], Dict[str, str]]:
+    """Local names bound to ``module`` (``import module [as x]``) and its
+    from-imports (``from module import y [as x]``: local name -> ``y``)."""
+    aliases: Set[str] = set()
+    from_imports: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == module:
+                    aliases.add(alias.asname or module)
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            for alias in node.names:
+                from_imports[alias.asname or alias.name] = alias.name
+    return aliases, from_imports
+
 
 def _dotted(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else ``None``."""
@@ -94,16 +121,7 @@ class UnseededRandomRule(Rule):
 
     def check(self, ctx: ModuleContext,
               index: ProjectIndex) -> Iterator[Finding]:
-        aliases: Set[str] = set()        # names bound to the random module
-        from_imports: Dict[str, str] = {}  # local name -> original name
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random":
-                        aliases.add(alias.asname or "random")
-            elif isinstance(node, ast.ImportFrom) and node.module == "random":
-                for alias in node.names:
-                    from_imports[alias.asname or alias.name] = alias.name
+        aliases, from_imports = _imports_of(ctx.tree, "random")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -153,24 +171,28 @@ class WallClockRule(Rule):
 
 
 class DynamicCodeRule(Rule):
-    """``exec``/``eval`` outside the sanctioned kernel compiler."""
+    """``exec``/``eval`` or ``pickle.load``/``loads`` outside their one
+    sanctioned home (the kernel compiler; the two durable readers)."""
 
     rule_id = "DET004"
     rule_name = "dynamic-code"
     severity = SEVERITY_ERROR
     description = ("exec/eval are forbidden everywhere except "
                    "repro.power.compile (the plan-compiled kernel "
-                   "escape hatch)")
+                   "escape hatch); pickle.load/loads everywhere except "
+                   "repro.runner.store and repro.sim.checkpoint")
 
     def check(self, ctx: ModuleContext,
               index: ProjectIndex) -> Iterator[Finding]:
-        if ctx.module in _DYNAMIC_CODE_ALLOWED_MODULES:
-            return
+        check_exec = ctx.module not in _DYNAMIC_CODE_ALLOWED_MODULES
+        check_pickle = ctx.module not in _UNPICKLE_ALLOWED_MODULES
+        aliases, from_imports = _imports_of(ctx.tree, "pickle")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
-            if dotted in _DYNAMIC_CODE_CALLS:
+            func = node.func
+            dotted = _dotted(func)
+            if check_exec and dotted in _DYNAMIC_CODE_CALLS:
                 name = dotted.rsplit(".", 1)[-1]
                 yield self.finding(
                     ctx, node,
@@ -178,6 +200,24 @@ class DynamicCodeRule(Rule):
                     f"compiler (repro.power.compile) may generate and "
                     f"execute source",
                 )
+            if not check_pickle:
+                continue
+            if (isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id in aliases
+                    and func.attr in _UNPICKLE_FUNCTIONS):
+                name = f"pickle.{func.attr}"
+            elif (isinstance(func, ast.Name)
+                    and from_imports.get(func.id) in _UNPICKLE_FUNCTIONS):
+                name = f"pickle.{from_imports[func.id]}"
+            else:
+                continue
+            yield self.finding(
+                ctx, node,
+                f"{name}() runs code from its input; only "
+                f"repro.runner.store and repro.sim.checkpoint may "
+                f"unpickle, from trusted-writer directories",
+            )
 
 
 class UnorderedIterationRule(Rule):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .board import (
     PadAlignmentModel,
@@ -75,12 +75,11 @@ def topology_campaign(
     workers: Optional[int] = None,
     cache: Optional[MemoCache] = None,
     store: Optional[ResultStore] = None,
-    pool: Optional[Any] = None,
 ) -> Tuple[Dict[int, list], CampaignStats]:
     """The Seeman-Sanders comparison tables, one task per ratio."""
     sweep = Sweep(
         topology_table_task, name="e16-topologies", workers=workers,
-        cache=cache, store=store, pool=pool,
+        cache=cache, store=store,
     )
     result = sweep.run(list(ratios))
     return dict(zip(ratios, result.values())), result.stats
@@ -261,8 +260,6 @@ def fleet_density_campaign(
     workers: Optional[int] = None,
     engine: str = "per-node",
     store: Optional[ResultStore] = None,
-    pool: Optional[Any] = None,
-    progress: Optional[Any] = None,
 ) -> Tuple[List[Tuple[int, FleetStats, FleetStats, float]], CampaignStats]:
     """Staggered + random-phase fleets at each density, in parallel.
 
@@ -286,9 +283,8 @@ def fleet_density_campaign(
         workers=workers,
         simulated_s_of=lambda stats: duration_s,
         store=store,
-        pool=pool,
     )
-    result = sweep.run(grid, progress=progress)
+    result = sweep.run(grid)
     values = result.values()
     rows = []
     for k, count in enumerate(counts):
@@ -460,8 +456,6 @@ def topology_sweep_campaign(
     duration_s: float = 3600.0,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    pool: Optional[Any] = None,
-    progress: Optional[Any] = None,
 ) -> Tuple[List[TopologyOutcome], CampaignStats]:
     """Every registered rail topology (or a subset) through a node run.
 
@@ -472,11 +466,9 @@ def topology_sweep_campaign(
         kinds = rail_topology_names()
     sweep = Sweep(
         rail_topology_task, name="rail-topology-sweep", workers=workers,
-        store=store, pool=pool,
+        store=store,
     )
-    result = sweep.run(
-        [(kind, float(duration_s)) for kind in kinds], progress=progress
-    )
+    result = sweep.run([(kind, float(duration_s)) for kind in kinds])
     return list(result.values()), result.stats
 
 
@@ -617,7 +609,11 @@ def chaos_task(params: Tuple, seed: int) -> ChaosOutcome:
         )
         try:
             saved = simcheckpoint.read_checkpoint(path)
-            node, injector = simcheckpoint.restore_from(saved)
+            # The file name rounds duration_s to 6 digits, so a file may
+            # belong to another trial: only resume this trial's own run.
+            if (saved.scenario == scenario
+                    and saved.meta.get("end_time") == duration_s):
+                node, injector = simcheckpoint.restore_from(saved)
         except CheckpointError:
             node = None  # missing/corrupt/stale: start cold
     if node is None:
@@ -666,10 +662,8 @@ def chaos_campaign(
     base_seed: int = 2008,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    pool: Optional[Any] = None,
     checkpoint_every: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
-    progress: Optional[Any] = None,
 ) -> Tuple[List[ChaosOutcome], CampaignStats]:
     """Monte-Carlo fault storms over the process pool.
 
@@ -696,9 +690,8 @@ def chaos_campaign(
         workers=workers,
         seed_salt=profile,
         store=store,
-        pool=pool,
     )
-    result = mc.run(params=params, progress=progress)
+    result = mc.run(params=params)
     return result.values, result.stats
 
 
@@ -747,8 +740,6 @@ def steady_endurance_campaign(
     fast_forward: bool = True,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    pool: Optional[Any] = None,
-    progress: Optional[Any] = None,
 ) -> Tuple[List[Tuple[float, Tuple[int, float, int, int]]], CampaignStats]:
     """Long steady-cruise runs fanned over the pool.
 
@@ -758,8 +749,8 @@ def steady_endurance_campaign(
     """
     sweep = Sweep(
         steady_node_task, name="steady-endurance", workers=workers,
-        store=store, pool=pool,
+        store=store,
     )
     grid = [(float(d), fast_forward) for d in durations_s]
-    result = sweep.run(grid, progress=progress)
+    result = sweep.run(grid)
     return list(zip(durations_s, result.values())), result.stats

@@ -30,9 +30,6 @@ Commands
 ``lint``
     Domain-aware static analysis (unit suffixes, determinism, API
     contracts) over the source tree.
-``serve``
-    Long-running campaign service: newline-JSON requests over TCP,
-    in-flight dedup, streaming progress, checkpoint-backed resume.
 
 (The name ``perf`` — rather than an overload of ``profile`` — keeps the
 Fig-6 *power* profile command intact; see ``docs/PERF.md``.)
@@ -465,26 +462,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if new else 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
-    if args.cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-    from .service import serve
-
-    try:
-        serve(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            checkpoint_every=args.checkpoint_every,
-            resume=not args.no_resume,
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    return 0
-
-
 def _cmd_stack(args: argparse.Namespace) -> int:
     from .board import standard_picocube
 
@@ -670,27 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
     lint.set_defaults(handler=_cmd_lint)
-
-    serve = sub.add_parser(
-        "serve", help="run the streaming campaign service"
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: loopback)")
-    serve.add_argument("--port", type=int, default=7373,
-                       help="TCP port; 0 picks an ephemeral port "
-                            "(default: 7373)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="warm pool size (default: CPU count)")
-    serve.add_argument("--checkpoint-every", type=float, default=900.0,
-                       help="chaos-trial checkpoint cadence in simulated "
-                            "seconds (default: 900)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="set REPRO_CACHE_DIR for this server "
-                            "(enables the result store, jobs journal, "
-                            "and checkpoints)")
-    serve.add_argument("--no-resume", action="store_true",
-                       help="do not resubmit journaled jobs on startup")
-    serve.set_defaults(handler=_cmd_serve)
     return parser
 
 

@@ -55,11 +55,6 @@ of solves would raise first.
 ``(graph, batch shape)``, shared by that graph's gate variants; returned
 arrays are always freshly allocated, so no later call overwrites them.
 
-Set the :data:`CACHE_DIR_ENV` environment variable to also persist
-generated kernel source on disk (content-addressed filenames); a warm
-process then ``exec``'s the stored artifact, and the first-use bitwise
-verification keeps even a stale or corrupted artifact safe.
-
 This module is the **only** place in the tree allowed to call ``exec``
 (lint rule DET004 enforces that); the generated source can be inspected
 with ``python -m repro train --solve KIND --emit-kernel``.
@@ -71,7 +66,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
 import threading
 import weakref
@@ -82,7 +76,6 @@ import numpy as np
 
 from ..errors import ElectricalError
 from ..runner.cache import MemoCache
-from ..runner.cacheroot import resolve_cache_dir
 from .charge_pump import RegulatedChargePump
 from .graph import (
     CHANNELS, FrozenMapping, GraphSolution, GraphSolutionBatch, RailGraph,
@@ -93,16 +86,9 @@ from .shunt_regulator import ShuntRegulator
 from .workspace import Workspace, fill, lower_to_workspace, select
 
 #: Bump when the generated source or the kernel signature changes: it
-#: keys the kernel cache, so old in-memory and on-disk artifacts are
-#: never called with a newer argument list.
+#: keys the kernel cache, so an old kernel is never called with a newer
+#: argument list.
 KERNEL_CODE_VERSION = 5
-
-#: Environment variable naming a directory for the persistent source
-#: cache (used by CI's cold/warm equivalence check).  This is a
-#: kernel-specific override; when unset, the shared ``REPRO_CACHE_DIR``
-#: root (see :mod:`repro.runner.cacheroot`) provides a ``kernels/``
-#: subdirectory, and with neither set the cache is memory only.
-CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 
 #: Gate-signature states: each gate group of a topology is resolved at
 #: compile time to one of these, and one kernel is compiled per distinct
@@ -121,7 +107,6 @@ _FLOAT_CALLS = {"sqrt": "math.sqrt", "hypot": "math.hypot",
                 "minimum": "min", "maximum": "max"}
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "DIALECT_FLOAT",
     "DIALECT_NUMPY",
     "GATE_CLOSED",
@@ -201,7 +186,7 @@ class CompiledKernel:
     #: scalar loop; until then every call runs both.
     verified: bool = False
     #: True when the kernel is permanently out of service (unsupported
-    #: plan, bad artifact, or a bitwise mismatch); callers fall back.
+    #: plan, uncompilable source, or a bitwise mismatch); callers fall back.
     failed: bool = False
     failure: Optional[str] = None
     #: Float kernels: names of the returned currents (set on promotion).
@@ -225,10 +210,8 @@ def _bump(name: str) -> None:
 class KernelMetrics:
     """Snapshot of the compiled-path counters (see :func:`kernel_metrics`)."""
 
-    #: Kernel sources ``exec``'d (cold compiles, including disk loads).
+    #: Kernel sources ``exec``'d (cold compiles).
     compiles: int
-    #: Compiles whose source came from the :data:`CACHE_DIR_ENV` cache.
-    disk_loads: int
     #: Batch solves served by a compiled kernel.
     kernel_solves: int
     #: First-use bitwise comparisons against the scalar loop.
@@ -244,7 +227,6 @@ class KernelMetrics:
     #: The same counts for the float kernels behind scalar ``solve``
     #: (the walk is their reference and their fallback).
     scalar_compiles: int
-    scalar_disk_loads: int
     scalar_verifications: int
     scalar_mismatches: int
     scalar_fallbacks: int
@@ -766,42 +748,6 @@ def _plan_digest(graph: RailGraph) -> str:
     return digest
 
 
-def _disk_path(key: tuple) -> Optional[str]:
-    cache_dir = resolve_cache_dir("kernels", override_env=CACHE_DIR_ENV)
-    if not cache_dir:
-        return None
-    token = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
-    version = key[2]
-    dialect = "float-" if key[3:] == (DIALECT_FLOAT,) else ""
-    return os.path.join(cache_dir,
-                        f"railgraph-{dialect}kernel-v{version}-{token}.py")
-
-
-def _disk_read(key: tuple) -> Optional[str]:
-    path = _disk_path(key)
-    if path is None:
-        return None
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError:
-        return None
-
-
-def _disk_write(key: tuple, source: str) -> None:
-    path = _disk_path(key)
-    if path is None:
-        return
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(source)
-        os.replace(tmp, path)
-    except OSError:  # pragma: no cover - cache dir not writable
-        pass
-
-
 def _exec_kernel(source: str, key: tuple) -> Callable:
     """Compile and execute kernel source, returning its kernel function."""
     float_dialect = key[3:] == (DIALECT_FLOAT,)
@@ -830,32 +776,15 @@ def _build_kernel(graph: RailGraph, signature: tuple,
         _bump(prefix + "unsupported")
         return CompiledKernel(key=key, source="", fn=None, failed=True,
                               failure=str(exc))
-    fn = None
-    chosen = source
-    from_disk = False
-    disk_source = _disk_read(key)
-    if disk_source is not None:
-        try:
-            fn = _exec_kernel(disk_source, key)
-            chosen = disk_source
-            from_disk = True
-        except Exception:
-            fn = None  # corrupt artifact: fall through and regenerate
-    if fn is None:
-        try:
-            fn = _exec_kernel(source, key)
-        except Exception as exc:
-            _bump(prefix + "unsupported")
-            return CompiledKernel(key=key, source=source, fn=None,
-                                  failed=True,
-                                  failure=f"kernel source failed to "
-                                          f"compile: {exc}")
-    if not from_disk:
-        _disk_write(key, chosen)
+    try:
+        fn = _exec_kernel(source, key)
+    except Exception as exc:
+        _bump(prefix + "unsupported")
+        return CompiledKernel(key=key, source=source, fn=None, failed=True,
+                              failure=f"kernel source failed to compile: "
+                                      f"{exc}")
     _bump(prefix + "compiles")
-    if from_disk:
-        _bump(prefix + "disk_loads")
-    return CompiledKernel(key=key, source=chosen, fn=fn)
+    return CompiledKernel(key=key, source=source, fn=fn)
 
 
 def _kernel_entry(graph: RailGraph, signature: tuple) -> CompiledKernel:

@@ -11,8 +11,7 @@ node models.  Experiment-specific task functions live in
 """
 
 from .cache import CacheStats, MemoCache, memoize
-from .cacheroot import REPRO_CACHE_DIR_ENV, cache_root, resolve_cache_dir
-from .metrics import CampaignStats, Progress
+from .metrics import CampaignStats
 from .pool import (
     MonteCarlo,
     MonteCarloResult,
@@ -36,8 +35,6 @@ __all__ = [
     "MemoCache",
     "MonteCarlo",
     "MonteCarloResult",
-    "Progress",
-    "REPRO_CACHE_DIR_ENV",
     "RESULT_CODE_VERSION",
     "ResultStore",
     "StoreStats",
@@ -45,11 +42,9 @@ __all__ = [
     "SweepResult",
     "TaskError",
     "TaskRecord",
-    "cache_root",
     "default_workers",
     "derive_seed",
     "derive_seeds",
     "memoize",
-    "resolve_cache_dir",
     "stable_token",
 ]

@@ -1,4 +1,4 @@
-"""Throughput and progress metrics for simulation campaigns.
+"""Throughput metrics for simulation campaigns.
 
 The ROADMAP's target is "as fast as the hardware allows"; these metrics
 are how a campaign proves it.  :class:`CampaignStats` reports tasks/s,
@@ -10,8 +10,6 @@ simulated time they covered, and the result-cache hit rate.
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import Callable, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,33 +65,3 @@ class CampaignStats:
         if self.tasks_failed:
             parts.append(f"{self.tasks_failed} FAILED")
         return ", ".join(parts)
-
-
-class Progress:
-    """Minimal progress tracker: counts completions, optional callback.
-
-    The callback receives ``(done, total, elapsed_s)`` from the parent
-    process as chunks complete — cheap enough for per-chunk granularity,
-    and the hook a CLI progress bar or log line attaches to.
-    """
-
-    def __init__(
-        self,
-        total: int,
-        callback: Optional[Callable[[int, int, float], None]] = None,
-    ) -> None:
-        self.total = total
-        self.done = 0
-        self._callback = callback
-        self._t0 = time.perf_counter()
-
-    @property
-    def elapsed_s(self) -> float:
-        """Wall-clock seconds since the campaign started."""
-        return time.perf_counter() - self._t0
-
-    def advance(self, count: int = 1) -> None:
-        """Record ``count`` more completed tasks."""
-        self.done += count
-        if self._callback is not None:
-            self._callback(self.done, self.total, self.elapsed_s)

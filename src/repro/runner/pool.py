@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import CampaignError, ConfigurationError
 from .cache import MemoCache
 from .store import ResultStore
-from .metrics import CampaignStats, Progress
+from .metrics import CampaignStats
 from .seeding import derive_seed
 
 
@@ -162,8 +162,6 @@ class Sweep:
         cache: Optional[MemoCache] = None,
         store: Optional["ResultStore"] = None,
         simulated_s_of: Optional[Callable[[Any], float]] = None,
-        mp_context: Optional[str] = None,
-        pool: Optional[Any] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -178,23 +176,13 @@ class Sweep:
         self.cache = cache
         self.store = store
         self.simulated_s_of = simulated_s_of
-        self.mp_context = mp_context
-        # An externally owned multiprocessing pool: reused, never closed
-        # here.  This is how `repro serve` multiplexes one warm pool
-        # across many concurrent campaign requests.
-        self.pool = pool
 
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self,
-        grid: Sequence[Any],
-        progress: Optional[Callable[[int, int, float], None]] = None,
-    ) -> SweepResult:
+    def run(self, grid: Sequence[Any]) -> SweepResult:
         """Run every grid point and return ordered records + stats."""
         grid = list(grid)
         t0 = time.perf_counter()
-        tracker = Progress(len(grid), callback=progress)
         specs = [
             (
                 index,
@@ -214,7 +202,6 @@ class Sweep:
             if hit:
                 by_index[spec[0]] = record
                 cache_hits += 1
-                tracker.advance()
             else:
                 to_run.append(spec)
 
@@ -222,7 +209,6 @@ class Sweep:
             for record in records:
                 by_index[record.index] = record
                 self._cache_store(record)
-            tracker.advance(len(records))
 
         ordered = [by_index[index] for index in range(len(grid))]
         stats = CampaignStats(
@@ -249,17 +235,12 @@ class Sweep:
             (self.fn, specs[k : k + chunk], self.base_seed is not None)
             for k in range(0, len(specs), chunk)
         ]
-        if self.pool is not None:
-            for records in self.pool.imap_unordered(_execute_chunk, payloads):
-                yield records
-            return
         if self.workers <= 1 or len(specs) == 1:
             for payload in payloads:
                 yield _execute_chunk(payload)
             return
-        context = multiprocessing.get_context(self.mp_context)
         processes = min(self.workers, len(payloads))
-        with context.Pool(processes=processes) as pool:
+        with multiprocessing.Pool(processes=processes) as pool:
             # Unordered completion keeps workers saturated; records carry
             # their grid index, so ordering is restored afterwards.
             for records in pool.imap_unordered(_execute_chunk, payloads):
@@ -345,8 +326,6 @@ class MonteCarlo:
         chunk_size: Optional[int] = None,
         seed_salt: str = "",
         store: Optional[ResultStore] = None,
-        mp_context: Optional[str] = None,
-        pool: Optional[Any] = None,
     ) -> None:
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
@@ -359,18 +338,15 @@ class MonteCarlo:
             base_seed=base_seed,
             seed_salt=seed_salt,
             store=store,
-            mp_context=mp_context,
-            pool=pool,
         )
 
     def run(
         self,
         params: Any = None,
         reduce: Optional[Callable[[List[Any]], Any]] = None,
-        progress: Optional[Callable[[int, int, float], None]] = None,
     ) -> "MonteCarloResult":
         """Run all trials; optionally reduce the ordered values."""
-        result = self._sweep.run([params] * self.trials, progress=progress)
+        result = self._sweep.run([params] * self.trials)
         result.raise_on_error()
         values = [record.value for record in result.records]
         return MonteCarloResult(

@@ -13,13 +13,16 @@ of ``(config, schedule, code version)``:
 * **code version** — :data:`RESULT_CODE_VERSION`, bumped whenever task
   semantics change, so stale artifacts from older code are never served.
 
-The on-disk format and failure posture mirror the rail-graph kernel cache
-(:mod:`repro.power.compile`): one file per entry under the shared
-:mod:`~repro.runner.cacheroot` root, written atomically (temp file +
-``os.replace``), with a checksummed header.  A corrupt, truncated, or
-stale-version file is treated as a miss (and deleted), never an error —
-the result is simply recomputed and rewritten.  Least-recently-used
-entries are pruned once the store exceeds its entry budget.
+Entries live one file each under ``<REPRO_CACHE_DIR>/results/`` (or an
+explicit root), written atomically (temp file + ``os.replace``), with a
+checksummed header.  A corrupt, truncated, or stale-version file is
+treated as a miss (and deleted), never an error — the result is simply
+recomputed and rewritten.  Least-recently-used entries are pruned once
+the store exceeds its entry budget.
+
+Reading an entry unpickles it, and unpickling runs code, so the root is
+a trusted-writer directory: the store creates a missing root owner-only
+and refuses one that group or others can write.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ import hashlib
 import json
 import os
 import pickle
+import stat
 import threading
 from typing import Any, Callable, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .cacheroot import resolve_cache_dir
 
 __all__ = [
     "RESULT_CODE_VERSION",
@@ -51,6 +54,34 @@ RESULT_CODE_VERSION = 2
 STORE_FORMAT_VERSION = 1
 
 _MAGIC = "repro-result-store"
+
+
+def _default_root() -> Optional[str]:
+    """``<REPRO_CACHE_DIR>/results``, or ``None`` (memory only) if unset."""
+    root = os.environ.get("REPRO_CACHE_DIR")
+    if not root:
+        return None
+    return os.path.join(
+        os.path.expanduser(os.path.expandvars(root)), "results"
+    )
+
+
+def _claim_root(root: str) -> None:
+    """Create a missing root owner-only; refuse one others can write."""
+    try:
+        mode = os.stat(root).st_mode
+    except FileNotFoundError:
+        try:
+            os.makedirs(root, mode=0o700, exist_ok=True)
+        except OSError:  # pragma: no cover - writes then fail quietly
+            pass
+        return
+    if mode & (stat.S_IWGRP | stat.S_IWOTH):
+        raise ConfigurationError(
+            f"result store root {root!r} is writable by group or others "
+            f"(mode {stat.S_IMODE(mode):#o}); its entries are unpickled on "
+            f"read, so only trusted users may write it"
+        )
 
 
 def _canonical(value: Any) -> Any:
@@ -108,12 +139,12 @@ class StoreStats:
 class ResultStore:
     """Content-addressed result cache, memory-fronted and disk-backed.
 
-    ``root`` is the on-disk directory; when ``None`` it resolves through
-    :func:`~repro.runner.cacheroot.resolve_cache_dir` (the shared
-    ``REPRO_CACHE_DIR`` root), and when that is unset too the store
-    degrades gracefully to memory-only.  ``max_entries`` bounds the disk
-    footprint; the least-recently-used files (by access/modify time) are
-    pruned after each write.
+    ``root`` is the on-disk directory; when ``None`` it is
+    ``<REPRO_CACHE_DIR>/results``, and when that variable is unset too
+    the store degrades gracefully to memory-only.  A root that group or
+    others can write raises :class:`~repro.errors.ConfigurationError`.
+    ``max_entries`` bounds the disk footprint; the least-recently-used
+    files (by access/modify time) are pruned after each write.
     """
 
     def __init__(
@@ -128,7 +159,9 @@ class ResultStore:
                 f"max_entries must be >= 1, got {max_entries}"
             )
         if root is None:
-            root = resolve_cache_dir("results")
+            root = _default_root()
+        if root is not None:
+            _claim_root(root)
         self.root = root
         self.code_version = int(code_version)
         self.max_entries = max_entries
@@ -265,7 +298,7 @@ class ResultStore:
             "sha256": hashlib.sha256(body).hexdigest(),
         }).encode("utf-8")
         try:
-            os.makedirs(self.root, exist_ok=True)
+            os.makedirs(self.root, mode=0o700, exist_ok=True)
             tmp = f"{path}.{os.getpid()}.tmp"
             with open(tmp, "wb") as handle:
                 handle.write(header + b"\n" + body)

@@ -31,7 +31,8 @@ This module sits deliberately above both the ``sim`` substrate and the
 ``core`` node model: it is the one place allowed to reach into private
 component state, because its whole job is totality of capture.
 
-See ``docs/SERVICE.md`` for the on-disk format and the version policy.
+See ``docs/RUNNER.md`` ("Checkpoints") for the on-disk format and the
+version policy.
 """
 
 from __future__ import annotations

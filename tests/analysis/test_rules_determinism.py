@@ -207,21 +207,63 @@ def test_set_iteration_outside_hot_paths_is_out_of_scope(lint_snippet):
 
 
 # ---------------------------------------------------------------------------
-# DET004: exec/eval outside the kernel compiler
+# DET004: exec/eval outside the kernel compiler, pickle reads outside
+# the store and the checkpoint reader
 # ---------------------------------------------------------------------------
 
 
-def test_exec_in_sim_is_caught(lint_snippet):
-    findings = lint_snippet(
-        """
+#: ``(relpath, source, call)``: each source makes one DET004 finding
+#: naming ``call``.
+DYNAMIC_CODE_CAUGHT = [
+    ("repro/sim/engine.py", """
         def run(snippet):
             exec(snippet)
-        """,
-        relpath="repro/sim/engine.py",
-        rules=[DynamicCodeRule()],
-    )
-    assert rule_ids(findings) == ["DET004"]
-    assert "exec()" in findings[0].message
+        """, "exec()"),
+    ("repro/sim/engine.py", """
+        import pickle
+
+        def run(blob):
+            return pickle.loads(blob)
+        """, "pickle.loads()"),
+    ("repro/campaigns.py", """
+        from pickle import loads
+
+        def run(blob):
+            return loads(blob)
+        """, "pickle.loads()"),
+    ("repro/sim/engine.py", """
+        import pickle as pk
+
+        def run(handle):
+            return pk.load(handle)
+        """, "pickle.load()"),
+    ("repro/runner/pool.py", """
+        from pickle import load as undump
+
+        def run(handle):
+            return undump(handle)
+        """, "pickle.load()"),
+    # Each allow-list covers its own calls only.
+    ("repro/power/compile.py", """
+        import pickle
+
+        def run(blob):
+            return pickle.loads(blob)
+        """, "pickle.loads()"),
+    ("repro/runner/store.py", """
+        def run(snippet):
+            exec(snippet)
+        """, "exec()"),
+]
+
+
+def test_exec_in_sim_is_caught(lint_snippet, tmp_path):
+    for relpath, source, call in DYNAMIC_CODE_CAUGHT:
+        findings = lint_snippet(source, relpath=relpath,
+                                rules=[DynamicCodeRule()])
+        (tmp_path / relpath).unlink()  # lint each input alone
+        assert rule_ids(findings) == ["DET004"], (relpath, source)
+        assert call in findings[0].message
 
 
 def test_eval_in_core_is_caught(lint_snippet):
@@ -250,21 +292,47 @@ def test_builtins_qualified_exec_is_caught(lint_snippet):
     assert rule_ids(findings) == ["DET004"]
 
 
-def test_exec_in_the_kernel_compiler_is_allowed(lint_snippet):
-    findings = lint_snippet(
-        """
+#: ``(relpath, source)`` pairs DET004 accepts.
+DYNAMIC_CODE_ALLOWED = [
+    ("repro/power/compile.py", """
         def _exec_kernel(source, namespace):
             exec(compile(source, "<kernel>", "exec"), namespace)
-        """,
-        relpath="repro/power/compile.py",
-        rules=[DynamicCodeRule()],
-    )
-    assert findings == []
+        """),
+    ("repro/runner/store.py", """
+        import pickle
+
+        def read(body):
+            return pickle.loads(body)
+        """),
+    ("repro/sim/checkpoint.py", """
+        from pickle import loads
+
+        def read(body):
+            return loads(body)
+        """),
+    # Writing a pickle, or a json.loads, is not a pickle read.
+    ("repro/sim/engine.py", """
+        import pickle
+        from json import loads
+
+        def write(value):
+            return pickle.dumps(value), loads("{}")
+        """),
+]
+
+
+def test_exec_in_the_kernel_compiler_is_allowed(lint_snippet, tmp_path):
+    for relpath, source in DYNAMIC_CODE_ALLOWED:
+        findings = lint_snippet(source, relpath=relpath,
+                                rules=[DynamicCodeRule()])
+        (tmp_path / relpath).unlink()  # lint each input alone
+        assert findings == [], (relpath, source)
 
 
 def test_the_real_tree_has_exactly_one_exec_site():
     """The shipped source passes DET004: ``repro.power.compile`` is the
-    only module calling exec/eval."""
+    only module calling exec/eval, and only the store and the checkpoint
+    reader unpickle."""
     import pathlib
 
     import repro

@@ -1,6 +1,6 @@
 """Plan-compiled fused kernels: bitwise identity with a scalar loop,
-error parity, verification/fallback semantics, and the kernel caches
-(in-memory and on-disk).
+error parity, verification/fallback semantics, and the in-memory kernel
+cache.
 
 The contract under test (see ``repro/power/compile.py``):
 ``RailGraph.solve_batch`` must return the same doubles, and raise the
@@ -16,7 +16,6 @@ import pytest
 from repro.errors import ConfigurationError, ElectricalError
 from repro.power import compile as kernel_compile
 from repro.power.compile import (
-    CACHE_DIR_ENV,
     GATE_CLOSED,
     GATE_MASK,
     GATE_OPEN,
@@ -489,71 +488,6 @@ def test_clear_kernel_cache_forces_recompile():
     clear_kernel_cache()
     graph.solve_batch(V_GRID, loads)
     assert kernel_metrics().compiles == 2
-
-
-# ---------------------------------------------------------------------------
-# On-disk source cache
-# ---------------------------------------------------------------------------
-
-
-def test_disk_cache_cold_writes_then_warm_loads(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    loads = {"mcu": np.full(N_POINTS, 1e-6)}
-
-    cold = RailGraph(get_rail_spec("cots"))
-    cold_result = cold.solve_batch(V_GRID, loads)
-    artifacts = sorted(tmp_path.glob("railgraph-kernel-v*.py"))
-    assert len(artifacts) == 1
-    assert kernel_metrics().disk_loads == 0
-
-    # A "new process": drop the in-memory cache, keep the disk.
-    clear_kernel_cache()
-    reset_kernel_metrics()
-    warm = RailGraph(get_rail_spec("cots"))
-    warm_result = warm.solve_batch(V_GRID, loads)
-    metrics = kernel_metrics()
-    assert metrics.disk_loads == 1
-    assert metrics.mismatches == 0
-    _assert_bitwise_equal(warm_result, cold_result)
-
-
-def test_corrupt_disk_artifact_is_regenerated(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    loads = {"mcu": np.full(N_POINTS, 1e-6)}
-    RailGraph(get_rail_spec("cots")).solve_batch(V_GRID, loads)
-    (artifact,) = tmp_path.glob("railgraph-kernel-v*.py")
-    artifact.write_text("this is ] not python")
-
-    clear_kernel_cache()
-    reset_kernel_metrics()
-    graph = RailGraph(get_rail_spec("cots"))
-    _assert_matches_scalar(graph.solve_batch(V_GRID, loads),
-                           scalar_loop(graph, V_GRID, loads))
-    metrics = kernel_metrics()
-    assert metrics.disk_loads == 0  # corrupt artifact was not trusted
-    assert metrics.mismatches == 0
-
-
-def test_stale_disk_artifact_wrong_results_caught_by_verification(
-        tmp_path, monkeypatch):
-    """A syntactically-valid but wrong artifact (e.g. hash collision or
-    hand-edited file) is caught by first-use bitwise verification."""
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-    loads = {"mcu": np.full(N_POINTS, 1e-6)}
-    RailGraph(get_rail_spec("cots")).solve_batch(V_GRID, loads)
-    (artifact,) = tmp_path.glob("railgraph-kernel-v*.py")
-    source = artifact.read_text()
-    artifact.write_text(source.replace(
-        "return _i_src", "return _i_src + 1.0"))
-
-    clear_kernel_cache()
-    reset_kernel_metrics()
-    graph = RailGraph(get_rail_spec("cots"))
-    _assert_matches_scalar(graph.solve_batch(V_GRID, loads),
-                           scalar_loop(graph, V_GRID, loads))
-    metrics = kernel_metrics()
-    assert metrics.mismatches == 1
-    assert metrics.kernel_solves == 0
 
 
 # -- workspaces: reused temporaries, fresh results ---------------------------

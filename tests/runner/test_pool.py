@@ -169,16 +169,7 @@ def test_unhashable_params_with_cache_rejected():
         sweep.run([[1, 2]])
 
 
-# -- progress and metrics -----------------------------------------------------
-
-
-def test_progress_callback_reaches_total():
-    seen = []
-    Sweep(square, workers=1).run(
-        [1, 2, 3, 4], progress=lambda done, total, _: seen.append((done, total))
-    )
-    assert seen[-1] == (4, 4)
-    assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+# -- metrics -----------------------------------------------------
 
 
 def test_stats_throughput_fields():

@@ -1,4 +1,5 @@
-"""ResultStore: content addressing, corruption armour, LRU, cache root."""
+"""ResultStore: content addressing, corruption armour, LRU, cache root,
+trusted roots."""
 
 import dataclasses
 import os
@@ -8,12 +9,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runner import (
-    REPRO_CACHE_DIR_ENV,
     RESULT_CODE_VERSION,
     ResultStore,
     Sweep,
-    cache_root,
-    resolve_cache_dir,
     stable_token,
 )
 
@@ -187,41 +185,64 @@ def test_warm_store_is_at_least_10x_faster_than_cold(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cache-root resolution
+# cache root and trust
 # ---------------------------------------------------------------------------
 
 
 def test_cache_root_unset_means_memory_only(monkeypatch, tmp_path):
-    monkeypatch.delenv(REPRO_CACHE_DIR_ENV, raising=False)
-    assert cache_root() is None
-    assert resolve_cache_dir("results") is None
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     store = ResultStore()
+    assert store.root is None
     key = store.key("x")
     store.put(key, 1)
     assert store.get(key) == (True, 1)  # degrades gracefully
 
 
 def test_cache_root_resolves_subdirs(monkeypatch, tmp_path):
-    monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(tmp_path))
-    assert cache_root() == str(tmp_path)
-    assert resolve_cache_dir("results") == os.path.join(str(tmp_path), "results")
-    assert resolve_cache_dir("jobs") == os.path.join(str(tmp_path), "jobs")
-
-
-def test_subsystem_override_wins(monkeypatch, tmp_path):
-    monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(tmp_path / "shared"))
-    monkeypatch.setenv("REPRO_KERNEL_CACHE_DIR", str(tmp_path / "kern"))
-    assert resolve_cache_dir(
-        "kernels", override_env="REPRO_KERNEL_CACHE_DIR"
-    ) == str(tmp_path / "kern")
-    assert resolve_cache_dir("results") == str(tmp_path / "shared" / "results")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", "~/cache")
+    assert ResultStore().root == str(tmp_path / "cache" / "results")
 
 
 def test_store_picks_up_cache_root(monkeypatch, tmp_path):
-    monkeypatch.setenv(REPRO_CACHE_DIR_ENV, str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     store = ResultStore()
     store.put(store.key("x"), 1)
     assert (tmp_path / "results").is_dir()
+
+
+@pytest.mark.parametrize("mode", [0o777, 0o775, 0o702], ids=oct)
+def test_root_others_can_write_is_refused(monkeypatch, tmp_path, mode):
+    root = tmp_path / "results"
+    root.mkdir()
+    root.chmod(mode)
+    with pytest.raises(ConfigurationError) as excinfo:
+        ResultStore(str(root))
+    assert str(root) in str(excinfo.value)
+    assert oct(mode) in str(excinfo.value)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with pytest.raises(ConfigurationError):
+        ResultStore()
+
+
+def test_owner_only_root_is_accepted(tmp_path):
+    root = tmp_path / "private"
+    root.mkdir()
+    root.chmod(0o700)
+    store = ResultStore(str(root))
+    store.put(store.key("x"), 1)
+    fresh = ResultStore(str(root))
+    assert fresh.get(fresh.key("x")) == (True, 1)
+
+
+def test_missing_root_is_created_owner_only(tmp_path):
+    root = tmp_path / "new" / "store"
+    old_umask = os.umask(0)
+    try:
+        ResultStore(str(root))
+    finally:
+        os.umask(old_umask)
+    assert (root.stat().st_mode & 0o777) == 0o700
 
 
 # ---------------------------------------------------------------------------

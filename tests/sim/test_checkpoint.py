@@ -120,6 +120,46 @@ def test_chaos_task_resume_after_kill_matches_uninterrupted(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_chaos_task_resumes_only_its_own_checkpoint(tmp_path, monkeypatch):
+    """The file name keeps 6 significant digits of ``duration_s``, so a
+    1800.0001 s trial and a 1800 s trial share one file.  A checkpoint
+    whose scenario or end time is not the trial's own starts it cold."""
+    seed = 7
+    cold = chaos_task((1800.0, "harsh"), seed)
+    own = {"duration_s": 1800.0, "profile": "harsh", "seed": seed}
+    other = dict(own, duration_s=1800.0001)
+    restored = []
+    restore_from = cp.restore_from
+    monkeypatch.setattr(
+        cp, "restore_from",
+        lambda saved: restored.append(saved) or restore_from(saved),
+    )
+    # (scenario params, meta end time, resumed?) of the planted file.
+    for params, end_time, resumes in [
+        (other, 1800.0001, False),
+        (own, 1800.0001, False),
+        (own, 1800.0, True),
+    ]:
+        node, injector = cp.build_scenario("chaos", params)
+        grabbed = []
+        node.run_until_time(
+            660.0, checkpoint_every=600.0,
+            on_checkpoint=lambda paused: grabbed.append(cp.save_checkpoint(
+                paused, injector,
+                scenario={"kind": "chaos", "params": params},
+                meta={"end_time": end_time},
+            )),
+        )
+        cp.write_checkpoint(
+            grabbed[-1], str(tmp_path / f"chaos-harsh-1800-{seed}.ckpt")
+        )
+        restored.clear()
+        resumed = chaos_task((1800.0, "harsh", 300.0, str(tmp_path)), seed)
+        assert resumed == cold, (params, end_time)
+        assert len(restored) == int(resumes), (params, end_time)
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_fast_forward_scenario_round_trips():
     def build(params):
         return build_steady_tpms_node(fast_forward=True), None

@@ -125,23 +125,3 @@ def test_perf_command_writes_pstats(capsys, tmp_path):
 
     stats = pstats.Stats(str(out_file))
     assert stats.total_calls > 0
-
-
-def test_serve_parser_defaults_and_flags():
-    args = build_parser().parse_args(["serve"])
-    assert args.host == "127.0.0.1"
-    assert args.port == 7373
-    assert args.workers is None
-    assert args.checkpoint_every == 900.0
-    assert args.cache_dir is None
-    assert args.no_resume is False
-
-    args = build_parser().parse_args([
-        "serve", "--port", "0", "--workers", "2",
-        "--checkpoint-every", "120", "--cache-dir", "/tmp/x", "--no-resume",
-    ])
-    assert args.port == 0
-    assert args.workers == 2
-    assert args.checkpoint_every == 120.0
-    assert args.cache_dir == "/tmp/x"
-    assert args.no_resume is True

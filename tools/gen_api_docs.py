@@ -24,7 +24,6 @@ PACKAGES = [
     "repro.sim.fleet_engine",
     "repro.sim.checkpoint",
     "repro.runner",
-    "repro.service",
     "repro.faults",
     "repro.power",
     "repro.power.graph",
