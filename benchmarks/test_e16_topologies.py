@@ -22,17 +22,17 @@ from repro.power.topologies import (
     fibonacci_step_up,
     step_up_family,
 )
-from repro.runner import MemoCache
+from repro.runner import ResultStore
 
 
-def sweep():
-    cache = MemoCache()
+def sweep(root):
+    store = ResultStore(str(root))
     tables, stats = topology_campaign(
-        ratios=(2, 3, 5, 8), workers=campaign_workers(), cache=cache
+        ratios=(2, 3, 5, 8), workers=campaign_workers(), store=store
     )
-    # A second pass must be answered entirely from the result cache.
+    # A second pass must be answered entirely from the result store.
     tables_again, stats_again = topology_campaign(
-        ratios=(2, 3, 5, 8), workers=campaign_workers(), cache=cache
+        ratios=(2, 3, 5, 8), workers=campaign_workers(), store=store
     )
     assert stats_again.cache_hit_rate == 1.0
     assert {r: [x.family for x in rows] for r, rows in tables_again.items()} == {
@@ -42,8 +42,9 @@ def sweep():
     return tables
 
 
-def test_e16_topologies(benchmark):
-    tables = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_e16_topologies(benchmark, tmp_path):
+    tables = benchmark.pedantic(sweep, args=(tmp_path,), rounds=1,
+                                iterations=1)
 
     for ratio, rows in tables.items():
         print_table(

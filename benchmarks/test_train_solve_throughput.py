@@ -188,7 +188,7 @@ def test_scalar_train_solve_at_least_2_5x_reference_walk():
                   "radio-rf": TX.i_radio_rf}
     mismatches = kernel_metrics().scalar_mismatches
     train.solve(v_battery, TX)  # first call: compile, verify, promote
-    entry = train.graph._float_kernels[train._open_gates]
+    entry = train.graph._kernels.floats[train._open_gates]
     assert entry.verified and not entry.failed, (
         "the float kernel was not promoted, so the gate would be vacuous"
     )

@@ -54,7 +54,7 @@ from .power import (
     rail_topology_names,
 )
 from .power.topologies import all_step_up_families
-from .runner import CampaignStats, MemoCache, MonteCarlo, ResultStore, Sweep
+from .runner import CampaignStats, MonteCarlo, ResultStore, Sweep
 from .sensors import TireEnvironment
 from .sim import checkpoint as simcheckpoint
 from .storage import NiMHCell
@@ -73,13 +73,12 @@ def topology_table_task(ratio: int) -> list:
 def topology_campaign(
     ratios: Sequence[int] = (2, 3, 5, 8),
     workers: Optional[int] = None,
-    cache: Optional[MemoCache] = None,
     store: Optional[ResultStore] = None,
 ) -> Tuple[Dict[int, list], CampaignStats]:
     """The Seeman-Sanders comparison tables, one task per ratio."""
     sweep = Sweep(
         topology_table_task, name="e16-topologies", workers=workers,
-        cache=cache, store=store,
+        store=store,
     )
     result = sweep.run(list(ratios))
     return dict(zip(ratios, result.values())), result.stats
@@ -671,7 +670,7 @@ def chaos_campaign(
     come back in trial order and are bit-identical for any ``workers``
     value — the invariant ``tests/faults/test_chaos_campaign.py`` pins.
 
-    ``store`` memoizes finished trials across runs (content-addressed);
+    ``store`` keeps finished trials across runs (content-addressed);
     ``checkpoint_every``/``checkpoint_dir`` additionally make *partial*
     trials durable, so a killed campaign restarted with the same
     arguments resumes each unfinished trial mid-simulation instead of

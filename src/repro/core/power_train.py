@@ -230,6 +230,11 @@ class GraphPowerTrain(PowerTrain):
                 f"{self.name}: no component {name!r}; components: "
                 f"{', '.join(self.graph.component_names())}"
             )
+        if not math.isfinite(factor):
+            raise ConfigurationError(
+                f"{self.name}: degradation factor for {name!r} must be "
+                f"finite, got {factor!r}"
+            )
         if factor < 1.0:
             raise ConfigurationError(
                 f"{self.name}: degradation factor for {name!r} must be "

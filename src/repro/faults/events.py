@@ -14,6 +14,7 @@ degradation, the packet filter, and spurious resets).
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 from ..errors import ConfigurationError
@@ -27,6 +28,7 @@ class FaultEvent:
     duration_s: float = 0.0
 
     def __post_init__(self) -> None:
+        self._require_finite("start_s", "duration_s")
         if self.start_s < 0.0:
             raise ConfigurationError(
                 f"{type(self).__name__}: start_s must be >= 0, "
@@ -37,6 +39,16 @@ class FaultEvent:
                 f"{type(self).__name__}: duration_s must be >= 0, "
                 f"got {self.duration_s}"
             )
+
+    def _require_finite(self, *fields: str) -> None:
+        """Reject NaN and infinite values here, not mid-run."""
+        for field in fields:
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{type(self).__name__}: {field} must be finite, "
+                    f"got {value!r}"
+                )
 
     @property
     def end_s(self) -> float:
@@ -81,6 +93,7 @@ class SelfDischargeSpike(FaultEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._require_finite("multiplier")
         if self.multiplier < 1.0:
             raise ConfigurationError(
                 f"SelfDischargeSpike: multiplier must be >= 1, "
@@ -100,6 +113,7 @@ class EsrDrift(FaultEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._require_finite("multiplier")
         if self.multiplier <= 0.0:
             raise ConfigurationError(
                 f"EsrDrift: multiplier must be > 0, got {self.multiplier}"
@@ -124,6 +138,7 @@ class ConverterDegradation(FaultEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        self._require_finite("loss_factor")
         if self.loss_factor < 1.0:
             raise ConfigurationError(
                 f"ConverterDegradation: loss_factor must be >= 1, "

@@ -15,12 +15,13 @@ plan*:
   the component loop unrolled, dispatch tags resolved at compile time,
   temporaries reused, and every envelope check hoisted into one
   vectorized ``_bad.any()`` pass;
-* the source is ``exec``'d once and the resulting kernel is memoized in
-  a content-addressed cache (a :class:`repro.runner.cache.MemoCache`)
-  keyed on ``(plan hash, gate signature, code version)``, so every graph
-  built from an equal spec shares one kernel per signature;
-* :func:`solve_batch_compiled` and :func:`solve_batch_fast` serve
-  ``RailGraph.solve_batch`` from those kernels;
+* the source is ``exec``'d once and the resulting kernel is kept in a
+  content-addressed table keyed on ``(plan hash, gate signature, code
+  version, dialect)``, so every graph built from an equal spec shares
+  one kernel per signature; each graph's
+  :class:`~repro.power.graph.KernelTable` remembers the entries it uses;
+* :func:`solve_batch_compiled` serves ``RailGraph.solve_batch`` (whose
+  prologue turns raw batch inputs into kernel inputs) from those kernels;
 * the same emitters also write a **float dialect** serving scalar
   ``RailGraph.solve`` (:func:`solve_point_slow` verifies and promotes
   those kernels).
@@ -68,17 +69,20 @@ import json
 import math
 import re
 import threading
-import weakref
 from collections.abc import Mapping as MappingABC
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ElectricalError
-from ..runner.cache import MemoCache
 from .charge_pump import RegulatedChargePump
 from .graph import (
-    CHANNELS, FrozenMapping, GraphSolution, GraphSolutionBatch, RailGraph,
+    CHANNELS,
+    FrozenMapping,
+    GraphSolution,
+    GraphSolutionBatch,
+    KernelTable,
+    RailGraph,
 )
 from .linear_regulator import LinearRegulator
 from .sc_converter import SwitchedCapacitorConverter
@@ -118,15 +122,13 @@ __all__ = [
     "KernelUnsupported",
     "clear_kernel_cache",
     "compiled_kernel_for",
-    "gate_signature",
     "generate_kernel_source",
     "iter_registered_kernel_sources",
-    "kernel_cache_stats",
     "kernel_metrics",
     "kernel_source",
     "reset_kernel_metrics",
+    "resolve_gates",
     "solve_batch_compiled",
-    "solve_batch_fast",
     "solve_point_slow",
 ]
 
@@ -193,9 +195,10 @@ class CompiledKernel:
     names: Tuple[str, ...] = ()
 
 
-#: One kernel per (plan digest, gate signature, code version), shared by
-#: every RailGraph built from an equal spec.
-_KERNELS = MemoCache()
+#: One kernel per (plan digest, gate signature, code version, dialect),
+#: shared by every RailGraph built from an equal spec.
+_KERNELS: Dict[tuple, CompiledKernel] = {}
+_KERNELS_LOCK = threading.Lock()
 
 _METRICS_LOCK = threading.Lock()
 _METRICS: Dict[str, int] = {}
@@ -250,16 +253,10 @@ def reset_kernel_metrics() -> None:
 
 def clear_kernel_cache() -> None:
     """Drop every compiled kernel (they recompile on next use)."""
-    _KERNELS.clear()
-    _FAST_CONTEXTS.clear()
-    _WORKSPACES.clear()
-    for graph in list(_FLOAT_GRAPHS):
-        graph._float_kernels.clear()
-
-
-def kernel_cache_stats():
-    """Hit/miss stats of the in-memory kernel cache."""
-    return _KERNELS.stats
+    with _KERNELS_LOCK:
+        _KERNELS.clear()
+    for table in list(KernelTable.live):
+        table.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -267,42 +264,47 @@ def kernel_cache_stats():
 # ---------------------------------------------------------------------------
 
 
-def gate_signature(graph: RailGraph, gates: Dict[str, object]) -> tuple:
-    """Resolve normalized gate states to a hashable compile-time signature.
+def resolve_gates(graph: RailGraph, open_gates,
+                  shape: Optional[tuple] = None
+                  ) -> Tuple[tuple, Dict[str, np.ndarray]]:
+    """Resolve a gate input to ``(signature, masks)``.
 
-    ``gates`` is the output of ``RailGraph._normalize_gates``: gate name
-    to ``True`` (uniformly open), ``False`` (uniformly closed), or a
-    boolean per-point mask.  Gates absent from the mapping are closed,
-    as they are for the scalar walk.
+    ``open_gates`` is either a collection of gate names conducting at
+    every point (names the graph does not define are inert, as in the
+    scalar walk) or a mapping of gate name to a boolean scalar or
+    per-point mask (an undefined name raises).  The signature holds each
+    of the graph's gates with its compile-time state, in plan order;
+    ``masks`` holds the per-point masks, broadcast to ``shape`` when one
+    is given.  Gates a mapping omits are closed.
     """
+    masks: Dict[str, np.ndarray] = {}
+    if not isinstance(open_gates, MappingABC):
+        open_gates = frozenset(open_gates)
+        return tuple((gate, GATE_OPEN if gate in open_gates else GATE_CLOSED)
+                     for gate in graph._gate_names), masks
+    states: Dict[str, Any] = {}
+    for gate, state in open_gates.items():
+        graph._require_gate(gate)
+        if state is not True and state is not False:
+            arr = np.asarray(state)
+            if arr.ndim == 0:
+                state = bool(arr)
+            else:
+                state = arr if arr.dtype == np.bool_ else arr.astype(bool)
+                if shape is not None and state.shape != shape:
+                    state = np.broadcast_to(state, shape)
+        states[gate] = state
     signature = []
     for gate in graph._gate_names:
-        state = gates.get(gate, False)
+        state = states.get(gate, False)
         if state is True:
             signature.append((gate, GATE_OPEN))
         elif state is False:
             signature.append((gate, GATE_CLOSED))
         else:
             signature.append((gate, GATE_MASK))
-    return tuple(signature)
-
-
-def _normalize_gate_input(graph: RailGraph, open_gates) -> Dict[str, object]:
-    """Normalize a ``solve_batch``-style gate input without a batch.
-
-    Resolves the broadcast shape from the gate masks alone, so
-    diagnostic entry points (:func:`kernel_source`,
-    :func:`compiled_kernel_for`) accept the same frozenset-or-mapping
-    forms as ``RailGraph.solve_batch``.
-    """
-    shapes = []
-    if isinstance(open_gates, MappingABC):
-        for state in open_gates.values():
-            arr = np.asarray(state)
-            if arr.ndim == 1:
-                shapes.append(arr.shape)
-    shape = np.broadcast_shapes(*shapes) if shapes else (1,)
-    return graph._normalize_gates(open_gates, shape)
+            masks[gate] = state
+    return tuple(signature), masks
 
 
 def generate_kernel_source(graph: RailGraph, signature: tuple,
@@ -686,8 +688,7 @@ def kernel_source(graph: RailGraph, open_gates=frozenset(),
     pure codegen, no caching, no ``exec``.  ``open_gates`` takes the
     same frozenset-or-mapping forms as :meth:`RailGraph.solve_batch`.
     """
-    gates = _normalize_gate_input(graph, open_gates)
-    return generate_kernel_source(graph, gate_signature(graph, gates),
+    return generate_kernel_source(graph, resolve_gates(graph, open_gates)[0],
                                   dialect)
 
 
@@ -734,7 +735,7 @@ def iter_registered_kernel_sources():
 
 
 # ---------------------------------------------------------------------------
-# Compilation, caching, and the solve fast path
+# Compilation and the kernel tables
 # ---------------------------------------------------------------------------
 
 
@@ -750,7 +751,7 @@ def _plan_digest(graph: RailGraph) -> str:
 
 def _exec_kernel(source: str, key: tuple) -> Callable:
     """Compile and execute kernel source, returning its kernel function."""
-    float_dialect = key[3:] == (DIALECT_FLOAT,)
+    float_dialect = key[3] == DIALECT_FLOAT
     name = "_float_kernel" if float_dialect else "_kernel"
     namespace = ({"math": math} if float_dialect
                  else {"np": np, "_OutOfEnvelope": _OutOfEnvelope,
@@ -768,7 +769,7 @@ def _exec_kernel(source: str, key: tuple) -> Callable:
 def _build_kernel(graph: RailGraph, signature: tuple,
                   key: tuple) -> CompiledKernel:
     # Float kernels count in their own scalar_* metrics.
-    dialect = key[3] if len(key) > 3 else DIALECT_NUMPY
+    dialect = key[3]
     prefix = "scalar_" if dialect == DIALECT_FLOAT else ""
     try:
         source = generate_kernel_source(graph, signature, dialect)
@@ -787,12 +788,22 @@ def _build_kernel(graph: RailGraph, signature: tuple,
     return CompiledKernel(key=key, source=source, fn=fn)
 
 
-def _kernel_entry(graph: RailGraph, signature: tuple) -> CompiledKernel:
-    """The shared cache entry for one (plan, signature) pair."""
-    key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION)
-    return _KERNELS.get_or_compute(
-        key, lambda: _build_kernel(graph, signature, key)
-    )
+def _kernel_entry(graph: RailGraph, signature: tuple,
+                  dialect: str = DIALECT_NUMPY) -> CompiledKernel:
+    """The shared table entry for one (plan, signature, dialect).
+
+    A kernel compiles outside the lock, so a slow compile never blocks
+    another lookup; two threads racing on one key may both compile, and
+    the first entry stored is the one both get.
+    """
+    key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION, dialect)
+    with _KERNELS_LOCK:
+        entry = _KERNELS.get(key)
+    if entry is None:
+        built = _build_kernel(graph, signature, key)
+        with _KERNELS_LOCK:
+            entry = _KERNELS.setdefault(key, built)
+    return entry
 
 
 def compiled_kernel_for(graph: RailGraph,
@@ -801,8 +812,7 @@ def compiled_kernel_for(graph: RailGraph,
     on first use).  Diagnostic API: tests and tooling use it to inspect
     source, verification state, and failure reasons.
     """
-    gates = _normalize_gate_input(graph, open_gates)
-    return _kernel_entry(graph, gate_signature(graph, gates))
+    return _kernel_entry(graph, resolve_gates(graph, open_gates)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -914,17 +924,13 @@ def _fall_back(graph: RailGraph, inputs: tuple) -> GraphSolutionBatch:
     return _scalar_loop(graph, *inputs)[0]
 
 
-#: Kernel workspaces per graph, by batch shape.  Keyed weakly so graphs
-#: stay collectable; each graph keeps its few most recent shapes.
-_WORKSPACES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Workspaces a graph keeps, one per batch shape (the oldest goes first).
 _WORKSPACE_SHAPES = 4
 
 
 def _workspace(graph: RailGraph, shape: tuple) -> Workspace:
     """The graph's workspace for a batch shape (oldest shape evicted)."""
-    shapes = _WORKSPACES.get(graph)
-    if shapes is None:
-        shapes = _WORKSPACES[graph] = {}
+    shapes = graph._kernels.workspaces
     work = shapes.get(shape)
     if work is None:
         if len(shapes) >= _WORKSPACE_SHAPES:
@@ -980,41 +986,29 @@ def _serve(graph: RailGraph, entry: CompiledKernel, v, loads, signature,
     )
 
 
-def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
-                         shape) -> GraphSolutionBatch:
-    """The generic batch path behind ``RailGraph.solve_batch``.
+def solve_batch_compiled(graph: RailGraph, v, loads, signature, masks,
+                         factors, shape) -> GraphSolutionBatch:
+    """Serve a batch from the kernel for its gate signature.
 
-    Arguments are the *normalized* batch inputs (broadcast voltage/load
-    arrays, normalized gates and degradation factors, the resolved batch
-    shape).  The batch is served by the cached kernel for its gate
-    signature — verified against the scalar loop on first use — or,
-    when no kernel can serve it (disabled converter, unsupported or
-    retired kernel), by the scalar loop, counted in
-    :func:`kernel_metrics`.  Out-of-envelope points raise the scalar
-    loop's first :class:`~repro.errors.ElectricalError`.
+    Arguments are kernel inputs, built by ``RailGraph.solve_batch``: the
+    voltage and a load array per tapped channel on the batch ``shape``,
+    the :func:`resolve_gates` signature and masks, and the degradation
+    factors other than ``1.0``.  A kernel's first batch is verified
+    against the scalar loop; when no kernel can serve (disabled
+    converter, unsupported or retired kernel) the scalar loop answers,
+    counted in :func:`kernel_metrics`.  Out-of-envelope points raise the
+    scalar loop's first :class:`~repro.errors.ElectricalError`.
     """
-    signature = gate_signature(graph, gates)
-    kernel_loads = {}
-    zeros = None
-    for channel in graph._taps:
-        arr = loads.get(channel)
-        if arr is None:
-            if zeros is None:
-                zeros = np.zeros(shape)
-            arr = zeros
-        kernel_loads[channel] = arr
-    masks = {gate: gates[gate] for gate, state in signature
-             if state == GATE_MASK}
-    kernel_factors = {
-        name: factor for name, factor in factors.items()
-        if isinstance(factor, np.ndarray) or factor != 1.0
-    }
-    inputs = (v, kernel_loads, signature, masks, kernel_factors, shape)
+    inputs = (v, loads, signature, masks, factors, shape)
     # enable()/disable() mutate runtime state the kernels bake in as
     # constants, so any disabled stage routes to the scalar loop.
-    if not all(conv.enabled for conv in graph._converters.values()):
-        return _fall_back(graph, inputs)
-    entry = _kernel_entry(graph, signature)
+    for converter in graph._converter_list:
+        if not converter.enabled:
+            return _fall_back(graph, inputs)
+    batches = graph._kernels.batches
+    entry = batches.get(signature)
+    if entry is None:
+        entry = batches[signature] = _kernel_entry(graph, signature)
     if entry.failed:
         return _fall_back(graph, inputs)
     return _serve(graph, entry, *inputs)
@@ -1024,24 +1018,18 @@ def solve_batch_compiled(graph: RailGraph, v, loads, gates, factors,
 # The float point path behind scalar RailGraph.solve
 # ---------------------------------------------------------------------------
 
-#: Graphs holding float kernels, so clear_kernel_cache() can drop them.
-_FLOAT_GRAPHS: "weakref.WeakSet" = weakref.WeakSet()
-
-
 def _float_entry(graph: RailGraph, open_gates) -> CompiledKernel:
-    """The shared float kernel for a gate state, cached on the graph by
-    the ``open_gates`` value itself: a gate state written directly (as
-    checkpoint restore does) never meets a stale kernel."""
-    signature = tuple((gate, GATE_OPEN if gate in open_gates
-                       else GATE_CLOSED) for gate in graph._gate_names)
-    key = (_plan_digest(graph), signature, KERNEL_CODE_VERSION,
-           DIALECT_FLOAT)
-    entry = _KERNELS.get_or_compute(
-        key, lambda: _build_kernel(graph, signature, key))
+    """The shared float kernel for a gate state, kept in the graph's
+    table by the ``open_gates`` value itself: a gate state written
+    directly (as checkpoint restore does) never meets a stale kernel.
+    The walk reads any collection by membership (a mapping by its
+    keys), so the gates resolve as the set of names it holds."""
+    signature = resolve_gates(graph, frozenset(open_gates))[0]
+    entry = _kernel_entry(graph, signature, DIALECT_FLOAT)
+    floats = graph._kernels.floats
     try:
-        if len(graph._float_kernels) < 64:
-            graph._float_kernels[open_gates] = entry
-            _FLOAT_GRAPHS.add(graph)
+        if len(floats) < 64:
+            floats[open_gates] = entry
     except TypeError:
         pass  # unhashable gates: looked up again on every call
     return entry
@@ -1106,154 +1094,3 @@ def solve_point_slow(graph: RailGraph, entry: Optional[CompiledKernel], v,
                     "scalar_mismatches")
             _bump("scalar_fallbacks")
     return names, reference
-
-
-# ---------------------------------------------------------------------------
-# The specialized whole-call fast path
-# ---------------------------------------------------------------------------
-
-#: Per-graph kernel entries by gate signature (plus cached constant
-#: load arrays).  Keyed weakly so graphs stay collectable, and kept out
-#: of graph.__dict__ so graphs stay picklable (kernels are not).
-_FAST_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-_F64 = np.dtype(np.float64)
-_F64_ZERO = np.float64(0.0)
-_NO_MASKS: Dict[str, np.ndarray] = {}
-
-
-def solve_batch_fast(graph: RailGraph, v_source, loads, open_gates,
-                     degradation) -> Optional[GraphSolutionBatch]:
-    """Whole-call fast path: raw ``solve_batch`` inputs to a solution.
-
-    The generic prologue in :meth:`RailGraph.solve_batch` spends more
-    time normalizing and validating inputs than a kernel spends solving
-    (per-channel broadcast + finite/negative array checks even for
-    plain-float loads), so a kernel behind that prologue cannot win
-    big.  This entry point replays the same normalization for the
-    common input shapes — a 1-D float64 voltage axis, float or matching
-    1-D float64 loads, frozenset or bool/mask gate mappings, scalar or
-    matching-array degradation — with scalar checks where the inputs are
-    scalars.  Anything unusual (mismatched shapes, unknown channels or
-    gates, out-of-domain values, exotic dtypes, unverified or failed
-    kernels, disabled converters) **declines** by returning ``None`` and
-    the caller falls through to the generic prologue, which raises
-    exactly the errors it always raised, verifies new kernels, or runs
-    the scalar loop.  Out-of-envelope points raise the scalar loop's
-    first :class:`~repro.errors.ElectricalError`.
-    """
-    if type(v_source) is not np.ndarray or v_source.ndim != 1 \
-            or v_source.dtype != _F64:
-        return None
-    shape = v_source.shape
-    empty = shape[0] == 0
-    per_graph = _FAST_CONTEXTS.get(graph)
-    if per_graph is None:
-        per_graph = {}
-        _FAST_CONTEXTS[graph] = per_graph
-    taps = graph._taps
-    kernel_loads: Dict[str, np.ndarray] = {}
-    for channel, amps in loads.items():
-        if channel not in taps:
-            return None
-        kind = type(amps)
-        if kind is float or kind is int:
-            amps = float(amps)
-            # NaN, negatives and +inf all decline so the generic
-            # prologue raises its usual ConfigurationError.
-            if not 0.0 <= amps < math.inf:
-                return None
-            # Constant scalar-load arrays recur every sweep step, so
-            # they are cached (read-only, like the generic prologue's
-            # broadcast views) with a cap against unbounded growth.
-            cache_key = ("__load__", channel, amps, shape)
-            arr = per_graph.get(cache_key)
-            if arr is None:
-                arr = np.empty(shape)
-                arr.fill(amps)
-                arr.flags.writeable = False
-                if len(per_graph) < 256:
-                    per_graph[cache_key] = arr
-            kernel_loads[channel] = arr
-        elif kind is np.ndarray:
-            if amps.ndim != 1 or amps.shape != shape \
-                    or amps.dtype != _F64:
-                return None
-            if not empty and not (amps.min() >= 0.0
-                                  and amps.max() < math.inf):
-                return None
-            kernel_loads[channel] = amps
-        else:
-            return None
-    if len(kernel_loads) != len(taps):
-        zero_key = ("__zero__", shape)
-        zero = per_graph.get(zero_key)
-        if zero is None:
-            zero = np.broadcast_to(_F64_ZERO, shape)
-            per_graph[zero_key] = zero
-        for channel in taps:
-            kernel_loads.setdefault(channel, zero)
-    masks = _NO_MASKS
-    if isinstance(open_gates, (frozenset, set)):
-        # Names absent from the plan are inert for set-style gates in
-        # the scalar walk too, so membership alone decides.
-        signature = tuple(
-            (gate, GATE_OPEN if gate in open_gates else GATE_CLOSED)
-            for gate in graph._gate_names
-        )
-    elif type(open_gates) is dict:
-        gate_set = graph._gate_set
-        states: Dict[str, object] = {}
-        for gate, state in open_gates.items():
-            if gate not in gate_set:
-                return None
-            if state is True or state is False:
-                states[gate] = state
-            elif type(state) is np.ndarray and state.ndim == 1 \
-                    and state.dtype == np.bool_ and state.shape == shape:
-                states[gate] = state
-            else:
-                return None
-        signature_parts = []
-        for gate in graph._gate_names:
-            state = states.get(gate, False)
-            if state is True:
-                signature_parts.append((gate, GATE_OPEN))
-            elif state is False:
-                signature_parts.append((gate, GATE_CLOSED))
-            else:
-                signature_parts.append((gate, GATE_MASK))
-                if masks is _NO_MASKS:
-                    masks = {}
-                masks[gate] = state
-        signature = tuple(signature_parts)
-    else:
-        return None
-    factors: Dict[str, object] = {}
-    if degradation:
-        components = graph._component_set
-        for name, factor in degradation.items():
-            if name not in components:
-                return None
-            kind = type(factor)
-            if kind is float or kind is int:
-                factor = float(factor)
-                if factor != 1.0:
-                    factors[name] = factor
-            elif kind is np.ndarray and factor.ndim == 1 \
-                    and factor.shape == shape and factor.dtype == _F64:
-                factors[name] = factor
-            else:
-                return None
-    for converter in graph._converters.values():
-        if not converter.enabled:
-            return None
-    entry = per_graph.get(signature)
-    if entry is None:
-        entry = per_graph[signature] = _kernel_entry(graph, signature)
-    if entry.failed or not entry.verified:
-        # First use still goes through solve_batch_compiled's bitwise
-        # verification against the scalar loop.
-        return None
-    return _serve(graph, entry, v_source, kernel_loads, signature, masks,
-                  factors, shape)

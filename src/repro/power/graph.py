@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from collections.abc import Mapping as MappingABC
 from typing import (
-    ClassVar, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple,
-    Union,
+    TYPE_CHECKING, Any, ClassVar, Dict, FrozenSet, Iterator, List, Mapping,
+    Optional, Tuple, Union,
 )
 
 import numpy as np
@@ -52,8 +53,14 @@ from .sc_converter import design_for_load
 from .shunt_regulator import ShuntRegulator
 from .topologies import rail_network
 
+if TYPE_CHECKING:
+    from .compile import CompiledKernel
+    from .workspace import Workspace
+
 #: The node's subsystem channels, in recorder attribution order.
 CHANNELS = ("mcu", "sensor", "radio-digital", "radio-rf")
+
+_F64 = np.dtype(np.float64)
 
 _COMPILE_MODULE = None
 
@@ -63,8 +70,7 @@ def _compile_module():
 
     That module imports this one for the graph types, so the dependency
     must resolve at first solve, not at import; caching the module in a
-    global keeps the per-call cost of the compiled fast path to one
-    function call.
+    global keeps the per-call cost of reaching it to one function call.
     """
     global _COMPILE_MODULE
     if _COMPILE_MODULE is None:
@@ -501,6 +507,31 @@ class GraphSolutionBatch:
         )
 
 
+class KernelTable:
+    """One graph's compiled-kernel state (see :mod:`repro.power.compile`).
+
+    Float kernels by the ``open_gates`` value they serve, batch kernels
+    by gate signature, constant load arrays, and kernel workspaces by
+    batch shape.  Never pickled; ``clear_kernel_cache()`` empties every
+    live table.
+    """
+
+    __slots__ = ("floats", "batches", "loads", "workspaces", "__weakref__")
+
+    #: Every live table (weakly held, so graphs stay collectable).
+    live: ClassVar["weakref.WeakSet[KernelTable]"] = weakref.WeakSet()
+
+    def __init__(self) -> None:
+        self.clear()
+        KernelTable.live.add(self)
+
+    def clear(self) -> None:
+        self.floats: Dict[Any, CompiledKernel] = {}
+        self.batches: Dict[tuple, CompiledKernel] = {}
+        self.loads: Dict[tuple, np.ndarray] = {}
+        self.workspaces: Dict[tuple, Workspace] = {}
+
+
 class RailGraph:
     """Executable form of a :class:`RailGraphSpec`.
 
@@ -565,14 +596,16 @@ class RailGraph:
         # compiler (repro.power.compile) and cached here; plain string,
         # so graphs stay picklable.
         self._kernel_plan_digest: Optional[str] = None
-        # Float kernels by the open_gates value they serve (filled by
-        # the compiler; never pickled).
-        self._float_kernels: dict = {}
+        self._kernels = KernelTable()
 
     def __getstate__(self) -> Dict:
         state = self.__dict__.copy()
-        state["_float_kernels"] = {}
+        del state["_kernels"]  # exec'd kernels cannot pickle
         return state
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._kernels = KernelTable()
 
     @staticmethod
     def _build(comp):
@@ -731,7 +764,7 @@ class RailGraph:
         order.  A promoted kernel answers with no counter or lock;
         anything else takes the compiler's slow path."""
         try:
-            entry = self._float_kernels[open_gates]
+            entry = self._kernels.floats[open_gates]
         except (KeyError, TypeError):
             entry = None
         if entry is not None and entry.verified and not entry.failed:
@@ -839,101 +872,128 @@ class RailGraph:
         operating envelope, the :class:`~repro.errors.ElectricalError`
         raised is the one :meth:`solve` raises at the lowest failing
         point.
+
+        This is the one place raw batch inputs become kernel inputs.  A
+        scalar is checked as a scalar and a 1-D float64 array with one
+        min/max test; anything else goes through ``np.asarray`` first.
         """
-        # Common input shapes skip the generic prologue entirely: the
-        # specialized path declines (returns None) on anything it does
-        # not model, falling through to the full normalization below
-        # with identical error behavior.
-        result = _compile_module().solve_batch_fast(
-            self, v_source, loads, open_gates, degradation
-        )
-        if result is not None:
-            return result
-        v = np.asarray(v_source, dtype=np.float64)
+        name = self.spec.name
+        v = v_source
+        if type(v) is not np.ndarray or v.dtype != _F64:
+            v = np.asarray(v, dtype=np.float64)
         if v.ndim > 1:
             raise ConfigurationError(
-                f"{self.spec.name}: v_source must be a scalar or a 1-D "
-                f"batch, got shape {v.shape}"
+                f"{name}: v_source must be a scalar or a 1-D batch, got "
+                f"shape {v.shape}"
             )
-        load_arrays: Dict[str, np.ndarray] = {}
+        # Pass 1: convert the inputs (a scalar stays a float) and collect
+        # their shapes, raising on a malformed input in argument order.
         shapes = [v.shape]
+        values: Dict[str, Any] = {}
         for channel, amps in loads.items():
             if channel not in self._taps:
                 raise ConfigurationError(
-                    f"{self.spec.name}: load on untapped channel "
-                    f"{channel!r}"
+                    f"{name}: load on untapped channel {channel!r}"
                 )
-            arr = np.asarray(amps, dtype=np.float64)
-            if arr.ndim > 1:
-                raise ConfigurationError(
-                    f"{self.spec.name}: load {channel!r} must be a scalar "
-                    f"or a 1-D batch, got shape {arr.shape}"
-                )
-            load_arrays[channel] = arr
-            shapes.append(arr.shape)
+            if type(amps) is float or type(amps) is int:
+                amps = float(amps)
+            else:
+                amps = np.asarray(amps, dtype=np.float64)
+                if amps.ndim > 1:
+                    raise ConfigurationError(
+                        f"{name}: load {channel!r} must be a scalar or a "
+                        f"1-D batch, got shape {amps.shape}"
+                    )
+                if amps.ndim == 0:
+                    amps = float(amps)
+            shapes.append(() if type(amps) is float else amps.shape)
+            values[channel] = amps
         if isinstance(open_gates, MappingABC):
             for state in open_gates.values():
-                arr = np.asarray(state)
-                if arr.ndim == 1:
-                    shapes.append(arr.shape)
+                if state is not True and state is not False:
+                    arr = np.asarray(state)
+                    if arr.ndim == 1:
+                        shapes.append(arr.shape)
+        factors: Dict[str, Any] = {}
         if degradation:
-            for factor in degradation.values():
-                arr = np.asarray(factor, dtype=np.float64)
-                if arr.ndim == 1:
-                    shapes.append(arr.shape)
-        try:
-            shape = np.broadcast_shapes(*shapes)
-        except ValueError:
-            raise ConfigurationError(
-                f"{self.spec.name}: batch inputs do not broadcast: "
-                f"{[tuple(s) for s in shapes]}"
-            ) from None
-        shape = shape if shape else (1,)
-        v = np.broadcast_to(v, shape)
-        for channel in list(load_arrays):
-            arr = np.broadcast_to(load_arrays[channel], shape)
-            bad = ~np.isfinite(arr) | (arr < 0.0)
-            if bad.any():
-                index = int(np.argmax(bad))
+            for component, factor in degradation.items():
+                if type(factor) is not float and type(factor) is not int:
+                    factor = np.asarray(factor, dtype=np.float64)
+                    if factor.ndim == 1:
+                        shapes.append(factor.shape)
+                factors[component] = factor
+        distinct = set(shapes)
+        distinct.discard(())
+        if len(distinct) == 1:
+            shape = distinct.pop()
+        elif not distinct:
+            shape = (1,)
+        else:
+            try:
+                shape = np.broadcast_shapes(*shapes)
+            except ValueError:
                 raise ConfigurationError(
-                    f"{self.spec.name}: load {channel!r} must be finite "
-                    f"and >= 0, got {float(arr[index])!r} at batch point "
-                    f"{index}"
-                )
-            load_arrays[channel] = arr
-        gates = self._normalize_gates(open_gates, shape)
-        factors = self._normalize_degradation(degradation, shape)
-        return _compile_module().solve_batch_compiled(
-            self, v, load_arrays, gates, factors, shape
+                    f"{name}: batch inputs do not broadcast: "
+                    f"{[tuple(s) for s in shapes]}"
+                ) from None
+        if v.shape != shape:
+            v = np.broadcast_to(v, shape)
+        # Pass 2: validate and build the kernel inputs on the batch shape.
+        size = shape[0]
+        kernel_loads: Dict[str, np.ndarray] = {}
+        for channel, amps in values.items():
+            if isinstance(amps, np.ndarray):
+                arr = amps if amps.shape == shape \
+                    else np.broadcast_to(amps, shape)
+                if size and not (arr.min() >= 0.0
+                                 and arr.max() < math.inf):
+                    bad = ~np.isfinite(arr) | (arr < 0.0)
+                    index = int(np.argmax(bad))
+                    self._reject_load(channel, float(arr[index]), index)
+            else:
+                if size and not 0.0 <= amps < math.inf:
+                    self._reject_load(channel, amps, 0)
+                arr = self._constant_load(channel, amps, shape)
+            kernel_loads[channel] = arr
+        if len(kernel_loads) != len(self._taps):
+            zero = self._constant_load(None, 0.0, shape)
+            for channel in self._taps:
+                kernel_loads.setdefault(channel, zero)
+        compiler = _compile_module()
+        signature, masks = compiler.resolve_gates(self, open_gates, shape)
+        kernel_factors: Dict[str, Any] = {}
+        if factors:
+            self._check_degradation_keys(factors)
+            for component, factor in factors.items():
+                if type(factor) is np.ndarray and factor.ndim:
+                    kernel_factors[component] = factor \
+                        if factor.shape == shape \
+                        else np.broadcast_to(factor, shape)
+                elif float(factor) != 1.0:
+                    kernel_factors[component] = float(factor)
+        return compiler.solve_batch_compiled(
+            self, v, kernel_loads, signature, masks, kernel_factors, shape
         )
 
-    def _normalize_gates(self, open_gates, shape) -> Dict[str, object]:
-        """Gate name -> bool (uniform) or boolean ``(n,)`` mask."""
-        if not isinstance(open_gates, MappingABC):
-            return {gate: True for gate in open_gates}
-        gates: Dict[str, object] = {}
-        for gate, state in open_gates.items():
-            self._require_gate(gate)
-            arr = np.asarray(state)
-            if arr.ndim == 0:
-                gates[gate] = bool(arr)
-            else:
-                gates[gate] = np.broadcast_to(arr.astype(bool), shape)
-        return gates
+    def _reject_load(self, channel: str, amps: float, index: int) -> None:
+        raise ConfigurationError(
+            f"{self.spec.name}: load {channel!r} must be finite and >= 0, "
+            f"got {amps!r} at batch point {index}"
+        )
 
-    def _normalize_degradation(self, degradation, shape) -> Dict[str, object]:
-        """Component name -> scalar factor or ``(n,)`` multiplier array."""
-        if not degradation:
-            return {}
-        self._check_degradation_keys(degradation)
-        factors: Dict[str, object] = {}
-        for name, factor in degradation.items():
-            arr = np.asarray(factor, dtype=np.float64)
-            if arr.ndim == 0:
-                factors[name] = float(arr)
-            else:
-                factors[name] = np.broadcast_to(arr, shape)
-        return factors
+    def _constant_load(self, channel: Optional[str], amps: float,
+                       shape: tuple) -> np.ndarray:
+        """A read-only ``shape`` array of ``amps``.  Constant loads recur
+        every sweep step, so they are cached per graph (capped)."""
+        loads = self._kernels.loads
+        key = (channel, amps, shape)
+        arr = loads.get(key)
+        if arr is None:
+            arr = np.full(shape, amps)
+            arr.flags.writeable = False
+            if len(loads) < 256:
+                loads[key] = arr
+        return arr
 
     def quiescent_current(self, v_source: float) -> float:
         """Standing source draw with zero loads and every gate closed."""

@@ -38,7 +38,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError, ElectricalError
-from ..runner.cache import MemoCache
 
 GND = "gnd"
 VIN = "vin"
@@ -49,14 +48,15 @@ PHASE_2 = 2
 
 _RESIDUAL_TOL = 1e-9
 
-ANALYSIS_CACHE = MemoCache(maxsize=512)
+ANALYSIS_CACHE: Dict[Tuple, "SCAnalysis"] = {}
 """Process-wide memo of solved networks, keyed by circuit signature.
 
 The SSL/FSL analysis is pure linear algebra over the branch lists, so
 identical circuits (however named) share one solution.  Topology sweeps
-and bisections re-analyse the same few networks constantly; the cache's
-hit rate is reported in campaign metrics via ``ANALYSIS_CACHE.stats``.
+and bisections re-analyse the same few networks constantly.  Holds at
+most :data:`_ANALYSIS_CACHE_SIZE` networks; errors are never cached.
 """
+_ANALYSIS_CACHE_SIZE = 512
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,14 +231,20 @@ class SCNetwork:
     # -- analysis -------------------------------------------------------------
 
     def analyze_cached(self) -> SCAnalysis:
-        """Like :meth:`analyze`, memoized on the circuit signature.
+        """Like :meth:`analyze`, cached on the circuit signature.
 
         Safe because :class:`SCAnalysis` is frozen and the signature
         captures every input of the solve.  Use the plain :meth:`analyze`
         when mutating a network between solves within one construction
         scope (nothing in this package does).
         """
-        return ANALYSIS_CACHE.get_or_compute(self.signature(), self.analyze)
+        key = self.signature()
+        analysis = ANALYSIS_CACHE.get(key)
+        if analysis is None:
+            analysis = self.analyze()
+            if len(ANALYSIS_CACHE) < _ANALYSIS_CACHE_SIZE:
+                ANALYSIS_CACHE[key] = analysis
+        return analysis
 
     def analyze(self) -> SCAnalysis:
         """Solve the periodic steady state of the network.

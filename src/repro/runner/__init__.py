@@ -2,7 +2,7 @@
 
 Fan sweep/Monte-Carlo task grids out over a process pool with
 deterministic per-task seeding, chunked dispatch, structured failure
-capture, result memoization, and throughput metrics.  See
+capture, a content-addressed result store, and throughput metrics.  See
 ``docs/RUNNER.md`` for the API and the determinism contract.
 
 This package is infrastructure like ``sim/``: it knows nothing about the
@@ -10,7 +10,6 @@ node models.  Experiment-specific task functions live in
 :mod:`repro.campaigns`.
 """
 
-from .cache import CacheStats, MemoCache, memoize
 from .metrics import CampaignStats
 from .pool import (
     MonteCarlo,
@@ -30,9 +29,7 @@ from .store import (
 )
 
 __all__ = [
-    "CacheStats",
     "CampaignStats",
-    "MemoCache",
     "MonteCarlo",
     "MonteCarloResult",
     "RESULT_CODE_VERSION",
@@ -45,6 +42,5 @@ __all__ = [
     "default_workers",
     "derive_seed",
     "derive_seeds",
-    "memoize",
     "stable_token",
 ]

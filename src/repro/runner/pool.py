@@ -12,8 +12,9 @@ over a ``multiprocessing`` pool with:
 * **structured failure capture** — a task that raises returns a
   :class:`TaskError` record (type, message, traceback) instead of killing
   the campaign; healthy tasks complete and the caller decides;
-* **result memoization** — an optional :class:`~repro.runner.cache.MemoCache`
-  answers repeated ``(params, seed)`` tasks without recomputation;
+* **result reuse** — an optional :class:`~repro.runner.store.ResultStore`
+  answers repeated ``(params, seed)`` tasks without recomputation, from
+  memory or from disk;
 * **metrics** — a :class:`~repro.runner.metrics.CampaignStats` with
   throughput, parallel speedup, and cache hit rate.
 
@@ -38,7 +39,6 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignError, ConfigurationError
-from .cache import MemoCache
 from .store import ResultStore
 from .metrics import CampaignStats
 from .seeding import derive_seed
@@ -159,7 +159,6 @@ class Sweep:
         chunk_size: Optional[int] = None,
         base_seed: Optional[int] = None,
         seed_salt: str = "",
-        cache: Optional[MemoCache] = None,
         store: Optional["ResultStore"] = None,
         simulated_s_of: Optional[Callable[[Any], float]] = None,
     ) -> None:
@@ -173,7 +172,6 @@ class Sweep:
         self.chunk_size = chunk_size
         self.base_seed = base_seed
         self.seed_salt = seed_salt
-        self.cache = cache
         self.store = store
         self.simulated_s_of = simulated_s_of
 
@@ -255,17 +253,6 @@ class Sweep:
         # latency from uneven task durations.
         return max(1, math.ceil(task_count / (self.workers * 4)))
 
-    def _cache_key(self, spec: Tuple):
-        index, params, seed = spec
-        try:
-            hash(params)
-        except TypeError:
-            raise ConfigurationError(
-                f"sweep {self.name!r}: cached campaigns need hashable "
-                f"params, got {type(params).__name__}"
-            )
-        return (self.name, params, seed)
-
     def _store_key(self, spec: Tuple) -> str:
         _, params, seed = spec
         return self.store.key((self.name, params), schedule=seed)
@@ -275,8 +262,6 @@ class Sweep:
         value = None
         if self.store is not None:
             hit, value = self.store.get(self._store_key(spec))
-        if not hit and self.cache is not None:
-            hit, value = self.cache.peek(self._cache_key(spec))
         if not hit:
             return False, None
         index, params, seed = spec
@@ -291,13 +276,10 @@ class Sweep:
         )
 
     def _cache_store(self, record: TaskRecord) -> None:
-        if not record.ok:
+        if not record.ok or self.store is None:
             return
         spec = (record.index, record.params, record.seed)
-        if self.store is not None:
-            self.store.put(self._store_key(spec), record.value)
-        if self.cache is not None:
-            self.cache.put(self._cache_key(spec), record.value)
+        self.store.put(self._store_key(spec), record.value)
 
     def _simulated_s(self, records: List[TaskRecord]) -> float:
         if self.simulated_s_of is None:

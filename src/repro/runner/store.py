@@ -1,8 +1,8 @@
 """Content-addressed, disk-backed result store for campaign tasks.
 
-:class:`~repro.runner.cache.MemoCache` makes a repeated lookup free
-*within* one process; the :class:`ResultStore` promotes that to "free
-across processes and users".  Every entry is addressed by a content hash
+A :class:`ResultStore` makes a repeated campaign task free: from its
+memory layer within one process, and from disk across processes and
+users.  Every entry is addressed by a content hash
 of ``(config, schedule, code version)``:
 
 * **config hash** — a canonical token of the task's parameters (floats

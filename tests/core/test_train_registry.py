@@ -80,6 +80,16 @@ def test_component_degradation_validates_name_and_factor():
         train.set_component_degradation("tps60313", 0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_component_degradation_rejects_non_finite_factors(bad):
+    train = make_power_train("cots")
+    with pytest.raises(ConfigurationError,
+                       match="degradation factor for 'tps60313' must be "
+                             "finite"):
+        train.set_component_degradation("tps60313", bad)
+    assert train.component_degradations() == {}
+
+
 def test_component_degradation_raises_draw_and_heals():
     train = make_power_train("cots")
     loads = LoadState(i_mcu=0.7e-6, i_sensor=0.3e-6)

@@ -56,6 +56,42 @@ class TestEventValidation:
         assert not event.active_at(9.999)
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: ``(event class, field)`` for every time and severity a fault carries.
+NUMERIC_FIELDS = [
+    (cls, field)
+    for cls in (HarvesterDropout, SelfDischargeSpike, EsrDrift,
+                ConverterDegradation, ChannelNoiseBurst, SpuriousReset)
+    for field in ("start_s", "duration_s")
+] + [
+    (HarvesterDropout, "derating"),
+    (SelfDischargeSpike, "multiplier"),
+    (EsrDrift, "multiplier"),
+    (ConverterDegradation, "loss_factor"),
+    (ChannelNoiseBurst, "flip_probability"),
+]
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls, field", NUMERIC_FIELDS,
+    ids=[f"{cls.__name__}.{field}" for cls, field in NUMERIC_FIELDS])
+def test_non_finite_fault_values_rejected_at_construction(cls, field, bad):
+    """A NaN or infinite time or severity raises when the event is built
+    (directly or from a schedule's dicts), never mid-run."""
+    row = {"start_s": 10.0, "duration_s": 30.0, field: bad}
+    if cls is SpuriousReset and field == "start_s":
+        row["duration_s"] = 0.0
+    if cls is ConverterDegradation:
+        row["component"] = "tps60313"
+    with pytest.raises(ConfigurationError, match=field):
+        cls(**row)
+    kind = next(kind for kind, known in EVENT_KINDS.items() if known is cls)
+    with pytest.raises(ConfigurationError, match=field):
+        FaultSchedule.from_dicts([{"kind": kind, **row}])
+
+
 class TestFaultSchedule:
     def test_sorts_by_start_time(self):
         late = HarvesterDropout(100.0, 10.0)

@@ -22,12 +22,11 @@ from repro.power.compile import (
     KernelUnsupported,
     clear_kernel_cache,
     compiled_kernel_for,
-    gate_signature,
     generate_kernel_source,
     kernel_metrics,
     kernel_source,
     reset_kernel_metrics,
-    solve_batch_fast,
+    resolve_gates,
 )
 from repro.power.graph import RailGraph
 from repro.power.rail_topologies import (
@@ -388,11 +387,22 @@ def test_scalar_fallback_is_counted_and_never_touches_kernels():
 def test_gate_signature_resolves_states():
     graph = RailGraph(get_rail_spec("cots"))
     mask = np.zeros(N_POINTS, dtype=bool)
-    assert gate_signature(graph, {}) == ((RADIO_GATE, GATE_CLOSED),)
-    assert gate_signature(graph, {RADIO_GATE: True}) == (
-        (RADIO_GATE, GATE_OPEN),)
-    assert gate_signature(graph, {RADIO_GATE: mask}) == (
-        (RADIO_GATE, GATE_MASK),)
+    closed = ((RADIO_GATE, GATE_CLOSED),)
+    opened = ((RADIO_GATE, GATE_OPEN),)
+    assert resolve_gates(graph, {}) == (closed, {})
+    assert resolve_gates(graph, frozenset()) == (closed, {})
+    assert resolve_gates(graph, {RADIO_GATE: True}) == (opened, {})
+    assert resolve_gates(graph, {RADIO_GATE: np.bool_(True)}) == (opened, {})
+    # Names in a collection are inert unless the graph defines them.
+    assert resolve_gates(graph, ["junk", RADIO_GATE]) == (opened, {})
+    signature, masks = resolve_gates(graph, {RADIO_GATE: mask})
+    assert signature == ((RADIO_GATE, GATE_MASK),)
+    assert masks[RADIO_GATE] is mask
+    # Masks of other forms become booleans on the batch shape.
+    signature, masks = resolve_gates(graph, {RADIO_GATE: [1]}, (3,))
+    assert masks[RADIO_GATE].tolist() == [True, True, True]
+    with pytest.raises(ConfigurationError, match="no gate group 'warp'"):
+        resolve_gates(graph, {"warp": True})
 
 
 def test_kernel_source_is_deterministic_across_instances():
@@ -423,7 +433,7 @@ def test_unsupported_converter_type_reports_and_falls_back():
 
     graph = RailGraph(get_rail_spec("cots"))
     name, converter = next(iter(graph._converters.items()))
-    signature = gate_signature(graph, {})
+    signature = resolve_gates(graph, {})[0]
     original = graph._plan[name]
     gate, leak, (tag, (v_out, _conv)) = original
     graph._plan[name] = (gate, leak, (tag, (v_out, Mystery())))
@@ -445,22 +455,174 @@ def test_unsupported_converter_type_reports_and_falls_back():
     assert kernel_metrics().kernel_solves == 0
 
 
-def test_fast_path_declines_exotic_inputs_but_results_match():
-    """List loads, float32 axes, 2-D axes: the whole-call fast path must
-    decline (returning None) and the generic path still answers or
-    raises exactly as before."""
-    graph = RailGraph(get_rail_spec("cots"))
+# -- solve_batch input forms: one prologue, the scalar loop's answers ---------
+
+
+def _accepted_forms():
+    """``(id, call, reference)``: ``solve_batch`` keyword arguments and,
+    where they differ, the same points spelled for the scalar loop."""
+    rng = np.random.default_rng(3)
+    loads = _batch_loads(rng)
+    mask = rng.random(N_POINTS) < 0.5
+    factor = 1.0 + rng.random(N_POINTS) * 0.2
     v32 = V_GRID.astype(np.float32)
-    assert solve_batch_fast(graph, v32, {"mcu": 1e-6},
-                            frozenset(), None) is None
-    assert solve_batch_fast(graph, V_GRID, {"mcu": [1e-6] * N_POINTS},
-                            frozenset(), None) is None
-    assert solve_batch_fast(graph, V_GRID, {"mcu": 1e-6},
-                            {"radio": object()}, None) is None
-    # The public entry point still solves them (list loads broadcast).
-    _assert_matches_scalar(
-        graph.solve_batch(V_GRID, {"mcu": [1e-6] * N_POINTS}),
-        scalar_loop(graph, V_GRID, {"mcu": 1e-6}))
+    return [
+        ("float-loads", dict(loads={"mcu": 7e-7, "sensor": 3e-7}), None),
+        ("int-loads", dict(loads={"mcu": 0, "sensor": 3e-7}), None),
+        ("array-loads", dict(loads=loads, open_gates={RADIO_GATE}), None),
+        ("list-loads", dict(loads={"mcu": list(loads["mcu"])}),
+         dict(loads={"mcu": loads["mcu"]})),
+        ("np-float64-loads", dict(loads={"mcu": np.float64(1e-6)}), None),
+        ("0d-loads", dict(loads={"mcu": np.array(1e-6)}),
+         dict(loads={"mcu": 1e-6})),
+        ("length-1-load", dict(loads={"mcu": np.array([1e-6])}),
+         dict(loads={"mcu": 1e-6})),
+        ("float32-voltage", dict(v=v32, loads={"mcu": 1e-6}),
+         dict(v=v32.astype(np.float64), loads={"mcu": 1e-6})),
+        ("0d-voltage", dict(v=np.array(1.3), loads=loads,
+                            open_gates={RADIO_GATE}),
+         dict(v=np.full(N_POINTS, 1.3), loads=loads,
+              open_gates={RADIO_GATE})),
+        ("np-float64-voltage", dict(v=np.float64(1.3), loads={"mcu": 1e-6}),
+         dict(v=1.3, loads={"mcu": 1e-6})),
+        ("set-gates-with-junk",
+         dict(loads=loads, open_gates={RADIO_GATE, "junk"}), None),
+        ("list-gates", dict(loads=loads, open_gates=[RADIO_GATE]), None),
+        ("bool-gate", dict(loads=loads, open_gates={RADIO_GATE: True}),
+         None),
+        ("np-bool-gate", dict(loads={"mcu": 1e-6},
+                              open_gates={RADIO_GATE: np.bool_(False)}),
+         None),
+        ("int-gate", dict(loads=loads, open_gates={RADIO_GATE: 1}), None),
+        ("mask-gate", dict(loads=loads, open_gates={RADIO_GATE: mask}),
+         None),
+        ("int-mask-gate", dict(loads=loads, open_gates={
+            RADIO_GATE: mask.astype(int)}), None),
+        ("list-mask-gate", dict(loads=loads, open_gates={
+            RADIO_GATE: list(mask)}), None),
+        ("scalar-degradation", dict(loads={"mcu": 1e-6}, degradation={
+            "mcu-tap": 1.25, "tps60313": 2, "sensor-tap": 1.0}), None),
+        ("np-float64-degradation", dict(loads={"mcu": 1e-6}, degradation={
+            "tps60313": np.float64(1.5)}), None),
+        ("array-degradation", dict(loads=loads, open_gates={RADIO_GATE},
+                                   degradation={"radio-rf-tap": factor}),
+         None),
+        ("list-degradation", dict(loads={"mcu": 1e-6}, degradation={
+            "mcu-tap": list(factor)}),
+         dict(loads={"mcu": 1e-6}, degradation={"mcu-tap": factor})),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, reference",
+    [pytest.param(call, ref, id=name) for name, call, ref in
+     _accepted_forms()],
+)
+def test_solve_batch_accepted_input_forms_match_the_scalar_loop(call,
+                                                               reference):
+    """Every accepted input form, first call (verified) and second call
+    (a promoted kernel), is the scalar loop's answer bit for bit."""
+    graph = RailGraph(get_rail_spec("cots"))
+    reference = dict(reference or call)
+    expected = scalar_loop(graph, reference.pop("v", V_GRID),
+                           reference.pop("loads"),
+                           reference.get("open_gates", frozenset()),
+                           reference.get("degradation"))
+    call = dict(call)
+    v = call.pop("v", V_GRID)
+    for _ in range(2):
+        _assert_matches_scalar(graph.solve_batch(v, **call), expected)
+    assert kernel_metrics().fallbacks == 0
+    assert kernel_metrics().kernel_solves == 2
+
+
+_NAN_AT_40 = np.full(N_POINTS, 1e-6)
+_NAN_AT_40[40] = np.nan
+_NEGATIVE_AT_3 = np.full(N_POINTS, 1e-6)
+_NEGATIVE_AT_3[3] = -2e-6
+_INF_AT_200 = np.full(N_POINTS, 1e-6)
+_INF_AT_200[200] = np.inf
+
+#: ``(id, call, error type, message)``; the messages are literal, so a
+#: change to any of them shows here.
+_REJECTED_FORMS = [
+    ("2d-voltage", dict(v=V_GRID.reshape(1, -1), loads={"mcu": 1e-6}),
+     ConfigurationError, "cots-power-train: v_source must be a scalar or a "
+     "1-D batch, got shape (1, 257)"),
+    ("2d-load", dict(loads={"mcu": np.zeros((2, N_POINTS))}),
+     ConfigurationError, "cots-power-train: load 'mcu' must be a scalar or "
+     "a 1-D batch, got shape (2, 257)"),
+    ("load-shape", dict(loads={"mcu": np.zeros(N_POINTS + 3)}),
+     ConfigurationError,
+     "cots-power-train: batch inputs do not broadcast: [(257,), (260,)]"),
+    ("mask-shape", dict(loads={"mcu": 1e-6}, open_gates={
+        RADIO_GATE: np.ones(N_POINTS - 1, dtype=bool)}),
+     ConfigurationError, "cots-power-train: batch inputs do not "
+     "broadcast: [(257,), (), (256,)]"),
+    ("degradation-shape", dict(loads={"mcu": 1e-6}, degradation={
+        "mcu-tap": np.ones(2)}),
+     ConfigurationError, "cots-power-train: batch inputs do not "
+     "broadcast: [(257,), (), (2,)]"),
+    ("unknown-channel", dict(loads={"flux-capacitor": 1e-6}),
+     ConfigurationError,
+     "cots-power-train: load on untapped channel 'flux-capacitor'"),
+    ("unknown-gate", dict(loads={"mcu": 1e-6}, open_gates={"warp": True}),
+     ConfigurationError,
+     "cots-power-train: no gate group 'warp'; gates: radio"),
+    ("unknown-component", dict(loads={"mcu": 1e-6},
+                               degradation={"nonesuch": 1.5}),
+     ConfigurationError, "cots-power-train: no component 'nonesuch' to "
+     "degrade; components: battery, tps60313, mcu-tap, sensor-tap, "
+     "radio-digital-shunt, radio-digital-tap, ldo-input-switch, lt3020, "
+     "radio-rf-tap"),
+    ("nan-scalar-load", dict(loads={"mcu": float("nan")}),
+     ConfigurationError, "cots-power-train: load 'mcu' must be finite and "
+     ">= 0, got nan at batch point 0"),
+    ("nan-np-float64-load", dict(loads={"sensor": np.float64("nan")}),
+     ConfigurationError, "cots-power-train: load 'sensor' must be finite "
+     "and >= 0, got nan at batch point 0"),
+    ("negative-scalar-load", dict(loads={"mcu": -1e-6}),
+     ConfigurationError, "cots-power-train: load 'mcu' must be finite and "
+     ">= 0, got -1e-06 at batch point 0"),
+    ("inf-scalar-load", dict(loads={"mcu": float("inf")}),
+     ConfigurationError, "cots-power-train: load 'mcu' must be finite and "
+     ">= 0, got inf at batch point 0"),
+    ("nan-array-load", dict(loads={"mcu": 1e-6, "sensor": _NAN_AT_40}),
+     ConfigurationError, "cots-power-train: load 'sensor' must be finite "
+     "and >= 0, got nan at batch point 40"),
+    ("negative-array-load", dict(loads={"mcu": _NEGATIVE_AT_3}),
+     ConfigurationError, "cots-power-train: load 'mcu' must be finite and "
+     ">= 0, got -2e-06 at batch point 3"),
+    ("inf-array-load", dict(loads={"mcu": _INF_AT_200}),
+     ConfigurationError, "cots-power-train: load 'mcu' must be finite and "
+     ">= 0, got inf at batch point 200"),
+    ("negative-list-load", dict(loads={
+        "mcu": [1e-6, -1.0] + [0.0] * (N_POINTS - 2)}),
+     ConfigurationError, "cots-power-train: load 'mcu' must be finite and "
+     ">= 0, got -1.0 at batch point 1"),
+    ("nan-voltage", dict(v=np.full(N_POINTS, np.nan), loads={"mcu": 1e-6}),
+     ElectricalError, "tps60313: voltage nan V outside [0.900, 1.800] V"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [pytest.param(call, error, message, id=name)
+     for name, call, error, message in _REJECTED_FORMS],
+)
+def test_solve_batch_rejected_input_forms_raise_the_same_error(
+        call, error, message):
+    """Each rejected form raises one type and message, whether the
+    graph's kernel is cold or already promoted."""
+    graph = RailGraph(get_rail_spec("cots"))
+    call = dict(call)
+    v = call.pop("v", V_GRID)
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            graph.solve_batch(v, **call)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+        graph.solve_batch(V_GRID, {"mcu": 1e-6})  # promote the kernel
 
 
 def test_scalar_voltage_still_works_compiled():
@@ -508,7 +670,7 @@ def test_results_never_live_in_the_workspace(kind, state):
     first = graph.solve_batch(V_GRID, loads, open_gates=gates)
     kept = [first.i_source.copy()] + [
         np.array(amps) for amps in first.component_i_in.values()]
-    work = kernel_compile._WORKSPACES[graph][(N_POINTS,)]
+    work = graph._kernels.workspaces[(N_POINTS,)]
     sizes = (len(work.floats), len(work.bools))
     second = graph.solve_batch(V_GRID[::-1].copy(), loads, open_gates=gates)
     assert (len(work.floats), len(work.bools)) == sizes
@@ -528,7 +690,7 @@ def test_workspaces_keep_a_few_shapes_per_graph():
     graph = RailGraph(get_rail_spec("cots"))
     for size in range(1, 10):
         graph.solve_batch(np.full(size, 1.25), {"mcu": 1e-6})
-    shapes = kernel_compile._WORKSPACES[graph]
+    shapes = graph._kernels.workspaces
     assert list(shapes) == [(size,) for size in range(10 - len(shapes), 10)]
     assert len(shapes) == kernel_compile._WORKSPACE_SHAPES
 

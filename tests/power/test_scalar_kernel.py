@@ -259,9 +259,13 @@ def test_gate_collections_and_junk_gate_names_behave_like_the_walk():
 def test_clear_kernel_cache_empties_per_graph_caches():
     graph = RailGraph(get_rail_spec("cots"))
     graph.solve(1.25, TX_LOADS, RADIO)
-    assert graph._float_kernels
+    graph.solve_batch([1.25] * 4, TX_LOADS, RADIO)
+    table = graph._kernels
+    assert table.floats and table.batches and table.loads \
+        and table.workspaces
     clear_kernel_cache()
-    assert not graph._float_kernels
+    assert not (table.floats or table.batches or table.loads
+                or table.workspaces)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +316,15 @@ def test_pickled_train_carries_no_kernels_and_solves_the_same():
     train = make_power_train("cots")
     train.enable_radio()
     served = [train.solve(1.25, loads) for loads in TRAIN_LOADS]
-    assert train.graph._float_kernels
+    assert train.graph._kernels.floats
     # exec'd kernels cannot pickle at all, so dumps succeeding is the
-    # evidence; the graph's state carries an empty cache.
-    assert train.graph.__getstate__()["_float_kernels"] == {}
+    # evidence; the graph's state carries no kernel table.
+    assert "_kernels" not in train.graph.__getstate__()
     clone = pickle.loads(pickle.dumps(train))
-    assert clone.graph._float_kernels == {}
+    assert not clone.graph._kernels.floats
     assert [clone.solve(1.25, loads) for loads in TRAIN_LOADS] == served
-    assert train.graph._float_kernels  # the original keeps its cache
+    assert clone.graph._kernels.floats  # the clone fills its own table
+    assert train.graph._kernels.floats  # the original keeps its table
 
 
 def test_checkpoint_restore_then_solve_equals_the_walk():

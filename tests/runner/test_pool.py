@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.errors import CampaignError, ConfigurationError
-from repro.runner import MonteCarlo, Sweep
+from repro.runner import MonteCarlo, ResultStore, Sweep
 
 
 def square(params):
@@ -135,11 +135,9 @@ def test_parallel_failure_capture_does_not_kill_pool():
 # -- memoization --------------------------------------------------------------
 
 
-def test_result_cache_answers_second_run():
-    from repro.runner import MemoCache
-
-    cache = MemoCache()
-    sweep = Sweep(square, name="sq", workers=1, cache=cache)
+def test_result_cache_answers_second_run(tmp_path):
+    sweep = Sweep(square, name="sq", workers=1,
+                  store=ResultStore(str(tmp_path)))
     first = sweep.run([2, 3])
     assert first.stats.cache_hits == 0
     second = sweep.run([2, 3, 4])
@@ -150,23 +148,14 @@ def test_result_cache_answers_second_run():
     assert all(r.duration_s == 0.0 for r in cached)
 
 
-def test_failed_tasks_are_not_cached():
-    from repro.runner import MemoCache
-
-    cache = MemoCache()
-    sweep = Sweep(fail_on_negative, name="neg", workers=1, cache=cache)
+def test_failed_tasks_are_not_cached(tmp_path):
+    store = ResultStore(str(tmp_path))
+    sweep = Sweep(fail_on_negative, name="neg", workers=1, store=store)
     sweep.run([-1])
-    assert len(cache) == 0
+    assert store.stats.entries == 0
+    assert list(tmp_path.iterdir()) == []
     again = sweep.run([-1])
     assert again.stats.cache_hits == 0
-
-
-def test_unhashable_params_with_cache_rejected():
-    from repro.runner import MemoCache
-
-    sweep = Sweep(square, workers=1, cache=MemoCache())
-    with pytest.raises(ConfigurationError):
-        sweep.run([[1, 2]])
 
 
 # -- metrics -----------------------------------------------------
