@@ -2,8 +2,9 @@
 
 Every stepped wake cycle of a node goes through the same few layers:
 engine dispatch of a process resume, ``PicoCube._update`` (one cell read,
-two scalar solves, five recorder writes), the recorder itself, and the
-frame bits of the packet on air.  Timing each alone shows which layer a
+a battery-current pass and one scalar solve, a recorder write for
+power management and for each subsystem whose power changed), the
+recorder itself, and the frame bits of the packet on air.  Timing each alone shows which layer a
 change to the end-to-end node numbers came from.
 """
 
@@ -48,7 +49,7 @@ def test_perf_node_update(benchmark):
 
 
 def test_perf_recorder_five_records(benchmark):
-    """The five channel writes one ``_update`` makes, at one instant."""
+    """Five channel writes at one instant: the most one ``_update`` makes."""
     engine = Engine()
     recorder = PowerRecorder(engine)
     channels = ("mcu", "sensor", "radio-digital", "radio-rf", "power-management")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from ..errors import ConfigurationError
 from ..power.rail_topologies import rail_topology_names
@@ -60,6 +61,15 @@ class NodeConfig:
     ff_charge_quantum: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN passes every ``< 0`` / ``<= 0`` test below, and inf runs
+        # with zero air time or never lets a snapshot hash: reject both.
+        for field in dataclasses.fields(self):
+            if field.type in ("float", float):
+                value = getattr(self, field.name)
+                if not math.isfinite(value):
+                    raise ConfigurationError(
+                        f"{field.name} must be finite, got {value!r}"
+                    )
         if not 0 <= self.node_id <= 255:
             raise ConfigurationError(f"node_id {self.node_id} outside one byte")
         if self.power_train not in rail_topology_names():

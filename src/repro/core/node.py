@@ -19,7 +19,7 @@ and the whole tire-pressure day simulates in milliseconds.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, ElectricalError, SimulationError
 from ..mcu import Mode, Msp430, SpiMaster, motion_firmware, tpms_firmware
@@ -103,6 +103,9 @@ class PicoCube:
         self._i_radio_rf = 0.0
         # Battery integration state.
         self._i_battery = 0.0
+        # The subsystem watts _update last recorded, by channel; cleared
+        # wherever anything else writes or replaces those traces.
+        self._recorded_watts: Dict[str, float] = {}
         self._last_battery_sync = self.engine.now
         self._last_env_update = self.engine.now
         # Bookkeeping.
@@ -183,24 +186,33 @@ class PicoCube:
         loads = self._loads()
         # One fixed-point pass on the terminal voltage: NiMH sag is small
         # at microamp-to-milliamp loads, so one iteration converges.  The
-        # cell does not change between the two solves, so it is read once
-        # and both sags are ``terminal_voltage``'s own ``ocv - i * r``.
+        # first pass needs only the battery current; the second is the
+        # full solve.  The cell does not change between them, so it is
+        # read once and both sags are ``terminal_voltage``'s own
+        # ``ocv - i * r``.
         try:
             ocv = self.battery.open_circuit_voltage()
             resistance = self.battery.internal_resistance()
-            solution = self.train.solve(ocv - self._i_battery * resistance, loads)
-            solution = self.train.solve(
-                ocv - solution.i_battery * resistance, loads
+            i_battery = self.train.battery_current(
+                ocv - self._i_battery * resistance, loads.i_mcu,
+                loads.i_sensor, loads.i_radio_digital, loads.i_radio_rf,
             )
+            solution = self.train.solve(ocv - i_battery * resistance, loads)
         except ElectricalError:
             # The sagging battery fell out of the power train's operating
             # range: the management circuitry drops out — a brownout.
             self._enter_brownout(self.engine.now)
             return
         self._i_battery = solution.i_battery
+        # Re-recording a channel's current value changes no trace, so
+        # only the subsystems whose power moved are written.
+        recorded = self._recorded_watts
+        record = self.recorder.record
         for channel, watts in solution.subsystem_power.items():
-            self.recorder.record(channel, watts)
-        self.recorder.record("power-management", solution.p_management)
+            if recorded.get(channel) != watts:
+                record(channel, watts)
+                recorded[channel] = watts
+        record("power-management", solution.p_management)
 
     def _sync_battery(self) -> None:
         """Integrate the battery drain since the last event.
@@ -245,6 +257,7 @@ class PicoCube:
                         "power-management"):
             if self.recorder.has_channel(channel):
                 self.recorder.record(channel, 0.0)
+        self._recorded_watts.clear()
         if self.config.brownout_recovery:
             self._arm_recovery_supervisor()
 

@@ -131,6 +131,12 @@ class PowerTrain(abc.ABC):
     def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:
         """Quasi-static battery draw for a load state."""
 
+    @abc.abstractmethod
+    def battery_current(self, v_battery: float, i_mcu: float,
+                        i_sensor: float, i_radio_digital: float,
+                        i_radio_rf: float) -> float:
+        """:meth:`solve`'s ``i_battery`` alone, on validated currents."""
+
     @property
     def loss_factor(self) -> float:
         """Battery-current multiplier modelling converter degradation."""
@@ -168,14 +174,6 @@ class PowerTrain(abc.ABC):
     def disable_radio(self) -> None:
         """Gate the radio supplies off (after a transmission)."""
         self.radio_enabled = False
-
-    def _check_radio_load(self, loads: LoadState) -> None:
-        if not self.radio_enabled and (
-            loads.i_radio_digital > 0.0 or loads.i_radio_rf > 0.0
-        ):
-            raise ElectricalError(
-                f"{self.name}: radio load with its supplies gated off"
-            )
 
 
 class GraphPowerTrain(PowerTrain):
@@ -281,22 +279,41 @@ class GraphPowerTrain(PowerTrain):
             degradation=self._component_degradations,
         )
 
-    def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:
-        # The node's hot path (twice per PicoCube._update): LoadState has
-        # validated the four currents, so they go straight to the graph's
-        # point solve with no loads dict and no GraphSolution.
-        if not self.radio_enabled:
-            self._check_radio_load(loads)
+    def battery_current(self, v_battery: float, i_mcu: float,
+                        i_sensor: float, i_radio_digital: float,
+                        i_radio_rf: float) -> float:
+        """Battery-side current of one solve, amperes: :meth:`solve`'s
+        ``i_battery`` with no :class:`TrainSolution` built.
+
+        The node's first fixed-point pass needs only this number, and
+        :meth:`solve` takes its own from here, errors included (radio
+        load while gated, unknown degradation key, envelope).  The
+        currents must already be validated, as a :class:`LoadState` is.
+        """
+        if not self.radio_enabled and (
+            i_radio_digital > 0.0 or i_radio_rf > 0.0
+        ):
+            raise ElectricalError(
+                f"{self.name}: radio load with its supplies gated off"
+            )
         degradation = self._component_degradations
         if degradation:
             self.graph._check_degradation_keys(degradation)
-        i_mcu, i_sensor = loads.i_mcu, loads.i_sensor
-        i_digital, i_rf = loads.i_radio_digital, loads.i_radio_rf
         i_battery = self.graph._solve_currents(
-            v_battery, i_mcu, i_sensor, i_digital, i_rf, self._open_gates,
-            degradation)[1][0]
+            v_battery, i_mcu, i_sensor, i_radio_digital, i_radio_rf,
+            self._open_gates, degradation)[1][0]
         if self._loss_factor != 1.0:
             i_battery = i_battery * self._loss_factor
+        return i_battery
+
+    def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:
+        # The node's second fixed-point pass: LoadState has validated the
+        # four currents, so they go straight to the graph's point solve
+        # with no loads dict and no GraphSolution.
+        i_mcu, i_sensor = loads.i_mcu, loads.i_sensor
+        i_digital, i_rf = loads.i_radio_digital, loads.i_radio_rf
+        i_battery = self.battery_current(
+            v_battery, i_mcu, i_sensor, i_digital, i_rf)
         v_mcu, v_sensor, v_digital, v_rf = self._tap_v
         return TrainSolution(v_battery, i_battery, v_mcu, {
             "mcu": v_mcu * i_mcu, "sensor": v_sensor * i_sensor,

@@ -76,6 +76,7 @@ PARITY_MIRRORS = {
     ),
     "_CohortMachine._solve_update": (
         "repro.core.node:PicoCube._update",
+        "repro.core.power_train:GraphPowerTrain.battery_current",
         "repro.core.power_train:TrainSolution.p_management",
     ),
 }

@@ -499,6 +499,8 @@ def _restore_node_state(node, state: NodeState) -> None:
             for name, trace_state in state.traces.items()
         }
     )
+    # The fresh node's construction-time writes went with its old traces.
+    node._recorded_watts.clear()
 
 
 def _ensure_timers(node, state: NodeState) -> Dict[str, tuple]:
@@ -759,8 +761,7 @@ def node_fingerprint(node) -> Dict[str, Any]:
 
     Every float is rendered with ``float.hex`` so two fingerprints
     compare equal **iff** the runs are bit-identical — the assertion at
-    the heart of the checkpoint test suite and the service's resume
-    verification.
+    the heart of the checkpoint test suite.
     """
 
     def fhex(value: float) -> str:

@@ -78,6 +78,12 @@ class NiMHCell(EnergyStorage):
         self.r_internal_mid = r_internal
         self.self_discharge_per_month = self_discharge_per_month
         self.ocv_curve = curve
+        # Per segment, what open_circuit_voltage needs from the curve:
+        # (upper soc, lower soc, lower volts, soc width, volt rise).
+        self._ocv_segments = tuple(
+            (s1, s0, v0, s1 - s0, v1 - v0)
+            for (s0, v0), (s1, v1) in zip(curve, curve[1:])
+        )
         self.overcharge_heat_joules = 0.0
         self.temperature_c = 25.0
         # Fault-injection knobs (repro.faults): 1.0 means healthy.
@@ -143,12 +149,10 @@ class NiMHCell(EnergyStorage):
 
     def open_circuit_voltage(self) -> float:
         soc = self.soc
-        curve = self.ocv_curve
-        for (s0, v0), (s1, v1) in zip(curve, curve[1:]):
+        for s1, s0, v0, width, rise in self._ocv_segments:
             if soc <= s1:
-                frac = (soc - s0) / (s1 - s0)
-                return v0 + frac * (v1 - v0)
-        return curve[-1][1]
+                return v0 + (soc - s0) / width * rise
+        return self.ocv_curve[-1][1]
 
     def internal_resistance(self) -> float:
         # Resistance climbs as the cell empties (electrolyte depletion)

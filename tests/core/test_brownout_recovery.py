@@ -73,6 +73,22 @@ class TestRecoveryScenario:
         assert 0.0 < audit.availability < 1.0
         assert "brownouts" in audit.format_table()
 
+    def test_channel_energies_match_pinned_float_hex(self, stormy_node):
+        """The storm's per-channel energies, bit for bit.  A brownout
+        lands mid-transmission and zeroes every channel, so the restart
+        must rewrite loads equal to the ones recorded before it."""
+        energies = {
+            name: stormy_node.recorder.energy(name).hex()
+            for name in stormy_node.recorder.channel_names()
+        }
+        assert energies == {
+            "mcu": "0x1.5767cf594f02dp-7",
+            "power-management": "0x1.d603e15625d5fp-7",
+            "radio-digital": "0x1.21be759432604p-14",
+            "radio-rf": "0x1.c42a4b615dfbap-12",
+            "sensor": "0x1.d0189c13d6e46p-7",
+        }
+
     def test_outage_property_matches_audit(self, stormy_node):
         assert stormy_node.outage_s == pytest.approx(
             audit_node(stormy_node).outage_s

@@ -1,5 +1,7 @@
 """Integration tests for the PicoCube node."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -27,6 +29,34 @@ def test_config_validation():
         NodeConfig(fidelity="cinematic")
     with pytest.raises(ConfigurationError):
         NodeConfig(node_id=999)
+
+
+NODE_CONFIG_FLOAT_FIELDS = (
+    "bit_rate", "mcu_clock_hz", "pa_sequencing_delay_s",
+    "motion_sample_interval_s", "recovery_voltage_v",
+    "recovery_check_period_s", "ff_charge_quantum",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", NODE_CONFIG_FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(field, value):
+    """NaN passes every sign check and inf runs on (``bit_rate=inf``
+    transmits in zero air time), so both fail at construction."""
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+        NodeConfig(**{field: value})
+
+
+def test_config_negative_value_messages_unchanged():
+    with pytest.raises(ConfigurationError,
+                       match="bit_rate and mcu_clock_hz must be positive"):
+        NodeConfig(bit_rate=-1.0)
+    with pytest.raises(ConfigurationError,
+                       match="invalid timing configuration"):
+        NodeConfig(pa_sequencing_delay_s=-1e-6)
+    with pytest.raises(ConfigurationError,
+                       match="ff_charge_quantum must be >= 0"):
+        NodeConfig(ff_charge_quantum=-1.0)
 
 
 def test_tpms_node_samples_every_six_seconds():

@@ -15,6 +15,7 @@ import pytest
 from repro.campaigns import chaos_task
 from repro.core import NodeConfig, PicoCube, build_steady_tpms_node
 from repro.errors import CheckpointError, ConfigurationError, SimulationError
+from repro.faults import FaultInjector, FaultSchedule, HarvesterDropout
 from repro.sim import checkpoint as cp
 from repro.storage import NiMHCell
 
@@ -420,5 +421,58 @@ def test_brownout_recovery_round_trips():
     )
     assert cp.node_fingerprint(node) == expected
     for checkpoint in saved:
+        resumed, _ = cp.resume_run(checkpoint)
+        assert cp.node_fingerprint(resumed) == expected
+
+
+def test_resume_from_a_mid_run_brownout_is_bit_identical():
+    """Checkpoints taken while a node that had been running is browned
+    out: its traces hold zeros, unlike a fresh node's, and the restart
+    after the resume must record its loads as the uninterrupted run does."""
+
+    def build(params):
+        cell = NiMHCell(capacity_mah=0.1)
+        cell.set_soc(0.12)
+        config = NodeConfig(
+            brownout_recovery=True,
+            recovery_voltage_v=1.19,
+            recovery_check_period_s=30.0,
+        )
+        node = PicoCube(config, battery=cell)
+        node.attach_charger(lambda t: 10e-6, update_period_s=60.0)
+        injector = FaultInjector(node, FaultSchedule(
+            [HarvesterDropout(start_s=600.0, duration_s=4800.0)]
+        ))
+        injector.arm()
+        return node, injector
+
+    try:
+        cp.register_scenario("test-dropout-brownout", build)
+    except ConfigurationError:
+        pass
+
+    duration = 3 * 3600.0
+    plain, _ = build({})
+    plain.run_until_time(duration)
+    expected = cp.node_fingerprint(plain)
+    (event,) = plain.brownout_events
+    assert 0.0 < event.start_s < event.end_s < duration
+
+    node, injector = build({})
+    saved = []
+    node.run_until_time(
+        duration, checkpoint_every=600.0,
+        on_checkpoint=lambda paused: saved.append(
+            cp.save_checkpoint(
+                paused, injector,
+                scenario={"kind": "test-dropout-brownout", "params": {}},
+                meta={"end_time": duration},
+            )
+        ),
+    )
+    assert cp.node_fingerprint(node) == expected
+    browned_out = [c for c in saved if c.node.browned_out]
+    assert browned_out
+    for checkpoint in browned_out:
         resumed, _ = cp.resume_run(checkpoint)
         assert cp.node_fingerprint(resumed) == expected

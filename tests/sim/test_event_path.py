@@ -137,22 +137,34 @@ def test_update_sags_equal_terminal_voltage(make_cell):
     cell = make_cell()
     assert type(cell).terminal_voltage is EnergyStorage.terminal_voltage
     node = PicoCube(NodeConfig(), battery=cell)
-    solves = []
+    calls = []
+    battery_current = node.train.battery_current
     solve = node.train.solve
 
-    def spy(v_battery, loads):
+    def spy_pass_1(v_battery, *currents):
+        i_battery = battery_current(v_battery, *currents)
+        calls.append(("battery_current", v_battery, i_battery))
+        return i_battery
+
+    def spy_pass_2(v_battery, loads):
         solution = solve(v_battery, loads)
-        solves.append((v_battery, solution.i_battery))
+        calls.append(("solve", v_battery, solution.i_battery))
         return solution
 
-    node.train.solve = spy
+    node.train.battery_current = spy_pass_1
+    node.train.solve = spy_pass_2
     for i_rf in (0.0, 2e-3, 0.0):
         node.train.enable_radio()
         i_before = node.battery_current_now
-        solves.clear()
+        calls.clear()
         node._set_radio_rf(i_rf)
         assert not node.browned_out
-        (v1, i1), (v2, _) = solves
+        # Pass 1 asks only for the current; pass 2 is a full solve, which
+        # takes its own current from battery_current.
+        assert [name for name, _, _ in calls] == [
+            "battery_current", "battery_current", "solve",
+        ]
+        (_, v1, i1), (_, v2, _) = calls[0], calls[2]
         assert v1.hex() == cell.terminal_voltage(i_before).hex()
         assert v2.hex() == cell.terminal_voltage(i1).hex()
 

@@ -1,5 +1,8 @@
 """Tests for energy-storage models: NiMH, capacitors, thin-film."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +14,7 @@ from repro.storage import (
     ceramic_capacitor,
     supercapacitor,
 )
+from repro.storage.nimh import DEFAULT_OCV_CURVE
 from repro.units import DAY, mah_to_coulombs
 
 
@@ -121,6 +125,43 @@ def test_nimh_bad_curve_rejected():
         NiMHCell(ocv_curve=((0.0, 1.0), (0.5, 1.2)))  # does not reach soc=1
     with pytest.raises(StorageError):
         NiMHCell(ocv_curve=((0.0, 1.0), (0.5, 1.2), (0.4, 1.3), (1.0, 1.4)))
+
+
+def _walk_ocv(curve, soc):
+    """The segment walk ``open_circuit_voltage`` ran before its table:
+    the bitwise reference the table must reproduce."""
+    for (s0, v0), (s1, v1) in zip(curve, curve[1:]):
+        if soc <= s1:
+            frac = (soc - s0) / (s1 - s0)
+            return v0 + frac * (v1 - v0)
+    return curve[-1][1]
+
+
+class _PinnedSocCell(NiMHCell):
+    """A cell read at an exact state of charge (no charge round trip)."""
+
+    pinned = 0.0
+
+    @property
+    def soc(self):
+        return self.pinned
+
+
+@pytest.mark.parametrize("curve", [
+    DEFAULT_OCV_CURVE,
+    ((0.0, 1.0), (0.3, 1.2), (1.0, 1.45)),
+])
+def test_nimh_ocv_table_matches_the_curve_walk_bitwise(curve):
+    cell = _PinnedSocCell(ocv_curve=curve)
+    socs = set()
+    for s, _ in curve:  # soc 0 and 1 are the end breakpoints
+        socs.update((s, math.nextafter(s, -math.inf),
+                     math.nextafter(s, math.inf)))
+    rng = random.Random(2008)
+    socs.update(rng.random() for _ in range(2000))
+    for soc in sorted(socs):
+        cell.pinned = soc
+        assert cell.open_circuit_voltage().hex() == _walk_ocv(curve, soc).hex()
 
 
 def test_nimh_set_soc_validation():
