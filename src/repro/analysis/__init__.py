@@ -22,9 +22,6 @@ AST level, before a simulation ever runs:
   dataclasses, missing ``__slots__`` on registered hot-path classes,
   mutable default arguments, and rail-graph topology specs that are
   not frozen dataclasses.
-- **Parity rule** (``VEC002``): ``PARITY_MIRRORS`` markers tie the
-  cohort engine's elementwise mirrors to the scalar functions they
-  replay.
 - **Kernel rules** (``KER001``–``KER002``): the code the compiler
   *writes* — every registered topology × gate signature is emitted via
   ``iter_registered_kernel_sources`` and audited for structural and
@@ -69,7 +66,6 @@ from .rules_kernels import (
     audit_kernel_source,
     audit_registered_kernels,
 )
-from .rules_parity import MirrorConstantParityRule
 from .rules_units import (
     UnitBareSiLiteralRule,
     UnitBindingMismatchRule,
@@ -99,7 +95,6 @@ def default_rules(*, flow: bool = True):
         MutableDefaultRule(),
         UnfrozenRailSpecRule(),
         UnregisteredCheckpointStateRule(),
-        MirrorConstantParityRule(),
         KernelStructureRule(),
         KernelHygieneRule(),
     ]
@@ -113,7 +108,6 @@ __all__ = [
     "Finding",
     "KernelHygieneRule",
     "KernelStructureRule",
-    "MirrorConstantParityRule",
     "MissingSlotsRule",
     "ModuleContext",
     "MutableDefaultRule",

@@ -121,28 +121,6 @@ def _return_dimension(ctx: ModuleContext,
 FunctionDefNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
-def iter_function_defs(
-        tree: ast.Module) -> Iterator[Tuple[str, FunctionDefNode]]:
-    """Every (qualified name, def node) in a module, class-prefixed.
-
-    Qualified names are dotted through enclosing classes and functions
-    (``Class.method``, ``outer.inner``) — the key format
-    :attr:`ProjectIndex.qualified` uses.
-    """
-    def visit(node: ast.AST,
-              prefix: str) -> Iterator[Tuple[str, FunctionDefNode]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                yield from visit(child, qualname + ".")
-            elif isinstance(child, ast.ClassDef):
-                yield from visit(child, f"{prefix}{child.name}.")
-            else:
-                yield from visit(child, prefix)
-    yield from visit(tree, "")
-
-
 class ProjectIndex:
     """Cross-module facts gathered in a first pass over every file.
 
@@ -151,22 +129,15 @@ class ProjectIndex:
     file set agrees on its parameter dimension signature; names whose
     definitions disagree are mapped to ``None`` so call-site rules stay
     silent rather than guess.
-
-    ``modules`` maps a dotted module name to its :class:`ModuleContext`,
-    and ``qualified`` maps ``"module:Class.method"`` keys to the def
-    node — the cross-module resolution the parity rules (VEC002) use to
-    find a mirror's scalar reference.
     """
 
     def __init__(self) -> None:
         self.functions: Dict[str, Optional[FunctionInfo]] = {}
-        self.modules: Dict[str, ModuleContext] = {}
-        self.qualified: Dict[str, FunctionDefNode] = {}
 
     def add_module(self, ctx: ModuleContext) -> None:
-        self.modules[ctx.module] = ctx
-        for qualname, node in iter_function_defs(ctx.tree):
-            self.qualified[f"{ctx.module}:{qualname}"] = node
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
             params = [a.arg for a in node.args.posonlyargs + node.args.args]
             if params and params[0] in ("self", "cls"):
                 params = params[1:]
@@ -185,11 +156,6 @@ class ProjectIndex:
 
     def lookup(self, name: str) -> Optional[FunctionInfo]:
         return self.functions.get(name)
-
-    def lookup_qualified(self, module: str,
-                         qualname: str) -> Optional[FunctionDefNode]:
-        """The def node for ``module:qualname``, or ``None``."""
-        return self.qualified.get(f"{module}:{qualname}")
 
 
 _MISSING = object()

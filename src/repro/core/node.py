@@ -170,20 +170,13 @@ class PicoCube:
         self._i_radio_rf = current
         self._update()
 
-    def _loads(self) -> LoadState:
-        return LoadState(
-            i_mcu=self._i_mcu,
-            i_sensor=self._i_sensor,
-            i_radio_digital=self._i_radio_digital,
-            i_radio_rf=self._i_radio_rf,
-        )
-
     def _update(self) -> None:
         """Re-solve the electrical state after any load change."""
         self._sync_battery()
         if self.browned_out:
             return
-        loads = self._loads()
+        loads = LoadState(self._i_mcu, self._i_sensor,
+                          self._i_radio_digital, self._i_radio_rf)
         # One fixed-point pass on the terminal voltage: NiMH sag is small
         # at microamp-to-milliamp loads, so one iteration converges.  The
         # first pass needs only the battery current; the second is the
@@ -229,20 +222,21 @@ class PicoCube:
         now = self.engine.now
         dt = now - self._last_battery_sync
         if dt > 0.0:
+            battery = self.battery
             if self.browned_out:
-                self.battery.apply_self_discharge(dt)
+                battery.apply_self_discharge(dt)
             else:
                 needed = self._i_battery * dt
-                if needed >= self.battery.charge and self._i_battery > 0.0:
+                if needed >= battery.charge and self._i_battery > 0.0:
                     dead_at = (
                         self._last_battery_sync
-                        + self.battery.charge / self._i_battery
+                        + battery.charge / self._i_battery
                     )
-                    self.battery.discharge(self.battery.charge)
+                    battery.discharge(battery.charge)
                     self._enter_brownout(min(dead_at, now))
                 else:
-                    self.battery.discharge(needed)
-                    self.battery.apply_self_discharge(dt)
+                    battery.discharge(needed)
+                    battery.apply_self_discharge(dt)
         self._last_battery_sync = now
 
     def _enter_brownout(self, time_of_death: float) -> None:
@@ -609,8 +603,7 @@ class PicoCube:
                 self._set_radio_rf(power / self.tx.v_rf_rail)
                 yield duration
         else:
-            average = self.tx.p_dc_on * ones_fraction(bits) / self.tx.v_rf_rail
-            self._set_radio_rf(average)
+            self._set_radio_rf(self.tx.ook_rf_current(ones_fraction(bits)))
             yield self.modulator.duration(len(bits))
         self._set_radio_rf(0.0)
 

@@ -112,7 +112,7 @@ class TrainSolution:
     def p_management(self) -> float:
         """Power-management overhead: battery power minus delivered power."""
         # An explicit left fold: sum() of floats is compensated from
-        # Python 3.12 on, and the cohort chain replays this order.
+        # Python 3.12 on, and the bits must not depend on the interpreter.
         delivered = 0.0
         for watts in self.subsystem_power.values():
             delivered += watts
@@ -312,12 +312,21 @@ class GraphPowerTrain(PowerTrain):
         # with no loads dict and no GraphSolution.
         i_mcu, i_sensor = loads.i_mcu, loads.i_sensor
         i_digital, i_rf = loads.i_radio_digital, loads.i_radio_rf
-        i_battery = self.battery_current(
-            v_battery, i_mcu, i_sensor, i_digital, i_rf)
+        return self.solution(
+            v_battery,
+            self.battery_current(v_battery, i_mcu, i_sensor, i_digital, i_rf),
+            i_mcu, i_sensor, i_digital, i_rf)
+
+    def solution(self, v_battery: float, i_battery: float, i_mcu: float,
+                 i_sensor: float, i_radio_digital: float,
+                 i_radio_rf: float) -> TrainSolution:
+        """The :class:`TrainSolution` of a solved operating point: each
+        subsystem's power is its tap voltage times its load current."""
         v_mcu, v_sensor, v_digital, v_rf = self._tap_v
         return TrainSolution(v_battery, i_battery, v_mcu, {
             "mcu": v_mcu * i_mcu, "sensor": v_sensor * i_sensor,
-            "radio-digital": v_digital * i_digital, "radio-rf": v_rf * i_rf,
+            "radio-digital": v_digital * i_radio_digital,
+            "radio-rf": v_rf * i_radio_rf,
         })
 
 

@@ -14,18 +14,19 @@ through :meth:`~repro.core.power_train.GraphPowerTrain.solve_graph_batch`
 Bit-exactness contract
 ----------------------
 
-The cohort chain mirrors the scalar :class:`~repro.core.node.PicoCube`
-event path operation for operation: every float add/multiply/divide the
-node performs per cycle is replayed elementwise in float64 over the lane
-axis, in the same order, so results are **bit-identical** to per-node
-stepping — not merely close.  The contract is self-enforcing: each
-cohort runs one real *probe* node event-by-event on a private engine and
-compares the chain's lane-0 charge, battery current, cycle timings,
-packet frames, and full recorder traces bitwise against it.  Any
-mismatch — or any scenario feature the chain does not model (attached
-chargers, brownout risk, non-TPMS firmware, ``profile`` RF fidelity) —
-raises :class:`CohortFallback`, and the caller reruns the whole scenario
-on the exact per-node path instead.  See ``docs/FLEET.md``.
+The chain calls the scalar :class:`~repro.core.node.PicoCube`'s own
+cell, radio and train formulas, which run unchanged on a float and on a
+float64 lane array; this module only selects (OCV segment, lane masks),
+plumbs buffers and chains the batch solves in the node's order, so
+results are **bit-identical** to per-node stepping — not merely close.
+The contract is self-enforcing: each cohort runs one real *probe* node
+event-by-event on a private engine and compares the chain's lane-0
+charge, battery current, cycle timings, packet frames, and full recorder
+traces bitwise against it.  Any mismatch — or any scenario feature the
+chain does not model (attached chargers, brownout risk, non-TPMS
+firmware, ``profile`` RF fidelity) — raises :class:`CohortFallback`, and
+the caller reruns the whole scenario on the exact per-node path instead.
+See ``docs/FLEET.md``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,19 @@ from ..core.node import PicoCube
 from ..errors import ConfigurationError, ElectricalError, SimulationError
 from ..mcu import Mode
 from ..sim.recorder import PowerRecorder
-from ..units import DAY
+from ..storage.nimh import (
+    LOW_SOC,
+    RATED_TEMPERATURE_C,
+    cold_factor,
+    low_soc_factor,
+    segment_ocv,
+    self_discharge_exponent,
+    self_discharge_loss,
+)
 from .fleet import (
     AirTimes,
     FleetChannel,
+    check_finite,
     check_lane_degradation,
     fleet_node_config,
     phase_node,
@@ -54,32 +64,8 @@ __all__ = [
     "CohortFallback",
     "CohortRun",
     "CohortSpec",
-    "PARITY_MIRRORS",
     "advance_cohort",
 ]
-
-#: Scalar->batch parity markers for ``repro lint`` (VEC002).  Each key
-#: is an elementwise mirror in this module; the values are the scalar
-#: functions it replays, as ``"module:Class.method"``.  The lint rule
-#: checks every float constant a mirror uses appears in at least one of
-#: its references — a constant present only in the mirror is exactly
-#: the one-sided edit that breaks the bit-exactness contract above.
-PARITY_MIRRORS = {
-    "_CohortMachine._ocv_and_resistance": (
-        "repro.storage.nimh:NiMHCell.open_circuit_voltage",
-        "repro.storage.nimh:NiMHCell.internal_resistance",
-    ),
-    "_CohortMachine._sync": (
-        "repro.core.node:PicoCube._sync_battery",
-        "repro.storage.nimh:NiMHCell.apply_self_discharge",
-        "repro.storage.nimh:NiMHCell._self_discharge_acceleration",
-    ),
-    "_CohortMachine._solve_update": (
-        "repro.core.node:PicoCube._update",
-        "repro.core.power_train:GraphPowerTrain.battery_current",
-        "repro.core.power_train:TrainSolution.p_management",
-    ),
-}
 
 
 class CohortFallback(SimulationError):
@@ -119,6 +105,8 @@ class CohortSpec:
             raise ConfigurationError("cohort needs at least one node")
         if len(self.offsets) != len(self.node_indices):
             raise ConfigurationError("need one wake offset per cohort node")
+        check_finite("duration_s", self.duration_s)
+        check_finite("offsets", *self.offsets)
         if self.duration_s <= 0.0:
             raise ConfigurationError("cohort duration must be positive")
         for name in ("esr_multipliers", "self_discharge_multipliers",
@@ -188,7 +176,7 @@ def advance_cohort(spec: CohortSpec) -> CohortRun:
     """Advance a cohort on the vectorized fast path, probe-verified.
 
     Builds the cycle template from one real probe node, advances every
-    lane through the numpy mirror of the scalar event chain, then runs
+    lane through the vectorized event chain, then runs
     the probe event-by-event and compares it bitwise against the
     chain's first lane (state, timings, packet frames, and the full
     recorder trace).  Raises :class:`CohortFallback` if the scenario is
@@ -211,11 +199,6 @@ def advance_cohort(spec: CohortSpec) -> CohortRun:
 
 
 # -- internals ---------------------------------------------------------------
-
-
-RECORD_CHANNELS = ("mcu", "sensor", "radio-digital", "radio-rf",
-                   "power-management")
-"""Recorder channels in the exact order the scalar node writes them."""
 
 
 class _Clock:
@@ -277,11 +260,12 @@ class _Lanes:
     """Per-lane state and scratch buffers of one chain run.
 
     Allocated once per :meth:`_CohortMachine.advance` and updated in
-    place every step (``out=``, masked ``copyto``), so the chain does not
-    allocate per step.  ``scratch`` rows are shared by the sync
-    (dt, needed/exponent, after, keep) and the update (soc, v, i)
-    temporaries;
-    ``ocv``/``resistance`` hold the current step's cell read.
+    place every step (``out=``, masked ``copyto``, and the shared
+    formulas' augmented assignments), so the chain does not allocate
+    per step.  ``scratch`` rows are shared by the sync (dt/exponent,
+    needed, after, keep/lost) and the update (v, i) temporaries;
+    ``ocv``/``resistance`` hold the current step's cell read (``ocv``
+    holds the soc until the OCV overwrites it).
     """
 
     def __init__(self, n: int, charge0: float, i_battery0: float) -> None:
@@ -342,7 +326,6 @@ class _CohortMachine:
 
     def __init__(self, spec: CohortSpec) -> None:
         self.spec = spec
-        n = spec.node_count
         probe = PicoCube(fleet_node_config(
             spec.node_indices[0], spec.power_train, spec.line_code
         ))
@@ -371,25 +354,15 @@ class _CohortMachine:
         i_measure = probe.sensor.i_measure
         i_dig = probe.tx.i_digital
         i_rf_on = probe.tx.i_rf_on
-        self.tap = {
-            channel: probe.train.graph.tap_voltage(channel)
-            for channel in ("mcu", "sensor", "radio-digital", "radio-rf")
-        }
-        # -- battery model constants.
+        # -- the probe cell's parameters (its formulas are shared).
         battery = probe.battery
         self.capacity = battery.capacity_coulombs
         self.r_mid = battery.r_internal_mid
-        curve = battery.ocv_curve
-        self.soc_lo = np.array([s for s, _ in curve[:-1]])
-        self.soc_hi = np.array([s for s, _ in curve[1:]])
-        self.v_lo = np.array([v for _, v in curve[:-1]])
-        self.v_hi = np.array([v for _, v in curve[1:]])
-        self.cold_factor = (
-            1.0 + 0.02 * (25.0 - battery.temperature_c)
-            if battery.temperature_c < 25.0 else None
-        )
-        self.sd_base = 1.0 - battery.self_discharge_per_month
-        self.month = 30.0 * DAY
+        self.temperature_c = battery.temperature_c
+        self.retention = battery.monthly_retention
+        # The cell's OCV segment rows, and as an array for the search.
+        self.segments = battery._ocv_segments
+        self.segment_table = np.array(self.segments)
         accel_base = battery._self_discharge_acceleration()
         # -- per-lane degradation (post-construction contract: applied
         # after the t=0 solve, exactly like the scalar fault knobs).
@@ -485,8 +458,6 @@ class _CohortMachine:
             raise CohortFallback("profile RF fidelity needs per-node stepping")
         if config.fast_forward or config.brownout_recovery:
             raise CohortFallback("node accelerator/recovery options unsupported")
-        if not hasattr(probe.train, "solve_graph_batch"):
-            raise CohortFallback("power train has no batch solver")
 
     # -- probe -------------------------------------------------------------
 
@@ -552,10 +523,10 @@ class _CohortMachine:
     ) -> np.ndarray:
         """Per-lane OOK average RF current for the payload segment.
 
-        Mirrors ``tx.p_dc_on * ones_fraction(bits) / tx.v_rf_rail`` with
-        the mark density computed analytically: the frame differs across
-        lanes only in the id byte and the CRC it drags along, so the
-        ones count is a popcount chain over those bytes.
+        The transmitter's ``ook_rf_current`` of each lane's mark
+        density, computed analytically: the frame differs across lanes
+        only in the id byte and the CRC it drags along, so the ones
+        count is a popcount chain over those bytes.
         """
         variant = self._variant_for(cycle)
         body = self._variants[variant]
@@ -578,54 +549,46 @@ class _CohortMachine:
             fraction = np.full(nids.shape, fraction)
         else:
             fraction = ones / self.n_air_bits
-        tx = self.probe.tx
-        return tx.p_dc_on * fraction / tx.v_rf_rail
+        return self.probe.tx.ook_rf_current(fraction)
 
-    # -- battery mirror ----------------------------------------------------
+    # -- the cell ----------------------------------------------------------
 
-    def _ocv_and_resistance(self, lanes: "_Lanes", esr: np.ndarray) -> None:
-        """Elementwise NiMH OCV + ESR into ``lanes.ocv``/``resistance``,
-        op-for-op with the scalar cell.
+    def _read_cell(self, lanes: "_Lanes", esr: np.ndarray) -> None:
+        """Each lane's OCV and resistance into ``lanes.ocv``/``resistance``:
+        ``NiMHCell.open_circuit_voltage`` and ``internal_resistance``'s
+        selections around the same :mod:`repro.storage.nimh` formulas.
 
         Lanes drain in near lockstep, so usually every soc falls in one
-        OCV segment: its four scalars then replace the per-lane search
-        and gathers, and with no soc below 0.2 the resistance is
-        ``r_mid`` for every lane.  The arithmetic is the same code, in
-        the same order, on the same operand values either way, so each
-        lane's bits do not depend on which path ran.
+        OCV segment: its scalars then replace the per-lane search and
+        gathers, and with no soc below ``LOW_SOC`` the resistance is
+        ``r_mid`` for every lane.  The formulas run on the same operand
+        values either way, so each lane's bits do not depend on which
+        path ran.
         """
-        soc = np.divide(lanes.charge, self.capacity, out=lanes.scratch[0])
-        ocv = lanes.ocv
+        soc = np.divide(lanes.charge, self.capacity, out=lanes.ocv)
         lo, hi = soc.min(), soc.max()
-        last = len(self.soc_hi) - 1
+        upper = self.segment_table[:, 0]
+        last = len(upper) - 1
         # The segment search is monotone, so when the extremes share a
         # segment every lane does (a NaN soc takes the per-lane search).
-        segment = np.minimum(
-            np.searchsorted(self.soc_hi, (lo, hi), side="left"), last
-        )
+        segment = np.minimum(np.searchsorted(upper, (lo, hi), side="left"),
+                             last)
         if lo == lo and hi == hi and segment[0] == segment[1]:
-            segment = int(segment[0])
+            _, s0, v0, width, rise = self.segments[int(segment[0])]
         else:
-            segment = np.minimum(
-                np.searchsorted(self.soc_hi, soc, side="left"), last
-            )
-        s0, s1 = self.soc_lo[segment], self.soc_hi[segment]
-        v0, v1 = self.v_lo[segment], self.v_hi[segment]
-        np.subtract(soc, s0, out=ocv)
-        np.divide(ocv, s1 - s0, out=ocv)  # frac
-        np.multiply(ocv, v1 - v0, out=ocv)
-        np.add(v0, ocv, out=ocv)
-        if lo >= 0.2:
+            segment = np.minimum(np.searchsorted(upper, soc, side="left"),
+                                 last)
+            _, s0, v0, width, rise = self.segment_table[segment].T
+        if lo >= LOW_SOC:
             resistance = self.r_mid
         else:
-            resistance = np.where(
-                soc < 0.2,
-                self.r_mid * (1.0 + 4.0 * (0.2 - soc) / 0.2),
-                self.r_mid,
-            )
-        if self.cold_factor is not None:
-            resistance = resistance * self.cold_factor
+            resistance = np.where(soc < LOW_SOC,
+                                  self.r_mid * low_soc_factor(soc),
+                                  self.r_mid)
+        if self.temperature_c < RATED_TEMPERATURE_C:
+            resistance = resistance * cold_factor(self.temperature_c)
         np.multiply(resistance, esr, out=lanes.resistance)
+        segment_ocv(soc, s0, v0, width, rise)  # soc becomes the OCV
 
     def _sync(
         self,
@@ -634,7 +597,7 @@ class _CohortMachine:
         mask: np.ndarray,
         accel: np.ndarray,
     ) -> None:
-        """Mirror of ``PicoCube._sync_battery`` over the lane axis."""
+        """``PicoCube._sync_battery`` over the lane axis."""
         charge, i_battery = lanes.charge, lanes.i_battery
         dt, needed, after, keep = lanes.scratch
         positive, flag = lanes.flags
@@ -649,14 +612,12 @@ class _CohortMachine:
                 raise CohortFallback(
                     "a lane would brown out; falling back to per-node stepping"
                 )
+            # The check above leaves charge >= needed on every lane that
+            # moves, so ``discharge``'s clamp at empty never binds here.
             np.subtract(charge, needed, out=after)
-            np.maximum(after, 0.0, out=after)
-            exponent = np.multiply(dt, accel, out=needed)
-            np.divide(exponent, self.month, out=exponent)
-            _scalar_pow(self.sd_base, exponent, out=keep)
-            np.subtract(1.0, keep, out=keep)
-            np.multiply(after, keep, out=keep)
-            np.subtract(after, keep, out=after)
+            exponent = self_discharge_exponent(dt, accel)
+            _scalar_pow(self.retention, exponent, out=keep)
+            after -= self_discharge_loss(keep, after)
             np.copyto(charge, after, where=positive)
         np.copyto(lanes.last_sync, t, where=mask)
 
@@ -708,7 +669,7 @@ class _CohortMachine:
                     np.less_equal(t, end, out=mask)
                     if updates and mask.any():
                         self._sync(state, t, mask, accel)
-                        self._ocv_and_resistance(state, esr)
+                        self._read_cell(state, esr)
                         for update, loads in updates:
                             if update.radio_gate != train.radio_enabled:
                                 if update.radio_gate:
@@ -720,12 +681,12 @@ class _CohortMachine:
                                 loads["radio-rf"] = self._payload_rf_current(
                                     nids, cycle
                                 )
-                            i_new, rows = self._solve_update(
-                                train, update, loads, state, loss, capture,
-                            )
-                            np.copyto(state.i_battery, i_new, where=mask)
+                            v, i = self._battery_current(train, loads,
+                                                         state, loss)
+                            np.copyto(state.i_battery, i, where=mask)
                             if capture and bool(mask[0]):
-                                stream.append((float(t[0]), rows))
+                                stream.append((float(t[0]), self._rows(
+                                    train, update, loads, v, i)))
                     if commits_packet:
                         packets += mask
                 cycle += 1
@@ -738,19 +699,17 @@ class _CohortMachine:
         return _ChainState(state.charge, state.i_battery, starts, packets,
                            stream)
 
-    def _solve_update(
-        self,
-        train,
-        update: _Update,
-        loads: Dict[str, object],
-        lanes: "_Lanes",
-        loss: np.ndarray,
-        capture: bool,
-    ) -> Tuple[np.ndarray, List[Tuple[str, float]]]:
-        """Mirror of ``PicoCube._update``: two chained batch solves.
+    @staticmethod
+    def _battery_current(
+        train, loads: Dict[str, object], lanes: "_Lanes", loss: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``PicoCube._update``'s two fixed-point passes over the lanes.
 
-        Reads the step's OCV and resistance from ``lanes``; returns the
-        new battery current in a ``lanes`` buffer.
+        Each pass sags the step's cell read by the battery current
+        (``ocv - i * r``), solves the train in one batch and applies the
+        lane's loss factor, as ``battery_current`` does.  Returns the
+        second pass's battery voltage and the new current, in ``lanes``
+        buffers.
         """
         ocv, resistance = lanes.ocv, lanes.resistance
         v, i = lanes.scratch[1], lanes.scratch[2]
@@ -767,25 +726,21 @@ class _CohortMachine:
                         out=i)
         except ElectricalError as exc:
             raise CohortFallback(f"batch solve left the envelope: {exc}")
-        rows: List[Tuple[str, float]] = []
-        if capture:
-            i_rf = loads["radio-rf"]
-            p_mcu = self.tap["mcu"] * update.i_mcu
-            p_sensor = self.tap["sensor"] * update.i_sensor
-            p_digital = self.tap["radio-digital"] * update.i_radio_digital
-            p_rf = self.tap["radio-rf"] * (
-                float(i_rf[0]) if update.rf_payload else i_rf
-            )
-            delivered = ((p_mcu + p_sensor) + p_digital) + p_rf
-            p_management = max(float(v[0] * i[0]) - delivered, 0.0)
-            rows = [
-                ("mcu", p_mcu),
-                ("sensor", p_sensor),
-                ("radio-digital", p_digital),
-                ("radio-rf", p_rf),
-                ("power-management", p_management),
-            ]
-        return i, rows
+        return v, i
+
+    @staticmethod
+    def _rows(train, update: _Update, loads: Dict[str, object],
+              v: np.ndarray, i: np.ndarray) -> List[Tuple[str, float]]:
+        """Lane 0's recorder rows for one update, from the train's own
+        :meth:`~repro.core.power_train.GraphPowerTrain.solution`."""
+        i_rf = loads["radio-rf"]
+        solution = train.solution(
+            float(v[0]), float(i[0]),
+            update.i_mcu, update.i_sensor, update.i_radio_digital,
+            float(i_rf[0]) if update.rf_payload else i_rf,
+        )
+        return [*solution.subsystem_power.items(),
+                ("power-management", solution.p_management)]
 
     # -- results -----------------------------------------------------------
 

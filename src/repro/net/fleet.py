@@ -15,6 +15,7 @@ design runs out of density headroom.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -61,6 +62,14 @@ def phase_node(node: PicoCube, offset: float,
     node._wake_timer.start(first_delay=period + offset)
 
 
+def check_finite(name: str, *values: float) -> None:
+    """Reject NaN and infinite fleet inputs with one error, before either
+    engine starts (a NaN phase or horizon never fires or never ends)."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+
+
 def fleet_offsets(
     node_count: int,
     stagger_s: Optional[float] = None,
@@ -76,9 +85,11 @@ def fleet_offsets(
     if phases is not None:
         if len(phases) != node_count:
             raise ConfigurationError("need one phase per node")
+        check_finite("phases", *phases)
         return [p % period for p in phases]
     if stagger_s is None:
         stagger_s = period / node_count
+    check_finite("stagger_s", stagger_s)
     return [(k * stagger_s) % period for k in range(node_count)]
 
 

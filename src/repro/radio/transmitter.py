@@ -95,6 +95,13 @@ class FbarTransmitter:
         """RF-rail current while the carrier is on, amperes."""
         return self.p_dc_on / self.v_rf_rail
 
+    def ook_rf_current(self, ones_fraction):
+        """Mean RF-rail current over an OOK burst with this mark density,
+        amperes (a float, or a float64 array it overwrites)."""
+        ones_fraction *= self.p_dc_on
+        ones_fraction /= self.v_rf_rail
+        return ones_fraction
+
     @property
     def output_power_dbm(self) -> float:
         """Transmit power in dBm (paper: 0.8 dBm)."""

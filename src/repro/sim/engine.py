@@ -249,6 +249,12 @@ class Engine:
             raise SchedulingError(
                 f"cannot run backwards to t={end_time} (now is {self._now})"
             )
+        if not end_time < _INF:
+            # NaN or +inf: no event time exceeds it, so a periodic timer
+            # would keep the loop running forever.
+            raise SchedulingError(
+                f"cannot run to t={end_time}: the end time must be finite"
+            )
         if self._running:
             raise SimulationError("run_until called re-entrantly from an event")
         self._running = True

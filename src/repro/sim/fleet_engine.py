@@ -35,6 +35,7 @@ from ..net.fleet import (
     FleetChannel,
     FleetStats,
     RetryPolicy,
+    check_finite,
     check_lane_degradation,
     check_noise_windows,
     fleet_offsets,
@@ -67,6 +68,10 @@ class HarvestSpec:
     dropouts: Tuple[Tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        check_finite("current_a", self.current_a)
+        check_finite("period_s", self.period_s)
+        for window in self.dropouts:
+            check_finite("dropouts", *window)
         if self.current_a < 0.0:
             raise ConfigurationError("harvest current must be >= 0")
         if self.period_s <= 0.0:
@@ -108,6 +113,11 @@ class FleetScenario:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ConfigurationError("need at least one node")
+        check_finite("duration_s", self.duration_s)
+        if self.stagger_s is not None:
+            check_finite("stagger_s", self.stagger_s)
+        if self.phases is not None:
+            check_finite("phases", *self.phases)
         if self.duration_s <= 0.0:
             raise ConfigurationError("duration must be positive")
         if self.phases is not None and self.phase_seed is not None:

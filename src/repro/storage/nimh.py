@@ -11,6 +11,11 @@ The model captures the flat discharge plateau (piecewise-linear OCV vs.
 state of charge), state-dependent internal resistance, the C/10 continuous
 overcharge tolerance (excess charge at full recombines to heat, tracked),
 and NiMH's notorious self-discharge.
+
+The formulas are module functions that :class:`NiMHCell` runs on floats
+and the cohort fleet engine (:mod:`repro.net.cohort`) on float64 lane
+arrays, bit-identically.  An argument updated with augmented assignment
+is overwritten when it is an array (the cohort's scratch buffers).
 """
 
 from __future__ import annotations
@@ -36,6 +41,62 @@ DEFAULT_OCV_CURVE: Tuple[Tuple[float, float], ...] = (
     (0.95, 1.32),
     (1.00, 1.40),
 )
+
+
+#: State of charge below which the electrolyte depletes and the internal
+#: resistance climbs.
+LOW_SOC = 0.2
+#: Cell temperature of the self-discharge rating and the mid-charge
+#: resistance, C; below it the electrolyte stiffens.
+RATED_TEMPERATURE_C = 25.0
+#: The interval the self-discharge rating refers to, seconds.
+MONTH_S = 30.0 * DAY
+
+
+def segment_ocv(soc, s0, v0, width, rise):
+    """OCV on one curve segment: ``v0 + (soc - s0) / width * rise``.
+
+    ``s0``/``v0`` are the segment's lower end, ``width``/``rise`` its
+    soc and volt spans (scalars, or per-lane arrays).  ``soc`` is
+    overwritten when it is an array.
+    """
+    soc -= s0
+    soc /= width
+    soc *= rise
+    soc += v0
+    return soc
+
+
+def low_soc_factor(soc):
+    """Resistance multiplier below :data:`LOW_SOC` (electrolyte depletion)."""
+    return 1.0 + 4.0 * (LOW_SOC - soc) / LOW_SOC
+
+
+def cold_factor(temperature_c):
+    """Resistance multiplier below :data:`RATED_TEMPERATURE_C`."""
+    return 1.0 + 0.02 * (RATED_TEMPERATURE_C - temperature_c)
+
+
+def self_discharge_exponent(dt, acceleration):
+    """Rated months an interval ``dt`` (s) amounts to at a rate multiplier:
+    the exponent of the monthly retention.  ``dt`` is overwritten when it
+    is an array.
+    """
+    dt *= acceleration
+    dt /= MONTH_S
+    return dt
+
+
+def self_discharge_loss(keep, charge):
+    """Coulombs ``charge`` loses when the fraction ``keep`` of it stays:
+    ``charge * (1 - keep)``.  ``keep`` is overwritten when it is an array.
+    """
+    # 1 - keep in place: negation is exact and x - y is x + (-y), so
+    # this is the subtraction's exact result, signed zero included.
+    keep *= -1.0
+    keep += 1.0
+    keep *= charge
+    return keep
 
 
 class NiMHCell(EnergyStorage):
@@ -77,6 +138,9 @@ class NiMHCell(EnergyStorage):
         self.capacity_mah = capacity_mah
         self.r_internal_mid = r_internal
         self.self_discharge_per_month = self_discharge_per_month
+        # The fraction kept over one rated month at 25 C: the base
+        # apply_self_discharge raises to a power.
+        self.monthly_retention = 1.0 - self_discharge_per_month
         self.ocv_curve = curve
         # Per segment, what open_circuit_voltage needs from the curve:
         # (upper soc, lower soc, lower volts, soc width, volt rise).
@@ -107,7 +171,7 @@ class NiMHCell(EnergyStorage):
 
     def _self_discharge_acceleration(self) -> float:
         """Arrhenius-ish rate multiplier vs. the 25 C rating."""
-        rate = 2.0 ** ((self.temperature_c - 25.0) / 10.0)
+        rate = 2.0 ** ((self.temperature_c - RATED_TEMPERATURE_C) / 10.0)
         return rate * self._self_discharge_multiplier
 
     # -- fault injection ---------------------------------------------------------
@@ -151,7 +215,7 @@ class NiMHCell(EnergyStorage):
         soc = self.soc
         for s1, s0, v0, width, rise in self._ocv_segments:
             if soc <= s1:
-                return v0 + (soc - s0) / width * rise
+                return segment_ocv(soc, s0, v0, width, rise)
         return self.ocv_curve[-1][1]
 
     def internal_resistance(self) -> float:
@@ -159,10 +223,11 @@ class NiMHCell(EnergyStorage):
         # and in the cold (electrolyte conductivity falls).
         soc = self.soc
         base = self.r_internal_mid
-        if soc < 0.2:
-            base *= 1.0 + 4.0 * (0.2 - soc) / 0.2
-        if self.temperature_c < 25.0:
-            base *= 1.0 + 0.02 * (25.0 - self.temperature_c)
+        if soc < LOW_SOC:
+            base *= low_soc_factor(soc)
+        temperature_c = self.temperature_c
+        if temperature_c < RATED_TEMPERATURE_C:
+            base *= cold_factor(temperature_c)
         return base * self._esr_multiplier
 
     def stored_energy(self) -> float:
@@ -209,9 +274,9 @@ class NiMHCell(EnergyStorage):
         """
         if dt_seconds < 0.0:
             raise StorageError(f"{self.name}: negative interval {dt_seconds}")
-        month = 30.0 * DAY
-        effective = dt_seconds * self._self_discharge_acceleration()
-        keep = (1.0 - self.self_discharge_per_month) ** (effective / month)
-        lost = self._charge * (1.0 - keep)
+        exponent = self_discharge_exponent(
+            dt_seconds, self._self_discharge_acceleration())
+        lost = self_discharge_loss(self.monthly_retention ** exponent,
+                                   self._charge)
         self._charge -= lost
         return lost

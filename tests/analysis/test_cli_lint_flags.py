@@ -48,7 +48,7 @@ def test_kernels_flag_audits_generated_kernels(capsys, tmp_path):
 def test_list_rules_includes_new_families(capsys):
     code, out = run_lint(capsys, "--list-rules")
     assert code == 0
-    for rule_id in ("UNIT004", "UNIT005", "VEC002", "KER001", "KER002"):
+    for rule_id in ("UNIT004", "UNIT005", "KER001", "KER002"):
         assert rule_id in out
 
 

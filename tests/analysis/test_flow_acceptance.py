@@ -8,7 +8,6 @@ replacement.
 
 from repro.analysis import (
     DynamicCodeRule,
-    MirrorConstantParityRule,
     MissingSlotsRule,
     MutableDefaultRule,
     UnfrozenFaultEventRule,
@@ -63,47 +62,3 @@ def test_flow_rule_catches_one_hop_dimension_bug(lint_snippet):
     assert rule_ids(findings) == ["UNIT004"]
     assert "voltage and current" in findings[0].message
     assert "assignment dataflow" in findings[0].message
-
-
-# The cohort-mirror variant: a degradation knee constant edited in the
-# elementwise mirror only.  PR 4 had no concept of mirrors at all.
-MIRROR_DRIFT_SCALAR = """
-    class NiMHCell:
-        def internal_resistance(self, depth):
-            return self.esr_ohm * (1.0 + 4.0 * max(depth - 0.2, 0.0))
-"""
-
-MIRROR_DRIFT_BATCH = """
-    import numpy as np
-
-    PARITY_MIRRORS = {
-        "Machine.resistance": ("repro.scalar:NiMHCell.internal_resistance",),
-    }
-
-    class Machine:
-        def resistance(self, depth):
-            return self.esr_ohm * (1.0 + 4.5 * np.maximum(depth - 0.2, 0.0))
-"""
-
-
-def lint_pair(tmp_path, rules):
-    import pathlib
-    import textwrap
-
-    from repro.analysis import analyze_paths
-
-    pkg = tmp_path / "repro"
-    pkg.mkdir(exist_ok=True)
-    (pkg / "scalar.py").write_text(textwrap.dedent(MIRROR_DRIFT_SCALAR))
-    (pkg / "mirror.py").write_text(textwrap.dedent(MIRROR_DRIFT_BATCH))
-    return analyze_paths([tmp_path], rules, root=tmp_path)
-
-
-def test_legacy_rules_miss_mirror_constant_drift(tmp_path):
-    assert lint_pair(tmp_path, legacy_rules()) == []
-
-
-def test_parity_rule_catches_mirror_constant_drift(tmp_path):
-    findings = lint_pair(tmp_path, [MirrorConstantParityRule()])
-    assert rule_ids(findings) == ["VEC002"]
-    assert "4.5" in findings[0].message

@@ -1,8 +1,9 @@
 """The cohort chain's fast paths pinned to the general paths they replace.
 
 ``_scalar_pow`` peels a few distinct exponents off with masks before it
-sorts; the cell read uses one OCV segment's scalars when every lane sits
-in that segment; the compiled kernels reuse workspace buffers.  Each is
+sorts; the cell read runs the cell's formulas on one OCV segment's
+scalars when every lane sits in that segment; the compiled kernels reuse
+workspace buffers.  Each is
 an exact rewrite, so each is compared here bit for bit with the plain
 computation — plus a fleet whose lanes cross the knees where the fast
 paths hand over, and the degradation checks both engines share.
@@ -26,7 +27,7 @@ from repro.net.cohort import (
 )
 from repro.power.compile import kernel_metrics
 from repro.sim.fleet_engine import FleetScenario, run_fleet
-from repro.storage.nimh import NiMHCell
+from repro.storage.nimh import LOW_SOC, NiMHCell, cold_factor
 
 from .equivalence import assert_engines_equivalent
 
@@ -95,7 +96,8 @@ def _knee_charges(machine):
     """Charges on, one ulp around, and just around each OCV knee and
     soc 0.2, plus the ends of the curve."""
     charges = []
-    for soc in list(machine.soc_lo) + [float(machine.soc_hi[-1]), 0.2]:
+    knees = [s0 for _, s0, _, _, _ in machine.segments]
+    for soc in knees + [machine.segments[-1][0], LOW_SOC]:
         charge = soc * machine.capacity
         for value in (charge, math.nextafter(charge, -math.inf),
                       math.nextafter(charge, math.inf),
@@ -108,16 +110,18 @@ def _knee_charges(machine):
 def _cell_read(machine, charges, esr):
     lanes = _Lanes(len(charges), 0.0, 0.0)
     lanes.charge[:] = charges
-    machine._ocv_and_resistance(lanes, esr)
+    machine._read_cell(lanes, esr)
     return lanes.ocv.copy(), lanes.resistance.copy()
 
 
-@pytest.mark.parametrize("cold_factor", [None, 1.3])
-def test_one_segment_read_matches_per_lane_read(machine, cold_factor,
-                                                monkeypatch):
+@pytest.mark.parametrize("cold", [None, 1.3])
+def test_one_segment_read_matches_per_lane_read(machine, cold, monkeypatch):
     """The mixed batch spans every segment (per-lane search and soc<0.2
-    resistance); each single lane takes the one-segment path."""
-    monkeypatch.setattr(machine, "cold_factor", cold_factor)
+    resistance); each single lane takes the one-segment path.  ``cold``
+    is the cell's cold factor: a warm cell, or one at 10 C."""
+    temperature_c = 25.0 if cold is None else 10.0
+    assert cold is None or cold_factor(temperature_c) == pytest.approx(cold)
+    monkeypatch.setattr(machine, "temperature_c", temperature_c)
     charges = _knee_charges(machine)
     esr = np.linspace(0.5, 3.0, len(charges))
     ocv, resistance = _cell_read(machine, charges, esr)
@@ -255,7 +259,7 @@ def test_fault_setters_reject_non_finite_values(value):
 
 def test_p_management_is_the_left_fold():
     """The IC radio-setup point, where Python 3.12's compensated sum()
-    differs from the left fold the cohort capture replays."""
+    differs from the left fold the node and the cohort capture record."""
     powers = [float.fromhex(x) for x in (
         "0x1.06bd62575b443p-11", "0x1.523a8a6a7ca09p-21",
         "0x1.a36e2eb1c432dp-15", "0x0.0p+0")]

@@ -1,10 +1,12 @@
 """Behavioral tests for the fleet engine layer (repro.sim.fleet_engine)."""
 
+import math
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.cohort import CohortSpec
 from repro.net.fleet import BEACON_PERIOD_S, fleet_offsets
 from repro.sim.fleet_engine import (
     FleetScenario,
@@ -29,6 +31,55 @@ def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         FleetScenario(node_count=3, duration_s=10.0,
                       esr_multipliers=(1.0, 1.0))
+
+
+NAN, INF = math.nan, math.inf
+
+NON_FINITE_INPUTS = [
+    (dict(duration_s=NAN), "duration_s must be finite, got nan"),
+    (dict(duration_s=INF), "duration_s must be finite, got inf"),
+    (dict(stagger_s=NAN), "stagger_s must be finite, got nan"),
+    (dict(stagger_s=-INF), "stagger_s must be finite, got -inf"),
+    (dict(phases=(0.0, NAN, 1.0, 2.0)), "phases must be finite, got nan"),
+    (dict(phases=(0.0, 1.0, INF, 2.0)), "phases must be finite, got inf"),
+    (dict(harvest=dict(current_a=NAN)), "current_a must be finite, got nan"),
+    (dict(harvest=dict(current_a=1e-6, period_s=INF)),
+     "period_s must be finite, got inf"),
+    (dict(harvest=dict(current_a=1e-6, dropouts=((NAN, 10.0),))),
+     "dropouts must be finite, got nan"),
+    (dict(harvest=dict(current_a=1e-6, dropouts=((5.0, INF),))),
+     "dropouts must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("engine", ["cohort", "per-node"])
+@pytest.mark.parametrize("inputs, message", NON_FINITE_INPUTS)
+def test_non_finite_fleet_inputs_raise_one_error_on_both_engines(
+        engine, inputs, message):
+    """Rejected while the scenario is built, before either engine runs.
+    Unchecked, a NaN phase never wakes on the cohort engine but raises
+    SchedulingError per node, and a NaN or infinite duration hangs."""
+    fields = dict(node_count=4, duration_s=30.0)
+    fields.update(inputs)
+    with pytest.raises(ConfigurationError) as raised:
+        if "harvest" in fields:
+            fields["harvest"] = HarvestSpec(**fields["harvest"])
+        scenario = FleetScenario(**fields)
+        # An accepted non-finite horizon would never end.
+        if math.isfinite(scenario.duration_s):
+            run_fleet(scenario, engine=engine)
+    assert str(raised.value) == message
+
+
+def test_fleet_offsets_and_cohort_spec_reject_non_finite_inputs():
+    with pytest.raises(ConfigurationError, match="phases must be finite"):
+        fleet_offsets(2, phases=[0.0, NAN])
+    with pytest.raises(ConfigurationError, match="stagger_s must be finite"):
+        fleet_offsets(2, stagger_s=INF)
+    with pytest.raises(ConfigurationError, match="duration_s must be finite"):
+        CohortSpec(node_indices=(0, 1), offsets=(0.0, 1.0), duration_s=NAN)
+    with pytest.raises(ConfigurationError, match="offsets must be finite"):
+        CohortSpec(node_indices=(0, 1), offsets=(0.0, INF), duration_s=30.0)
 
 
 def test_harvest_spec_validation():

@@ -81,6 +81,20 @@ def test_non_finite_schedule_at_rejected(time):
     assert engine.now == 1.0
 
 
+@pytest.mark.parametrize("end_time", [float("nan"), float("inf")])
+def test_run_until_rejects_non_finite_end_time(end_time):
+    """A pending periodic timer never lets a NaN or infinite horizon
+    end; ``max_events`` bounds the run in case the check is missing."""
+    from repro.core.node import PicoCube
+
+    node = PicoCube()
+    node.start()
+    with pytest.raises(SchedulingError, match="finite"):
+        node.engine.run_until(end_time, max_events=50)
+    assert node.engine.now == 0.0
+    assert node.cycles_completed == 0
+
+
 def test_run_until_is_inclusive_of_end_time():
     engine = Engine()
     fired = []
