@@ -10,7 +10,7 @@ Two numbers keep the durability layer honest:
   floor: one full save→disk→restore round trip must cost less than
   re-simulating the checkpointed span.
 * **Warm vs cold store** — a campaign replayed through a warm
-  :class:`~repro.runner.ResultStore` must be >= 10x faster than the cold
+  :class:`~repro.runner.store.ResultStore` must be >= 10x faster than the cold
   run that populated it (the ISSUE acceptance bar), asserted always-on.
 """
 
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import time
 
-from repro.campaigns import chaos_campaign
-from repro.runner import ResultStore
-from repro.sim import checkpoint as cp
-
 from conftest import print_table
+
+from repro.campaigns import chaos_campaign
+from repro.runner.store import ResultStore
+from repro.sim import checkpoint as cp
 
 CHAOS_PARAMS = {"duration_s": 1800.0, "profile": "harsh", "seed": 5}
 

@@ -15,7 +15,7 @@ patch at all within the cube (huge detuning).
 import pytest
 from conftest import print_table
 
-from repro.radio import DielectricMaterial, FR4, PatchAntenna, ROGERS_3010
+from repro.radio.antenna import FR4, ROGERS_3010, DielectricMaterial, PatchAntenna
 from repro.units import mils_to_metres
 
 

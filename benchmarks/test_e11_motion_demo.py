@@ -13,8 +13,8 @@ while streaming.
 
 from conftest import print_table
 
-from repro.core import build_demo_bench, build_motion_node
-from repro.sensors import MotionInterval
+from repro.core.builder import build_demo_bench, build_motion_node
+from repro.sensors.environment import MotionInterval
 
 
 INTERVALS = [MotionInterval(8.0, 14.0, peak_g=1.2),

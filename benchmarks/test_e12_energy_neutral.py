@@ -14,7 +14,7 @@ orders of magnitude above demand; parked segments drain only microamps.
 
 from conftest import print_table
 
-from repro.core import build_tpms_deployment
+from repro.core.builder import build_tpms_deployment
 from repro.units import DAY, HOUR
 
 

@@ -20,9 +20,11 @@ import dataclasses
 
 from conftest import print_table
 
-from repro.core import NodeConfig, PicoCube, audit_node
+from repro.core.config import NodeConfig
+from repro.core.energy_audit import audit_node
+from repro.core.node import PicoCube
 from repro.core.power_train import IcPowerTrain, LoadState
-from repro.power import ConverterICConfig
+from repro.power.converter_ic import ConverterICConfig
 
 
 def build_variant(power_train: str, pad_ring: bool = True) -> PicoCube:

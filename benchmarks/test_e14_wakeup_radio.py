@@ -13,11 +13,8 @@ better latency than any comparable-power duty cycle.
 
 from conftest import print_table
 
-from repro.radio import (
-    SuperregenerativeReceiver,
-    WakeupRadio,
-    compare_reachability,
-)
+from repro.radio.receiver import SuperregenerativeReceiver
+from repro.radio.wakeup import WakeupRadio, compare_reachability
 
 
 def sweep():

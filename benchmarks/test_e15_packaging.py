@@ -16,14 +16,9 @@ constraint system rejects each canonical violation.
 import pytest
 from conftest import print_table
 
-from repro.board import (
-    Component,
-    CubeStack,
-    ElastomericConnector,
-    PAD_LENGTH_M,
-    Pcb,
-    standard_picocube,
-)
+from repro.board.elastomer import ElastomericConnector
+from repro.board.pcb import PAD_LENGTH_M, Component, Pcb
+from repro.board.stack import CubeStack, standard_picocube
 from repro.errors import GeometryError
 
 

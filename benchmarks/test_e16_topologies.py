@@ -22,7 +22,7 @@ from repro.power.topologies import (
     fibonacci_step_up,
     step_up_family,
 )
-from repro.runner import ResultStore
+from repro.runner.store import ResultStore
 
 
 def sweep(root):

@@ -14,8 +14,8 @@ matched-source maximum; more ratios recover more.
 
 from conftest import print_table
 
-from repro.harvest import ResonantVibrationHarvester
-from repro.power import (
+from repro.harvest.vibration import ResonantVibrationHarvester
+from repro.power.rectifier import (
     BoostRectifier,
     DiodeBridgeRectifier,
     SynchronousRectifier,

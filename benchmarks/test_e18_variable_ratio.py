@@ -14,8 +14,9 @@ fixed ratio is already near-optimal (the paper's actual design choice).
 
 from conftest import print_table
 
-from repro.power import VariableRatioConverter, design_for_load
+from repro.power.sc_converter import design_for_load
 from repro.power.topologies import doubler
+from repro.power.variable_ratio import VariableRatioConverter
 
 
 def sweep():

@@ -15,7 +15,8 @@ the standing cost of the capacitor is nanowatts, not microwatts.
 
 from conftest import print_table
 
-from repro.storage import HybridBuffer, NiMHCell
+from repro.storage.hybrid import HybridBuffer
+from repro.storage.nimh import NiMHCell
 
 BURST = (4.0e-3, 0.3e-3)  # the radio PA: ~4 mA for ~0.3 ms
 

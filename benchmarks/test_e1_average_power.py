@@ -10,7 +10,8 @@ channel; sleep floor is the dominant contributor vs. active bursts.
 
 from conftest import print_table
 
-from repro.core import audit_node, build_tpms_node
+from repro.core.builder import build_tpms_node
+from repro.core.energy_audit import audit_node
 
 
 def run_hour():

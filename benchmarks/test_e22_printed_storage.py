@@ -18,7 +18,8 @@ the "low capacity per area" obstacle, quantified.
 import pytest
 from conftest import print_table
 
-from repro.storage import NiMHCell, ThinFilmStack
+from repro.storage.nimh import NiMHCell
+from repro.storage.thin_film import ThinFilmStack
 
 FOOTPRINT_M2 = 7.2e-3 * 7.2e-3  # the storage board's placement square
 

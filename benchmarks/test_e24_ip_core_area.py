@@ -16,7 +16,7 @@ the floorplan.
 
 from conftest import print_table
 
-from repro.power import minimum_area_for_efficiency, optimize_area_split
+from repro.power.optimizer import minimum_area_for_efficiency, optimize_area_split
 from repro.power.topologies import doubler, step_down_3_to_2
 
 DIE_AREA_MM2 = 4.0  # the paper's ~2 mm x 2 mm converter IC

@@ -14,8 +14,9 @@ energy per cycle is period-independent.
 
 from conftest import print_table
 
-from repro.core import NodeConfig, PicoCube
-from repro.sensors import Sp12Tpms
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
+from repro.sensors.tpms import Sp12Tpms
 
 
 def node_with_period(period_s: float) -> PicoCube:

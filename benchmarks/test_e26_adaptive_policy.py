@@ -14,8 +14,10 @@ whole mission; the price is temporal resolution, not availability.
 
 from conftest import print_table
 
-from repro.core import AdaptiveScheduler, NodeConfig, PicoCube
-from repro.storage import NiMHCell
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
+from repro.core.policy import AdaptiveScheduler
+from repro.storage.nimh import NiMHCell
 from repro.units import DAY, HOUR
 
 

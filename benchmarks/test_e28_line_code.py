@@ -16,7 +16,8 @@ budget); the longest carrier-off run collapses from tens of bits to one.
 
 from conftest import print_table
 
-from repro.core import NodeConfig, PicoCube
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
 from repro.net.framing import manchester_encode, ones_fraction
 
 

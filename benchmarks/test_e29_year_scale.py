@@ -24,7 +24,8 @@ Two legs:
 import os
 import time
 
-from repro.core import audit_node, build_steady_tpms_node
+from repro.core.builder import build_steady_tpms_node
+from repro.core.energy_audit import audit_node
 
 DAY_S = 86400.0
 YEAR_S = 365.0 * DAY_S

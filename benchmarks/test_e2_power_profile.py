@@ -9,7 +9,9 @@ Shape checks: duration ~14 ms; milliwatt peak during the radio burst;
 microwatt floor; ordering of the phases.
 """
 
-from repro.core import NodeConfig, PicoCube, capture_cycle_profile, render_ascii
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
+from repro.core.profiles import capture_cycle_profile, render_ascii
 
 
 def run_one_cycle():

@@ -13,8 +13,8 @@ amortised).
 import pytest
 from conftest import print_table
 
-from repro.net import encode_tpms_reading
-from repro.radio import FbarTransmitter
+from repro.net.packet import encode_tpms_reading
+from repro.radio.transmitter import FbarTransmitter
 
 
 def sweep():

@@ -11,8 +11,8 @@ monotone in load.
 
 from conftest import print_table
 
-from repro.power import (
-    ConverterIC,
+from repro.power.converter_ic import ConverterIC
+from repro.power.optimizer import (
     efficiency_curve,
     log_spaced_loads,
     wide_load_range_efficiency,

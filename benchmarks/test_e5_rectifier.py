@@ -14,7 +14,7 @@ sync efficiency degrades at very light inputs (comparator bias floor).
 import numpy as np
 from conftest import print_table
 
-from repro.power import (
+from repro.power.rectifier import (
     DiodeBridgeRectifier,
     IdealRectifier,
     SynchronousRectifier,

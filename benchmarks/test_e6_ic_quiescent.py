@@ -12,7 +12,7 @@ largest entry; reference current is VDD-independent with a mild tempco.
 import pytest
 from conftest import print_table
 
-from repro.power import ConverterIC
+from repro.power.converter_ic import ConverterIC
 
 
 def measure():

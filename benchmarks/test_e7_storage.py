@@ -15,7 +15,8 @@ advantage.
 import pytest
 from conftest import print_table
 
-from repro.storage import NiMHCell, ceramic_capacitor, supercapacitor
+from repro.storage.capacitors import ceramic_capacitor, supercapacitor
+from repro.storage.nimh import NiMHCell
 
 
 def characterise(storage):

@@ -12,7 +12,8 @@ clamped, not applied.
 
 from conftest import print_table
 
-from repro.storage import NiMHCell, TrickleCharger
+from repro.storage.charging import TrickleCharger
+from repro.storage.nimh import NiMHCell
 from repro.units import HOUR
 
 

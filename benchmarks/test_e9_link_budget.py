@@ -12,8 +12,11 @@ demo distance and die beyond range.
 import pytest
 from conftest import print_table
 
-from repro.net import DemoReceiverChain, encode_accel_reading
-from repro.radio import PatchAntenna, RadioLink, SuperregenerativeReceiver
+from repro.net.packet import encode_accel_reading
+from repro.net.receiver_chain import DemoReceiverChain
+from repro.radio.antenna import PatchAntenna
+from repro.radio.link import RadioLink
+from repro.radio.receiver import SuperregenerativeReceiver
 
 
 def sweep():

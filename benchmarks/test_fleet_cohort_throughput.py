@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import make_power_train
+from repro.core.power_train import make_power_train
 from repro.net.fleet import RetryPolicy, resolve_channel
 from repro.sim.fleet_engine import FleetScenario, run_fleet
 

@@ -8,10 +8,13 @@ recorder itself, and the frame bits of the packet on air.  Timing each alone sho
 change to the end-to-end node numbers came from.
 """
 
-from repro.core import NodeConfig, PicoCube
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
 from repro.net.framing import ones_fraction
 from repro.net.packet import encode_tpms_reading
-from repro.sim import Engine, PowerRecorder, spawn
+from repro.sim.engine import Engine
+from repro.sim.process import spawn
+from repro.sim.recorder import PowerRecorder
 
 RESUMES = 50_000
 

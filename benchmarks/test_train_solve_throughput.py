@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import LoadState, make_power_train
+from repro.core.power_train import LoadState, make_power_train
 from repro.power.graph import RailGraph
 from repro.power.rail_topologies import get_rail_spec
 

@@ -13,7 +13,7 @@ schedule at three light levels, then simulates a full week at each to
 see which ones ride through the nights and the weekend.
 """
 
-from repro.core import build_tpms_node
+from repro.core.builder import build_tpms_node
 from repro.harvest.lighting import BuildingDeployment, LightingSchedule
 from repro.units import DAY
 

@@ -7,9 +7,10 @@ all four, a slow leak developing in the right-rear tire, and one node
 whose harvester fails.  The ECU must call both.
 """
 
-from repro.core import NodeConfig, PicoCube
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
 from repro.net.basestation import BaseStation
-from repro.sim import Engine
+from repro.sim.engine import Engine
 from repro.units import HOUR
 
 WHEELS = {1: "front-left", 2: "front-right", 3: "rear-left", 4: "rear-right"}

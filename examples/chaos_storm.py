@@ -11,16 +11,18 @@ node down — bit-identical for any worker count.
 """
 
 from repro.campaigns import chaos_campaign
-from repro.core import NodeConfig, PicoCube, audit_node
-from repro.faults import (
+from repro.core.config import NodeConfig
+from repro.core.energy_audit import audit_node
+from repro.core.node import PicoCube
+from repro.faults.events import (
     ChannelNoiseBurst,
     EsrDrift,
-    FaultInjector,
-    FaultSchedule,
     HarvesterDropout,
     SpuriousReset,
 )
-from repro.storage import NiMHCell
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
+from repro.storage.nimh import NiMHCell
 
 HOUR = 3600.0
 

@@ -12,9 +12,9 @@ rectifier to be usable at all).
 import os
 
 from repro.campaigns import energy_neutral_campaign
-from repro.core import build_tpms_node
-from repro.harvest import ResonantVibrationHarvester
-from repro.power import BoostRectifier
+from repro.core.builder import build_tpms_node
+from repro.harvest.vibration import ResonantVibrationHarvester
+from repro.power.rectifier import BoostRectifier
 
 
 def main() -> None:

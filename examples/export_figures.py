@@ -16,17 +16,19 @@ import os
 
 import numpy as np
 
-from repro.core import NodeConfig, PicoCube, build_tpms_deployment
-from repro.power import (
-    ConverterIC,
+from repro.core.builder import build_tpms_deployment
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
+from repro.power.converter_ic import ConverterIC
+from repro.power.optimizer import efficiency_curve, log_spaced_loads
+from repro.power.rectifier import (
     DiodeBridgeRectifier,
     IdealRectifier,
     SynchronousRectifier,
-    efficiency_curve,
-    log_spaced_loads,
 )
-from repro.radio import PatchAntenna, RadioLink
-from repro.sim import recorder_to_csv, write_csv
+from repro.radio.antenna import PatchAntenna
+from repro.radio.link import RadioLink
+from repro.sim.export import recorder_to_csv, write_csv
 from repro.units import HOUR
 
 OUT_DIR = "figures"

@@ -12,7 +12,7 @@ mode to engineer away (synchronised wake-ups).
 import os
 
 from repro.campaigns import fleet_density_campaign, fleet_task
-from repro.net import aloha_prediction
+from repro.net.fleet import aloha_prediction
 
 
 def main() -> None:

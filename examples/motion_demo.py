@@ -8,8 +8,8 @@ receiver bench, where a 'laptop' decodes and plots them.  Put it down and
 the plotting stops.
 """
 
-from repro.core import build_demo_bench, build_motion_node
-from repro.sensors import MotionInterval
+from repro.core.builder import build_demo_bench, build_motion_node
+from repro.sensors.environment import MotionInterval
 
 
 def main() -> None:

@@ -8,8 +8,8 @@ load under PFM regulation, choose the rectifier, and add up the standing
 current against the measured 6.5 uA.
 """
 
-from repro.power import (
-    ConverterIC,
+from repro.power.converter_ic import ConverterIC
+from repro.power.optimizer import (
     compare_step_up_topologies,
     efficiency_curve,
     log_spaced_loads,

@@ -6,15 +6,11 @@ node waking every six seconds for a ~14 ms sample/format/transmit cycle,
 averaging about 6 uW, dominated by power-management quiescent losses.
 """
 
-from repro import (
-    PicoCube,
-    NodeConfig,
-    audit_node,
-    build_tpms_node,
-    capture_cycle_profile,
-    render_ascii,
-)
-from repro.core import format_lifetime, projected_lifetime_s
+from repro.core.builder import build_tpms_node
+from repro.core.config import NodeConfig
+from repro.core.energy_audit import audit_node, format_lifetime, projected_lifetime_s
+from repro.core.node import PicoCube
+from repro.core.profiles import capture_cycle_profile, render_ascii
 
 
 def main() -> None:
@@ -46,7 +42,7 @@ def main() -> None:
     )
 
     # --- what the last packet said ------------------------------------------
-    from repro.net import decode_tpms_reading
+    from repro.net.packet import decode_tpms_reading
 
     last = decode_tpms_reading(node.packets_sent[-1])
     print()

@@ -12,8 +12,8 @@ harvester deliver segment by segment, and does a slow leak show up in the
 telemetry?
 """
 
-from repro.core import build_tpms_deployment
-from repro.net import decode_tpms_reading
+from repro.core.builder import build_tpms_deployment
+from repro.net.packet import decode_tpms_reading
 from repro.units import DAY, HOUR
 
 

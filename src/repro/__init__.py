@@ -6,64 +6,17 @@ power train (COTS and integrated switched-capacitor IC), NiMH storage,
 harvesters, MSP430, FBAR OOK radio, sensors, packaging — on an exact
 discrete-event electrical simulator.
 
+The package ``__init__`` files hold only docstrings: import each name
+from the module that defines it.
+
 Quick start::
 
-    from repro import build_tpms_node, audit_node
+    from repro.core.builder import build_tpms_node
+    from repro.core.energy_audit import audit_node
 
     node = build_tpms_node()
     node.run(3600.0)
     print(audit_node(node).format_table())
 """
 
-from . import (
-    board,
-    core,
-    faults,
-    harvest,
-    mcu,
-    net,
-    power,
-    radio,
-    sensors,
-    sim,
-    storage,
-)
-from . import errors, units
-from .core import (
-    NodeConfig,
-    PicoCube,
-    audit_node,
-    build_demo_bench,
-    build_motion_node,
-    build_tpms_deployment,
-    build_tpms_node,
-    capture_cycle_profile,
-    render_ascii,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "NodeConfig",
-    "PicoCube",
-    "audit_node",
-    "board",
-    "build_demo_bench",
-    "build_motion_node",
-    "build_tpms_deployment",
-    "build_tpms_node",
-    "capture_cycle_profile",
-    "core",
-    "errors",
-    "faults",
-    "harvest",
-    "mcu",
-    "net",
-    "power",
-    "radio",
-    "render_ascii",
-    "sensors",
-    "sim",
-    "storage",
-    "units",
-]

@@ -33,20 +33,7 @@ Run it as ``python -m repro lint [--json] [--baseline PATH]
 catalogue and the baseline workflow.
 """
 
-from .baseline import load_baseline, split_by_baseline, write_baseline
-from .dimensions import SUFFIX_DIMENSIONS, dimension_of_name
-from .driver import (
-    ModuleContext,
-    ProjectIndex,
-    Rule,
-    analyze_paths,
-    finalize_findings,
-    iter_python_files,
-)
-from .findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
-from .report import render_json, render_text
 from .rules_contracts import (
-    SLOTS_REGISTRY,
     MissingSlotsRule,
     MutableDefaultRule,
     UnfrozenFaultEventRule,
@@ -60,12 +47,7 @@ from .rules_determinism import (
     WallClockRule,
 )
 from .rules_flow_units import UnitFlowMismatchRule, UnitReturnMismatchRule
-from .rules_kernels import (
-    KernelHygieneRule,
-    KernelStructureRule,
-    audit_kernel_source,
-    audit_registered_kernels,
-)
+from .rules_kernels import KernelHygieneRule, KernelStructureRule
 from .rules_units import (
     UnitBareSiLiteralRule,
     UnitBindingMismatchRule,
@@ -80,7 +62,7 @@ def default_rules(*, flow: bool = True):
     the ``--no-flow`` escape hatch for quick editor runs.  The kernel
     rules are always in the list but carry a synthetic module prefix no
     real file matches; they fire only through the ``--kernels`` audit
-    entry point (:func:`audit_registered_kernels`).
+    entry point (:func:`repro.analysis.rules_kernels.audit_registered_kernels`).
     """
     rules = [
         UnitBindingMismatchRule(),
@@ -103,41 +85,4 @@ def default_rules(*, flow: bool = True):
     return rules
 
 
-__all__ = [
-    "DynamicCodeRule",
-    "Finding",
-    "KernelHygieneRule",
-    "KernelStructureRule",
-    "MissingSlotsRule",
-    "ModuleContext",
-    "MutableDefaultRule",
-    "ProjectIndex",
-    "Rule",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
-    "SLOTS_REGISTRY",
-    "SUFFIX_DIMENSIONS",
-    "UnfrozenFaultEventRule",
-    "UnfrozenRailSpecRule",
-    "UnregisteredCheckpointStateRule",
-    "UnitBareSiLiteralRule",
-    "UnitBindingMismatchRule",
-    "UnitFlowMismatchRule",
-    "UnitMixedArithmeticRule",
-    "UnitReturnMismatchRule",
-    "UnorderedIterationRule",
-    "UnseededRandomRule",
-    "WallClockRule",
-    "analyze_paths",
-    "audit_kernel_source",
-    "audit_registered_kernels",
-    "default_rules",
-    "dimension_of_name",
-    "finalize_findings",
-    "iter_python_files",
-    "load_baseline",
-    "render_json",
-    "render_text",
-    "split_by_baseline",
-    "write_baseline",
-]
+__all__ = ["default_rules"]

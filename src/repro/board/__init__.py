@@ -1,53 +1,1 @@
 """Physical design substrate: PCBs, elastomeric connectors, cube stack."""
-
-from .elastomer import ElastomericConnector
-from .pcb import (
-    BOARD_SIDE_M,
-    CONNECTOR_MARGIN_M,
-    Component,
-    PAD_LENGTH_M,
-    PAD_WIDTH_M,
-    PADS_TOTAL,
-    PadRing,
-    Pcb,
-)
-from .tolerances import (
-    AlignmentOutcome,
-    PadAlignmentModel,
-    YieldReport,
-    merge_yield_reports,
-    monte_carlo_yield,
-    tolerance_for_yield,
-)
-from .stack import (
-    COMPONENT_CLEARANCE_M,
-    CubeStack,
-    PAPER_RING_HEIGHT_M,
-    StackEntry,
-    gap_matched_connector,
-    standard_picocube,
-)
-
-__all__ = [
-    "BOARD_SIDE_M",
-    "COMPONENT_CLEARANCE_M",
-    "CONNECTOR_MARGIN_M",
-    "Component",
-    "CubeStack",
-    "ElastomericConnector",
-    "PAD_LENGTH_M",
-    "PAD_WIDTH_M",
-    "PADS_TOTAL",
-    "PAPER_RING_HEIGHT_M",
-    "PadRing",
-    "Pcb",
-    "StackEntry",
-    "gap_matched_connector",
-    "standard_picocube",
-    "AlignmentOutcome",
-    "PadAlignmentModel",
-    "YieldReport",
-    "merge_yield_reports",
-    "monte_carlo_yield",
-    "tolerance_for_yield",
-]

@@ -22,42 +22,36 @@ import os
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .board import (
+from .board.pcb import PadRing
+from .board.tolerances import (
     PadAlignmentModel,
     YieldReport,
     merge_yield_reports,
     monte_carlo_yield,
 )
-from .board.pcb import PadRing
-from .core import (
-    NodeConfig,
-    PicoCube,
-    audit_node,
-    build_steady_tpms_node,
-    build_tpms_node,
-)
+from .core.builder import build_steady_tpms_node, build_tpms_node
+from .core.config import NodeConfig
+from .core.energy_audit import audit_node
+from .core.node import PicoCube
 from .errors import CheckpointError, ConfigurationError
-from .faults import FaultInjector, random_schedule
-from .harvest import (
-    BicycleWheelHarvester,
-    ElectromagneticShaker,
-    ResonantVibrationHarvester,
-    SolarCladding,
-    TireHarvester,
-)
-from .net import FleetChannel, FleetStats, aloha_prediction
-from .net.fleet import BEACON_PERIOD_S
-from .power import (
-    BoostRectifier,
-    SynchronousRectifier,
-    compare_step_up_topologies,
-    rail_topology_names,
-)
+from .faults.injector import FaultInjector
+from .faults.schedule import random_schedule
+from .harvest.bicycle import BicycleWheelHarvester
+from .harvest.shaker import ElectromagneticShaker
+from .harvest.solar import SolarCladding
+from .harvest.tire import TireHarvester
+from .harvest.vibration import ResonantVibrationHarvester
+from .net.fleet import FleetChannel, FleetStats, aloha_prediction, uniform_phases
+from .power.optimizer import compare_step_up_topologies
+from .power.rail_topologies import rail_topology_names
+from .power.rectifier import BoostRectifier, SynchronousRectifier
 from .power.topologies import all_step_up_families
-from .runner import CampaignStats, MonteCarlo, ResultStore, Sweep
-from .sensors import TireEnvironment
+from .runner.metrics import CampaignStats
+from .runner.pool import MonteCarlo, Sweep
+from .runner.store import ResultStore
+from .sensors.environment import TireEnvironment
 from .sim import checkpoint as simcheckpoint
-from .storage import NiMHCell
+from .storage.nimh import NiMHCell
 from .units import milli
 
 # ---------------------------------------------------------------------------
@@ -246,11 +240,6 @@ def fleet_task(
     return run_fleet(scenario, engine=engine).stats
 
 
-def random_phases(count: int, rng: random.Random) -> Tuple[float, ...]:
-    """Uniform wake phases over one beacon period, from the caller's RNG."""
-    return tuple(rng.uniform(0.0, BEACON_PERIOD_S) for _ in range(count))
-
-
 def fleet_density_campaign(
     counts: Sequence[int],
     duration_s: float = 300.0,
@@ -274,8 +263,8 @@ def fleet_density_campaign(
     grid: List[Tuple] = []
     for count in counts:
         grid.append((count, None, None, duration_s, engine))
-        grid.append((count, random_phases(count, rng), None, duration_s,
-                     engine))
+        grid.append((count, tuple(uniform_phases(count, rng)), None,
+                     duration_s, engine))
     sweep = Sweep(
         fleet_task,
         name="e21-fleet",
@@ -505,7 +494,7 @@ CHAOS_PROFILES: Dict[str, Dict] = {
         resets=2,
     ),
 }
-"""Named :func:`repro.faults.random_schedule` parameter sets.
+"""Named :func:`repro.faults.schedule.random_schedule` parameter sets.
 
 ``mild`` is a rough week in the field (derated harvest, light noise);
 ``harsh`` is the storm that should force brownouts — full dropouts long

@@ -43,13 +43,8 @@ from typing import List, Optional
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from .core import (
-        audit_node,
-        build_steady_tpms_node,
-        build_tpms_node,
-        format_lifetime,
-        projected_lifetime_s,
-    )
+    from .core.builder import build_steady_tpms_node, build_tpms_node
+    from .core.energy_audit import audit_node, format_lifetime, projected_lifetime_s
 
     if args.fast_forward and not args.steady:
         print("--fast-forward requires --steady (the drift-free scenario)",
@@ -83,7 +78,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .core import NodeConfig, PicoCube, capture_cycle_profile, render_ascii
+    from .core.config import NodeConfig
+    from .core.node import PicoCube
+    from .core.profiles import capture_cycle_profile, render_ascii
 
     node = PicoCube(NodeConfig(power_train=args.train, fidelity="profile"))
     node.run(13.0)
@@ -92,8 +89,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_deploy(args: argparse.Namespace) -> int:
-    from .core import build_tpms_deployment
-    from .net import decode_tpms_reading
+    from .core.builder import build_tpms_deployment
+    from .net.packet import decode_tpms_reading
     from .units import DAY
 
     deployment = build_tpms_deployment(power_train=args.train)
@@ -113,7 +110,8 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
 
 
 def _cmd_link(args: argparse.Namespace) -> int:
-    from .radio import PatchAntenna, RadioLink
+    from .radio.antenna import PatchAntenna
+    from .radio.link import RadioLink
 
     link = RadioLink(PatchAntenna())
     print(f"{'distance':>10} {'path loss':>11} {'received':>10} {'margin':>8}")
@@ -130,7 +128,7 @@ def _cmd_link(args: argparse.Namespace) -> int:
 
 
 def _cmd_ic(args: argparse.Namespace) -> int:
-    from .power import ConverterIC
+    from .power.converter_ic import ConverterIC
 
     ic = ConverterIC()
     print("standing-current ledger (paper: ~6.5 uA):")
@@ -146,7 +144,8 @@ def _cmd_ic(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .core import build_tpms_node, run_report
+    from .core.builder import build_tpms_node
+    from .core.reporting import run_report
 
     node = build_tpms_node(power_train=args.train)
     node.run(args.hours * 3600.0)
@@ -155,7 +154,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from .core import LoadState, make_power_train
+    from .core.power_train import LoadState, make_power_train
     from .errors import ElectricalError
     from .power.rail_topologies import get_rail_spec, rail_topology_names
 
@@ -301,7 +300,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _perf_scenario_audit(hours: float) -> None:
-    from .core import audit_node, build_tpms_node
+    from .core.builder import build_tpms_node
+    from .core.energy_audit import audit_node
 
     node = build_tpms_node()
     node.run(hours * 3600.0)
@@ -309,7 +309,8 @@ def _perf_scenario_audit(hours: float) -> None:
 
 
 def _perf_scenario_steady(hours: float) -> None:
-    from .core import audit_node, build_steady_tpms_node
+    from .core.builder import build_steady_tpms_node
+    from .core.energy_audit import audit_node
 
     node = build_steady_tpms_node(fast_forward=True)
     node.run(hours * 3600.0)
@@ -317,7 +318,7 @@ def _perf_scenario_steady(hours: float) -> None:
 
 
 def _perf_scenario_deploy(hours: float) -> None:
-    from .core import build_tpms_deployment
+    from .core.builder import build_tpms_deployment
 
     build_tpms_deployment().node.run(hours * 3600.0)
 
@@ -392,18 +393,16 @@ def _changed_files(base: str,
 def _cmd_lint(args: argparse.Namespace) -> int:
     import pathlib
 
-    from .analysis import (
-        analyze_paths,
-        audit_registered_kernels,
-        default_rules,
-        finalize_findings,
+    from .analysis import default_rules
+    from .analysis.baseline import (
         load_baseline,
-        render_json,
-        render_text,
         split_by_baseline,
+        stale_baseline_entries,
         write_baseline,
     )
-    from .analysis.baseline import stale_baseline_entries
+    from .analysis.driver import analyze_paths, finalize_findings
+    from .analysis.report import render_json, render_text
+    from .analysis.rules_kernels import audit_registered_kernels
 
     rules = default_rules(flow=args.flow)
     if args.list_rules:
@@ -463,7 +462,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_stack(args: argparse.Namespace) -> int:
-    from .board import standard_picocube
+    from .board.stack import standard_picocube
 
     cube = standard_picocube()
     print(f"{'board':<12} {'thickness':>10} {'gap above':>10}")

@@ -1,71 +1,1 @@
 """The PicoCube core: node composition, power trains, audits, profiles."""
-
-from .builder import (
-    TpmsDeployment,
-    build_demo_bench,
-    build_motion_node,
-    build_steady_tpms_node,
-    build_tpms_deployment,
-    build_tpms_node,
-    equilibrate_tire_environment,
-)
-from .config import NodeConfig
-from .energy_audit import (
-    EnergyAudit,
-    audit_node,
-    format_lifetime,
-    is_energy_neutral,
-    projected_lifetime_s,
-)
-from .fastforward import CycleFastForward, LeapRecord
-from .node import BrownoutEvent, PicoCube
-from .power_train import (
-    CotsPowerTrain,
-    GraphPowerTrain,
-    IcPowerTrain,
-    LoadState,
-    PowerTrain,
-    TrainSolution,
-    V_RADIO_DIGITAL,
-    V_RADIO_RF,
-    make_power_train,
-)
-from .policy import AdaptiveScheduler, DEFAULT_LADDER, PolicyRung
-from .profiles import CycleProfile, capture_cycle_profile, render_ascii
-from .reporting import run_report
-
-__all__ = [
-    "AdaptiveScheduler",
-    "BrownoutEvent",
-    "DEFAULT_LADDER",
-    "PolicyRung",
-    "CotsPowerTrain",
-    "CycleFastForward",
-    "CycleProfile",
-    "EnergyAudit",
-    "GraphPowerTrain",
-    "LeapRecord",
-    "IcPowerTrain",
-    "LoadState",
-    "NodeConfig",
-    "PicoCube",
-    "PowerTrain",
-    "TpmsDeployment",
-    "TrainSolution",
-    "V_RADIO_DIGITAL",
-    "V_RADIO_RF",
-    "audit_node",
-    "build_demo_bench",
-    "build_motion_node",
-    "build_steady_tpms_node",
-    "build_tpms_deployment",
-    "build_tpms_node",
-    "capture_cycle_profile",
-    "equilibrate_tire_environment",
-    "format_lifetime",
-    "is_energy_neutral",
-    "make_power_train",
-    "projected_lifetime_s",
-    "render_ascii",
-    "run_report",
-]

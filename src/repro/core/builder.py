@@ -10,11 +10,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional
 
-from ..harvest import DriveCycle, TireHarvester, commuter_cycle
-from ..net import DemoReceiverChain
-from ..power import SynchronousRectifier
-from ..radio import PatchAntenna, RadioLink, SuperregenerativeReceiver
-from ..sensors import MotionEnvironment, MotionInterval, TireEnvironment
+from ..harvest.tire import DriveCycle, TireHarvester, commuter_cycle
+from ..net.receiver_chain import DemoReceiverChain
+from ..power.rectifier import SynchronousRectifier
+from ..radio.antenna import PatchAntenna
+from ..radio.link import RadioLink
+from ..radio.receiver import SuperregenerativeReceiver
+from ..sensors.environment import MotionEnvironment, MotionInterval, TireEnvironment
 from .config import NodeConfig
 from .node import PicoCube
 
@@ -209,7 +211,7 @@ def build_tpms_deployment(
     node.attach_charger(
         deployment.charging_current_fn(), update_period_s=harvest_update_s
     )
-    from ..sim import PeriodicTimer
+    from ..sim.clock import PeriodicTimer
 
     speed_timer = PeriodicTimer(
         node.engine,

@@ -127,12 +127,3 @@ def format_lifetime(seconds: float) -> str:
     if seconds >= YEAR:
         return f"{seconds / YEAR:.1f} years"
     return f"{seconds / DAY:.1f} days"
-
-
-def is_energy_neutral(
-    node: PicoCube, harvest_power_w: float, margin: float = 1.0
-) -> bool:
-    """Does harvested power cover the node (with a safety margin)?"""
-    if margin <= 0.0:
-        raise SimulationError("margin must be positive")
-    return harvest_power_w >= margin * node.average_power()

@@ -41,7 +41,7 @@ Anything that makes cycles non-repeating suppresses leaping with no
 configuration needed, because it breaks snapshot equality or window
 verification:
 
-* **fault windows** — a :class:`~repro.faults.FaultInjector` pre-schedules
+* **fault windows** — a :class:`~repro.faults.injector.FaultInjector` pre-schedules
   its events at absolute times, so the engine's pending-event signature
   differs from cycle to cycle until the campaign's events have all fired;
 * **brownouts** — the supervisor timer and the browned-out flag both enter

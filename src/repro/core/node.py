@@ -22,20 +22,22 @@ import dataclasses
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, ElectricalError, SimulationError
-from ..mcu import Mode, Msp430, SpiMaster, motion_firmware, tpms_firmware
-from ..net.packet import PicoPacket, encode_accel_reading, encode_tpms_reading
+from ..mcu.firmware import motion_firmware, tpms_firmware
+from ..mcu.msp430 import Mode, Msp430
+from ..mcu.spi import SpiMaster
 from ..net.framing import manchester_encode, ones_fraction
-from ..radio import FbarTransmitter, OokModulator
-from ..sensors import (
-    MotionEnvironment,
-    MotionInterval,
-    Sca3000,
-    Sp12Tpms,
-    TireEnvironment,
-)
-from ..sim import Engine, PeriodicTimer, PowerRecorder, spawn
-from ..sim.process import Process
-from ..storage import NiMHCell, TrickleCharger
+from ..net.packet import PicoPacket, encode_accel_reading, encode_tpms_reading
+from ..radio.ook import OokModulator
+from ..radio.transmitter import FbarTransmitter
+from ..sensors.accelerometer import Sca3000
+from ..sensors.environment import MotionEnvironment, MotionInterval, TireEnvironment
+from ..sensors.tpms import Sp12Tpms
+from ..sim.clock import PeriodicTimer
+from ..sim.engine import Engine
+from ..sim.process import Process, spawn
+from ..sim.recorder import PowerRecorder
+from ..storage.charging import TrickleCharger
+from ..storage.nimh import NiMHCell
 from .config import NodeConfig
 from .fastforward import CycleFastForward
 from .power_train import LoadState, make_power_train

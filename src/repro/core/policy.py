@@ -20,7 +20,7 @@ import dataclasses
 from typing import List, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..sim import PeriodicTimer
+from ..sim.clock import PeriodicTimer
 from .node import PicoCube
 
 

@@ -31,7 +31,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import ConfigurationError, ElectricalError
-from ..power import ConverterIC, ConverterICConfig, PowerSwitch
+from ..power.converter_ic import ConverterIC, ConverterICConfig
 from ..power.graph import (
     CHANNELS,
     GraphSolutionBatch,
@@ -40,16 +40,13 @@ from ..power.graph import (
 )
 from ..power.rail_topologies import (
     RADIO_GATE,
-    V_RADIO_DIGITAL,
-    V_RADIO_RF,
     cots_spec,
     get_rail_spec,
     ic_spec,
 )
+from ..power.switches import PowerSwitch
 
 __all__ = [
-    "V_RADIO_DIGITAL",
-    "V_RADIO_RF",
     "LoadState",
     "TrainSolution",
     "PowerTrain",

@@ -28,10 +28,6 @@ class ElectricalError(PicoCubeError):
     """An electrical constraint was violated (voltage range, overcurrent)."""
 
 
-class BrownoutError(ElectricalError):
-    """A supply rail fell below the minimum voltage of its load."""
-
-
 class StorageError(PicoCubeError):
     """Energy-storage model violation (overcharge, deep discharge)."""
 

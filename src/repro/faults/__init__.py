@@ -11,8 +11,10 @@ Monte Carlo campaign in :mod:`repro.campaigns`.
 
 Quick start::
 
-    from repro import build_tpms_node
-    from repro.faults import FaultInjector, FaultSchedule, HarvesterDropout
+    from repro.core.builder import build_tpms_node
+    from repro.faults.events import HarvesterDropout
+    from repro.faults.injector import FaultInjector
+    from repro.faults.schedule import FaultSchedule
 
     node = build_tpms_node()
     node.attach_charger(lambda t: 20e-6)
@@ -21,30 +23,3 @@ Quick start::
     ])).arm()
     node.run(4 * 3600.0)
 """
-
-from .events import (
-    ChannelNoiseBurst,
-    ConverterDegradation,
-    EsrDrift,
-    FaultEvent,
-    HarvesterDropout,
-    SelfDischargeSpike,
-    SpuriousReset,
-)
-from .injector import CorruptedFrame, FaultInjector
-from .schedule import EVENT_KINDS, FaultSchedule, random_schedule
-
-__all__ = [
-    "ChannelNoiseBurst",
-    "ConverterDegradation",
-    "CorruptedFrame",
-    "EVENT_KINDS",
-    "EsrDrift",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSchedule",
-    "HarvesterDropout",
-    "SelfDischargeSpike",
-    "SpuriousReset",
-    "random_schedule",
-]

@@ -1,36 +1,1 @@
 """Harvester substrate: AC/DC ambient-energy source models."""
-
-from .base import Harvester, SourceWaveform
-from .bicycle import BicycleWheelHarvester
-from .shaker import ElectromagneticShaker
-from .solar import (
-    IRRADIANCE_BRIGHT_INDOOR,
-    IRRADIANCE_FULL_SUN,
-    IRRADIANCE_OFFICE,
-    IRRADIANCE_OVERCAST,
-    SolarCladding,
-)
-from .lighting import BuildingDeployment, LightingSchedule
-from .tire import DriveCycle, DriveSegment, TireHarvester, commuter_cycle
-from .vibration import ResonantVibrationHarvester
-from . import waveforms
-
-__all__ = [
-    "BicycleWheelHarvester",
-    "BuildingDeployment",
-    "LightingSchedule",
-    "DriveCycle",
-    "DriveSegment",
-    "ElectromagneticShaker",
-    "Harvester",
-    "IRRADIANCE_BRIGHT_INDOOR",
-    "IRRADIANCE_FULL_SUN",
-    "IRRADIANCE_OFFICE",
-    "IRRADIANCE_OVERCAST",
-    "ResonantVibrationHarvester",
-    "SolarCladding",
-    "SourceWaveform",
-    "TireHarvester",
-    "commuter_cycle",
-    "waveforms",
-]

@@ -1,15 +1,1 @@
 """Microcontroller substrate: MSP430 model, firmware image, SPI timing."""
-
-from .firmware import CodePath, FirmwareImage, motion_firmware, tpms_firmware
-from .msp430 import Mode, Msp430
-from .spi import SpiMaster
-
-__all__ = [
-    "CodePath",
-    "FirmwareImage",
-    "Mode",
-    "Msp430",
-    "SpiMaster",
-    "motion_firmware",
-    "tpms_firmware",
-]

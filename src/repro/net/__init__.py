@@ -1,83 +1,1 @@
 """Networking substrate: packet format, framing, demo receive chain."""
-
-from .framing import (
-    bits_to_bytes,
-    bytes_to_bits,
-    manchester_decode,
-    manchester_encode,
-    ones_fraction,
-)
-from .packet import (
-    KIND_ACCEL,
-    KIND_HEARTBEAT,
-    KIND_TPMS,
-    MAX_PAYLOAD_WORDS,
-    PREAMBLE,
-    PicoPacket,
-    SYNC,
-    crc8,
-    decode_accel_reading,
-    decode_tpms_reading,
-    encode_accel_reading,
-    encode_tpms_reading,
-)
-from .baseband import NoisyOokChannel, q_function
-from .basestation import Alarm, BaseStation, NodeTrack
-from .fleet import (
-    BEACON_PERIOD_S,
-    AirTimeRecord,
-    AirTimes,
-    FleetChannel,
-    FleetStats,
-    RetryPolicy,
-    aloha_prediction,
-    burst_in_noise,
-    density_sweep,
-    fleet_node_config,
-    fleet_offsets,
-    model_retries,
-    phase_node,
-    resolve_channel,
-)
-from .receiver_chain import DemoReceiverChain, ReceptionStats
-
-__all__ = [
-    "AirTimeRecord",
-    "AirTimes",
-    "Alarm",
-    "BaseStation",
-    "NodeTrack",
-    "NoisyOokChannel",
-    "DemoReceiverChain",
-    "FleetChannel",
-    "FleetStats",
-    "RetryPolicy",
-    "KIND_ACCEL",
-    "KIND_HEARTBEAT",
-    "KIND_TPMS",
-    "MAX_PAYLOAD_WORDS",
-    "PREAMBLE",
-    "PicoPacket",
-    "ReceptionStats",
-    "SYNC",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "crc8",
-    "decode_accel_reading",
-    "decode_tpms_reading",
-    "encode_accel_reading",
-    "encode_tpms_reading",
-    "manchester_decode",
-    "manchester_encode",
-    "ones_fraction",
-    "q_function",
-    "aloha_prediction",
-    "density_sweep",
-    "BEACON_PERIOD_S",
-    "burst_in_noise",
-    "fleet_node_config",
-    "fleet_offsets",
-    "model_retries",
-    "phase_node",
-    "resolve_channel",
-]

@@ -39,7 +39,7 @@ import numpy as np
 from ..core.energy_audit import EnergyAudit, audit_node
 from ..core.node import PicoCube
 from ..errors import ConfigurationError, ElectricalError, SimulationError
-from ..mcu import Mode
+from ..mcu.msp430 import Mode
 from ..sim.recorder import PowerRecorder
 from ..storage.nimh import (
     LOW_SOC,

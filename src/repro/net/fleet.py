@@ -21,11 +21,11 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError, StorageError
 from ..core.config import NodeConfig
 from ..core.node import PicoCube
 from ..core.power_train import make_power_train
-from ..sim import Engine
+from ..errors import ConfigurationError, StorageError
+from ..sim.engine import Engine
 from ..storage.nimh import NiMHCell
 
 BEACON_PERIOD_S = 6.0
@@ -68,6 +68,16 @@ def check_finite(name: str, *values: float) -> None:
     for value in values:
         if not math.isfinite(value):
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
+
+
+def uniform_phases(count: int, rng: random.Random) -> List[float]:
+    """``count`` wake phases drawn uniformly over one beacon period.
+
+    The one seeded phase draw: :func:`density_sweep`, the fleet engine's
+    ``phase_seed`` and the E21 campaign all call it, so equal RNG states
+    give equal fleets on every path.
+    """
+    return [rng.uniform(0.0, BEACON_PERIOD_S) for _ in range(count)]
 
 
 def fleet_offsets(
@@ -231,6 +241,7 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 1:
             raise ConfigurationError("max_retries must be >= 1")
+        check_finite("retry timing", self.backoff_s, self.jitter_s)
         if self.backoff_s <= 0.0 or self.jitter_s < 0.0:
             raise ConfigurationError("invalid retry timing")
 
@@ -545,10 +556,9 @@ def density_sweep(
     results = []
     for count in node_counts:
         if phase_seed is not None:
-            rng = random.Random(f"{phase_seed}:{count}")
-            phases = [
-                rng.uniform(0.0, BEACON_PERIOD_S) for _ in range(count)
-            ]
+            phases = uniform_phases(
+                count, random.Random(f"{phase_seed}:{count}")
+            )
             fleet = FleetChannel(count, phases=phases)
         else:
             fleet = FleetChannel(count, stagger_s=stagger_s)

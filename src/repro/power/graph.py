@@ -46,8 +46,8 @@ from typing import (
 import numpy as np
 
 from ..errors import ConfigurationError
-from .charge_pump import RegulatedChargePump
 from .base import VoltageRange
+from .charge_pump import RegulatedChargePump
 from .linear_regulator import LinearRegulator
 from .sc_converter import design_for_load
 from .shunt_regulator import ShuntRegulator

@@ -13,11 +13,7 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError, ElectricalError
-from .graph import RailGraph
-from .rail_topologies import RADIO_GATE, get_rail_spec, rail_topology_names
 from .sc_converter import SwitchedCapacitorConverter, design_for_load
 from .scnetwork import SCNetwork
 from .topologies import step_up_family
@@ -287,88 +283,6 @@ class TopologyComparison:
     switch_multiplier_sum: float
     cap_energy_metric: float
     switch_va_metric: float
-
-
-SLEEP_POINT_LOADS = {"mcu": 0.7e-6, "sensor": 0.3e-6}
-TX_POINT_LOADS = {
-    "mcu": 250e-6,
-    "sensor": 450e-6,
-    "radio-digital": 50e-6,
-    "radio-rf": 4e-3,
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class RailTopologyReport:
-    """Electrical cost of one registered rail-graph topology.
-
-    ``sleep_*`` is the radio-gated-off standby point that dominates the
-    duty-cycled energy budget; ``tx_*`` is the full transmit burst.
-    ``tx_efficiency`` is delivered load power over battery power at TX.
-    """
-
-    kind: str
-    description: str
-    component_count: int
-    sleep_i_battery: float
-    sleep_p_battery: float
-    tx_p_battery: float
-    tx_efficiency: float
-
-
-def compare_rail_topologies(
-    v_battery: float = 1.25,
-    kinds: Optional[Sequence[str]] = None,
-    sleep_loads: Optional[Dict[str, float]] = None,
-    tx_loads: Optional[Dict[str, float]] = None,
-) -> List[RailTopologyReport]:
-    """Solve every registered rail topology at a sleep and a TX point.
-
-    Works straight on :class:`~repro.power.graph.RailGraph` — no node in
-    the loop — so it answers the designer's question ("which topology
-    wastes least standing by, which converts best under the burst?")
-    before any simulation.  Both operating points go through one
-    :meth:`~repro.power.graph.RailGraph.solve_batch` call per topology,
-    with the radio gate opened only at the TX point.  Topologies with no
-    operating point at ``v_battery`` are skipped, matching
-    :func:`compare_step_up_topologies`.
-    """
-    sleep_loads = dict(SLEEP_POINT_LOADS if sleep_loads is None else sleep_loads)
-    tx_loads = dict(TX_POINT_LOADS if tx_loads is None else tx_loads)
-    channels = list(dict.fromkeys([*sleep_loads, *tx_loads]))
-    point_loads = {
-        channel: np.array(
-            [sleep_loads.get(channel, 0.0), tx_loads.get(channel, 0.0)]
-        )
-        for channel in channels
-    }
-    radio_mask = np.array([False, True])
-    rows = []
-    for kind in (rail_topology_names() if kinds is None else kinds):
-        spec = get_rail_spec(kind)
-        graph = RailGraph(spec)
-        try:
-            batch = graph.solve_batch(
-                v_battery, point_loads, open_gates={RADIO_GATE: radio_mask}
-            )
-        except ElectricalError:
-            continue
-        delivered = 0.0
-        for channel, amps in tx_loads.items():
-            delivered += graph.tap_voltage(channel) * amps
-        tx_p_battery = float(batch.p_source[1])
-        rows.append(
-            RailTopologyReport(
-                kind=kind,
-                description=spec.description,
-                component_count=len(spec.components),
-                sleep_i_battery=float(batch.i_source[0]),
-                sleep_p_battery=float(batch.p_source[0]),
-                tx_p_battery=tx_p_battery,
-                tx_efficiency=delivered / tx_p_battery,
-            )
-        )
-    return rows
 
 
 def compare_step_up_topologies(

@@ -1,30 +1,1 @@
 """Radio substrate: FBAR, OOK transmitter, antenna, link, receivers."""
-
-from .antenna import FR4, DielectricMaterial, PatchAntenna, ROGERS_3010
-from .fbar import FbarResonator
-from .link import LinkBudgetResult, RadioLink, free_space_path_loss_db
-from .ook import OokModulator
-from .receiver import SuperregenerativeReceiver
-from .tolerance import FrequencyToleranceModel, ToleranceStudy
-from .transmitter import FbarTransmitter, TransmitBudget
-from .wakeup import ReachabilityOption, WakeupRadio, compare_reachability
-
-__all__ = [
-    "DielectricMaterial",
-    "FR4",
-    "FbarResonator",
-    "FrequencyToleranceModel",
-    "ToleranceStudy",
-    "FbarTransmitter",
-    "LinkBudgetResult",
-    "OokModulator",
-    "PatchAntenna",
-    "ROGERS_3010",
-    "RadioLink",
-    "ReachabilityOption",
-    "SuperregenerativeReceiver",
-    "TransmitBudget",
-    "WakeupRadio",
-    "compare_reachability",
-    "free_space_path_loss_db",
-]

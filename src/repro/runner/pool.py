@@ -39,9 +39,9 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CampaignError, ConfigurationError
-from .store import ResultStore
 from .metrics import CampaignStats
 from .seeding import derive_seed
+from .store import ResultStore
 
 
 @dataclasses.dataclass(frozen=True)

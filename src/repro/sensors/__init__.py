@@ -1,18 +1,1 @@
 """Sensor substrate: SP12 TPMS, SCA3000 accelerometer, environments."""
-
-from .accelerometer import FOOTPRINT_MM, Sca3000
-from .base import SampleTiming, Sensor
-from .environment import MotionEnvironment, MotionInterval, TireEnvironment
-from .tpms import Sp12Tpms, WAKE_PERIOD_S
-
-__all__ = [
-    "FOOTPRINT_MM",
-    "MotionEnvironment",
-    "MotionInterval",
-    "SampleTiming",
-    "Sca3000",
-    "Sensor",
-    "Sp12Tpms",
-    "TireEnvironment",
-    "WAKE_PERIOD_S",
-]

@@ -1,56 +1,6 @@
 """Discrete-event simulation substrate.
 
-Exports the engine, event utilities, step-function traces with exact
+The engine, event utilities, step-function traces with exact
 integration, periodic timers, generator processes, and the multi-channel
 power recorder used by every electrical model in the package.
 """
-
-from .clock import PeriodicTimer
-from .export import recorder_to_csv, trace_to_csv, write_csv
-from .engine import Engine
-from .fastforward import (
-    CycleCandidate,
-    SteadyStateDetector,
-    extract_template,
-    max_leap_count,
-    next_octave_boundary,
-    windows_match,
-)
-from .events import (
-    Event,
-    EventHandle,
-    PRIORITY_MEASURE,
-    PRIORITY_NORMAL,
-    PRIORITY_SUPPLY,
-    make_repeating,
-)
-from .process import Process, Signal, spawn
-from .recorder import PowerRecorder
-from .trace import StepTrace, TraceCursor, sum_traces
-
-__all__ = [
-    "CycleCandidate",
-    "Engine",
-    "Event",
-    "EventHandle",
-    "PeriodicTimer",
-    "PowerRecorder",
-    "Process",
-    "Signal",
-    "StepTrace",
-    "SteadyStateDetector",
-    "TraceCursor",
-    "extract_template",
-    "make_repeating",
-    "max_leap_count",
-    "next_octave_boundary",
-    "spawn",
-    "windows_match",
-    "recorder_to_csv",
-    "sum_traces",
-    "trace_to_csv",
-    "write_csv",
-    "PRIORITY_SUPPLY",
-    "PRIORITY_NORMAL",
-    "PRIORITY_MEASURE",
-]

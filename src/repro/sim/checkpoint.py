@@ -428,7 +428,7 @@ def restore_checkpoint(checkpoint: Checkpoint, node, injector=None) -> None:
 
 def _restore_node_state(node, state: NodeState) -> None:
     from ..core.node import BrownoutEvent
-    from ..mcu import Mode
+    from ..mcu.msp430 import Mode
 
     node._i_mcu = state.i_mcu
     node._i_sensor = state.i_sensor

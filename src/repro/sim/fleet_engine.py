@@ -12,12 +12,6 @@ faster at city scale.  Scenarios the vectorized chain cannot reproduce
 exactly (time-varying harvest, brownout risk, probe/chain divergence)
 automatically fall back to per-node stepping, recorded on the result's
 ``fallback_reason``.
-
-This module is intentionally *not* imported from ``repro.sim.__init__``:
-it sits above both ``repro.net`` and ``repro.core`` in the layering, and
-importing it from the package root would cycle.  Import it explicitly::
-
-    from repro.sim.fleet_engine import FleetScenario, run_fleet
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from ..core.energy_audit import EnergyAudit, audit_node
 from ..errors import ConfigurationError
 from ..net.cohort import CohortFallback, CohortRun, CohortSpec, advance_cohort
 from ..net.fleet import (
-    BEACON_PERIOD_S,
     AirTimes,
     FleetChannel,
     FleetStats,
@@ -40,6 +33,7 @@ from ..net.fleet import (
     check_noise_windows,
     fleet_offsets,
     resolve_channel,
+    uniform_phases,
 )
 
 __all__ = [
@@ -157,10 +151,7 @@ def scenario_offsets(scenario: FleetScenario) -> List[float]:
     """
     if scenario.phase_seed is not None:
         rng = random.Random(f"{scenario.phase_seed}:{scenario.node_count}")
-        phases = [
-            rng.uniform(0.0, BEACON_PERIOD_S)
-            for _ in range(scenario.node_count)
-        ]
+        phases = uniform_phases(scenario.node_count, rng)
         return fleet_offsets(scenario.node_count, phases=phases)
     return fleet_offsets(
         scenario.node_count,

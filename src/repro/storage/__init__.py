@@ -1,31 +1,1 @@
 """Energy-storage substrate: NiMH cell, capacitors, thin-film, chargers."""
-
-from .base import EnergyStorage
-from .capacitors import CapacitorStorage, ceramic_capacitor, supercapacitor
-from .charging import ChargeReport, TrickleCharger, VoltageLimitCharger
-from .hybrid import BurstAnalysis, HybridBuffer
-from .nimh import DEFAULT_OCV_CURVE, NiMHCell
-from .thin_film import (
-    PRINTABLE_THICKNESS_MAX,
-    PRINTABLE_THICKNESS_MIN,
-    ThinFilmCell,
-    ThinFilmStack,
-)
-
-__all__ = [
-    "CapacitorStorage",
-    "ChargeReport",
-    "DEFAULT_OCV_CURVE",
-    "EnergyStorage",
-    "HybridBuffer",
-    "BurstAnalysis",
-    "NiMHCell",
-    "PRINTABLE_THICKNESS_MAX",
-    "PRINTABLE_THICKNESS_MIN",
-    "ThinFilmCell",
-    "ThinFilmStack",
-    "TrickleCharger",
-    "VoltageLimitCharger",
-    "ceramic_capacitor",
-    "supercapacitor",
-]

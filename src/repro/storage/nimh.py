@@ -179,7 +179,7 @@ class NiMHCell(EnergyStorage):
     def set_self_discharge_multiplier(self, multiplier: float) -> None:
         """Scale the self-discharge rate (fault injection: leaky cell).
 
-        ``1.0`` is the healthy cell; a :class:`repro.faults.SelfDischargeSpike`
+        ``1.0`` is the healthy cell; a :class:`repro.faults.events.SelfDischargeSpike`
         raises it for a window, modelling a soft internal short or a cell
         soaked past its rating.
         """

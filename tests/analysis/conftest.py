@@ -4,7 +4,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis import analyze_paths, default_rules
+from repro.analysis import default_rules
+from repro.analysis.driver import analyze_paths
 
 
 @pytest.fixture

@@ -4,16 +4,11 @@ import json
 import pathlib
 import textwrap
 
-from repro.analysis import (
-    Finding,
-    analyze_paths,
-    default_rules,
-    load_baseline,
-    render_json,
-    render_text,
-    split_by_baseline,
-    write_baseline,
-)
+from repro.analysis import default_rules
+from repro.analysis.baseline import load_baseline, split_by_baseline, write_baseline
+from repro.analysis.driver import analyze_paths
+from repro.analysis.findings import Finding
+from repro.analysis.report import render_json, render_text
 
 
 def lint_tree(tmp_path, files, rules=None):

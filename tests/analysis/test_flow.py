@@ -1,10 +1,7 @@
 """The flow-sensitive abstract interpreter (UNIT004/UNIT005)."""
 
-from repro.analysis import (
-    UnitFlowMismatchRule,
-    UnitMixedArithmeticRule,
-    UnitReturnMismatchRule,
-)
+from repro.analysis.rules_flow_units import UnitFlowMismatchRule, UnitReturnMismatchRule
+from repro.analysis.rules_units import UnitMixedArithmeticRule
 
 from .conftest import rule_ids
 

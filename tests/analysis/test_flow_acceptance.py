@@ -6,19 +6,23 @@ These are the tentpole's contract: delete them only with a better
 replacement.
 """
 
-from repro.analysis import (
-    DynamicCodeRule,
+from repro.analysis.rules_contracts import (
     MissingSlotsRule,
     MutableDefaultRule,
     UnfrozenFaultEventRule,
     UnfrozenRailSpecRule,
-    UnitBareSiLiteralRule,
-    UnitBindingMismatchRule,
-    UnitFlowMismatchRule,
-    UnitMixedArithmeticRule,
+)
+from repro.analysis.rules_determinism import (
+    DynamicCodeRule,
     UnorderedIterationRule,
     UnseededRandomRule,
     WallClockRule,
+)
+from repro.analysis.rules_flow_units import UnitFlowMismatchRule
+from repro.analysis.rules_units import (
+    UnitBareSiLiteralRule,
+    UnitBindingMismatchRule,
+    UnitMixedArithmeticRule,
 )
 
 from .conftest import rule_ids

@@ -3,11 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.analysis.driver import analyze_paths
+from repro.analysis.rules_units import (
     UnitBareSiLiteralRule,
     UnitBindingMismatchRule,
     UnitMixedArithmeticRule,
-    analyze_paths,
 )
 
 # dB arithmetic has its own algebra (tested separately); the linear

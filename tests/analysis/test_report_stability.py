@@ -3,13 +3,10 @@ byte-identical across runs and across checkout locations."""
 
 import textwrap
 
-from repro.analysis import (
-    Finding,
-    analyze_paths,
-    default_rules,
-    finalize_findings,
-    render_json,
-)
+from repro.analysis import default_rules
+from repro.analysis.driver import analyze_paths, finalize_findings
+from repro.analysis.findings import Finding
+from repro.analysis.report import render_json
 
 TREE = {
     "repro/alpha.py": """

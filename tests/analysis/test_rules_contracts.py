@@ -1,6 +1,6 @@
 """API-contract rules: frozen events, __slots__, mutable defaults, specs."""
 
-from repro.analysis import (
+from repro.analysis.rules_contracts import (
     MissingSlotsRule,
     MutableDefaultRule,
     UnfrozenFaultEventRule,
@@ -150,7 +150,8 @@ def test_default_registry_matches_the_real_tree():
     """Every registered module/class exists and currently has slots."""
     import pathlib
 
-    from repro.analysis import SLOTS_REGISTRY, analyze_paths
+    from repro.analysis.driver import analyze_paths
+    from repro.analysis.rules_contracts import SLOTS_REGISTRY
 
     root = pathlib.Path(__file__).resolve().parents[2]
     paths = []
@@ -294,7 +295,7 @@ def test_api004_is_clean_on_the_real_rail_modules():
     """The shipped graph/topology modules satisfy their own contract."""
     import pathlib
 
-    from repro.analysis import analyze_paths
+    from repro.analysis.driver import analyze_paths
 
     root = pathlib.Path(__file__).resolve().parents[2]
     paths = [
@@ -397,10 +398,11 @@ def test_checkpoint_rule_ignores_other_modules(lint_snippet):
 
 
 def test_real_checkpoint_module_is_api005_clean():
+    import dataclasses as dc
+
     import repro.sim.checkpoint as module
     from repro.sim.checkpoint import registered_states
 
-    import dataclasses as dc
     registered = set(registered_states().values())
     for name in dir(module):
         obj = getattr(module, name)

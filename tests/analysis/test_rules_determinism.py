@@ -1,6 +1,6 @@
 """Determinism rules: seeded violations and their clean twins."""
 
-from repro.analysis import (
+from repro.analysis.rules_determinism import (
     DynamicCodeRule,
     UnorderedIterationRule,
     UnseededRandomRule,
@@ -70,7 +70,7 @@ def test_the_six_audited_modules_draw_only_from_seeded_rngs():
     """The PR-1/PR-2 random sites must stay seeded forever."""
     import pathlib
 
-    from repro.analysis import analyze_paths
+    from repro.analysis.driver import analyze_paths
 
     root = pathlib.Path(__file__).resolve().parents[2]
     audited = [
@@ -336,7 +336,7 @@ def test_the_real_tree_has_exactly_one_exec_site():
     import pathlib
 
     import repro
-    from repro.analysis import analyze_paths
+    from repro.analysis.driver import analyze_paths
 
     src_root = pathlib.Path(repro.__file__).parent.parent
     findings = analyze_paths([src_root / "repro"],

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import audit_kernel_source, audit_registered_kernels
+from repro.analysis.rules_kernels import audit_kernel_source, audit_registered_kernels
 from repro.power.compile import iter_registered_kernel_sources
 
 

@@ -1,6 +1,6 @@
 """Unit-dimension rules: positive and negative fixtures per rule."""
 
-from repro.analysis import (
+from repro.analysis.rules_units import (
     UnitBareSiLiteralRule,
     UnitBindingMismatchRule,
     UnitMixedArithmeticRule,

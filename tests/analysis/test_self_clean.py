@@ -10,12 +10,9 @@ and annotate the new entry (see ``docs/LINTING.md``).
 import json
 import pathlib
 
-from repro.analysis import (
-    analyze_paths,
-    default_rules,
-    load_baseline,
-    split_by_baseline,
-)
+from repro.analysis import default_rules
+from repro.analysis.baseline import load_baseline, split_by_baseline
+from repro.analysis.driver import analyze_paths
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 BASELINE = ROOT / "lint-baseline.json"
@@ -63,6 +60,6 @@ def test_stale_baseline_helper_agrees():
 
 def test_generated_kernels_audit_clean():
     """`repro lint --kernels` must pass on every registered kernel."""
-    from repro.analysis import audit_registered_kernels
+    from repro.analysis.rules_kernels import audit_registered_kernels
 
     assert audit_registered_kernels() == []

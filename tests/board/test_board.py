@@ -2,16 +2,10 @@
 
 import pytest
 
+from repro.board.elastomer import ElastomericConnector
+from repro.board.pcb import Component, PadRing, Pcb
+from repro.board.stack import CubeStack, gap_matched_connector, standard_picocube
 from repro.errors import ConfigurationError, GeometryError
-from repro.board import (
-    Component,
-    CubeStack,
-    ElastomericConnector,
-    PadRing,
-    Pcb,
-    gap_matched_connector,
-    standard_picocube,
-)
 
 
 # -- elastomer -----------------------------------------------------------------

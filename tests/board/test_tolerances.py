@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.board import (
+from repro.board.tolerances import (
     PadAlignmentModel,
     monte_carlo_yield,
     tolerance_for_yield,

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import NodeConfig, PicoCube
-from repro.storage import NiMHCell
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
+from repro.storage.nimh import NiMHCell
 
 
 def tiny_battery(capacity_mah=0.05, soc=0.6):

@@ -8,11 +8,14 @@ threshold, with the outage visible in the recorder and the audit.
 
 import pytest
 
-from repro.core import BrownoutEvent, NodeConfig, PicoCube, audit_node
-from repro.core.energy_audit import projected_lifetime_s
+from repro.core.config import NodeConfig
+from repro.core.energy_audit import audit_node, projected_lifetime_s
+from repro.core.node import BrownoutEvent, PicoCube
 from repro.errors import ConfigurationError
-from repro.faults import FaultInjector, FaultSchedule, HarvesterDropout
-from repro.storage import NiMHCell
+from repro.faults.events import HarvesterDropout
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
+from repro.storage.nimh import NiMHCell
 
 HOUR = 3600.0
 DROPOUT = HarvesterDropout(start_s=600.0, duration_s=4800.0)

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core import (
+from repro.core.builder import (
     build_demo_bench,
     build_motion_node,
     build_tpms_deployment,
     build_tpms_node,
 )
-from repro.harvest import DriveCycle, DriveSegment
-from repro.sensors import MotionInterval, TireEnvironment
+from repro.harvest.tire import DriveCycle, DriveSegment
+from repro.sensors.environment import MotionInterval, TireEnvironment
 
 
 def test_build_tpms_node_defaults():

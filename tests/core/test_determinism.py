@@ -7,7 +7,9 @@ profile transmit models must conserve the same energy.
 
 import pytest
 
-from repro.core import NodeConfig, PicoCube, build_tpms_deployment
+from repro.core.builder import build_tpms_deployment
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
 
 
 def run_node(**kwargs):

@@ -12,18 +12,19 @@ brownouts (where the accelerator must stand down automatically).
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    CycleFastForward,
-    NodeConfig,
-    PicoCube,
-    audit_node,
+from repro.core.builder import (
     build_motion_node,
     build_steady_tpms_node,
     build_tpms_deployment,
 )
+from repro.core.config import NodeConfig
+from repro.core.energy_audit import audit_node
+from repro.core.fastforward import CycleFastForward
+from repro.core.node import PicoCube
 from repro.errors import ConfigurationError
-from repro.faults import FaultInjector, random_schedule
-from repro.storage import NiMHCell
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import random_schedule
+from repro.storage.nimh import NiMHCell
 
 
 def steady_pair(horizon_s, **kwargs):

@@ -19,7 +19,7 @@ import pathlib
 
 import pytest
 
-from repro.core import LoadState, make_power_train
+from repro.core.power_train import LoadState, make_power_train
 from repro.errors import ElectricalError
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_train_solutions.json"

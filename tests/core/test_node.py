@@ -4,20 +4,15 @@ import math
 
 import pytest
 
-from repro.core import (
-    NodeConfig,
-    PicoCube,
-    audit_node,
-    build_motion_node,
-    build_tpms_deployment,
-    build_tpms_node,
-    capture_cycle_profile,
-    render_ascii,
-)
+from repro.core.builder import build_motion_node, build_tpms_deployment, build_tpms_node
+from repro.core.config import NodeConfig
+from repro.core.energy_audit import audit_node
+from repro.core.node import PicoCube
+from repro.core.profiles import capture_cycle_profile, render_ascii
 from repro.errors import ConfigurationError, SimulationError
-from repro.mcu import Mode
-from repro.net import decode_tpms_reading
-from repro.sensors import MotionEnvironment, MotionInterval
+from repro.mcu.msp430 import Mode
+from repro.net.packet import decode_tpms_reading
+from repro.sensors.environment import MotionInterval
 
 
 def test_config_validation():

@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.core import (
-    AdaptiveScheduler,
-    DEFAULT_LADDER,
-    NodeConfig,
-    PicoCube,
-    PolicyRung,
-    build_motion_node,
-)
+from repro.core.builder import build_motion_node
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
+from repro.core.policy import DEFAULT_LADDER, AdaptiveScheduler, PolicyRung
 from repro.errors import ConfigurationError
-from repro.storage import NiMHCell
+from repro.storage.nimh import NiMHCell
 
 
 def make_node(soc=0.6, capacity_mah=15.0):

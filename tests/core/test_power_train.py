@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, ElectricalError
-from repro.core import (
+from repro.core.power_train import (
     CotsPowerTrain,
     IcPowerTrain,
     LoadState,
-    V_RADIO_DIGITAL,
-    V_RADIO_RF,
     make_power_train,
 )
+from repro.power.rail_topologies import V_RADIO_DIGITAL, V_RADIO_RF
+from repro.errors import ConfigurationError, ElectricalError
 
 
 SLEEP = LoadState(i_mcu=0.7e-6, i_sensor=0.3e-6)

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.core import NodeConfig, PicoCube, build_tpms_node, run_report
+from repro.core.builder import build_tpms_node
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
+from repro.core.reporting import run_report
 from repro.errors import SimulationError
-from repro.storage import NiMHCell
+from repro.storage.nimh import NiMHCell
 
 
 def test_report_requires_a_run():

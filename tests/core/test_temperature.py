@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core import build_tpms_node
+from repro.core.builder import build_tpms_node
 from repro.errors import ConfigurationError, StorageError
-from repro.mcu import Mode, Msp430
-from repro.sensors import TireEnvironment
-from repro.storage import NiMHCell
+from repro.mcu.msp430 import Mode, Msp430
+from repro.sensors.environment import TireEnvironment
+from repro.storage.nimh import NiMHCell
 
 
 # -- MSP430 leakage vs temperature --------------------------------------------
@@ -98,7 +98,7 @@ def test_node_ambient_tracks_environment():
 
 
 def test_motion_node_defaults_to_room_temperature():
-    from repro.core import build_motion_node
+    from repro.core.builder import build_motion_node
 
     node = build_motion_node()
     assert node.ambient_c() == 25.0

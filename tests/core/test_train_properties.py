@@ -17,7 +17,7 @@ voltages and radio-gated load states.
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import GraphPowerTrain, LoadState
+from repro.core.power_train import GraphPowerTrain, LoadState
 from repro.errors import ElectricalError
 from repro.power.rail_topologies import get_rail_spec, rail_topology_names
 

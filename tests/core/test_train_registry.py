@@ -6,13 +6,13 @@ import pytest
 
 from repro.campaigns import topology_sweep_campaign
 from repro.cli import main as cli_main
-from repro.core import (
+from repro.core.builder import build_tpms_node
+from repro.core.config import NodeConfig
+from repro.core.power_train import (
     CotsPowerTrain,
     GraphPowerTrain,
     IcPowerTrain,
     LoadState,
-    NodeConfig,
-    build_tpms_node,
     make_power_train,
 )
 from repro.errors import ConfigurationError

@@ -4,7 +4,8 @@ import pytest
 
 from repro.campaigns import CHAOS_PROFILES, chaos_campaign, chaos_task
 from repro.errors import ConfigurationError
-from repro.runner import ResultStore, derive_seed
+from repro.runner.seeding import derive_seed
+from repro.runner.store import ResultStore
 from repro.sim import checkpoint as cp
 
 TRIALS = 3

@@ -6,9 +6,12 @@ so that a faulted run replays exactly.  These tests pin that contract.
 """
 
 from repro.campaigns import chaos_task
-from repro.core import NodeConfig, PicoCube, audit_node
-from repro.faults import FaultInjector, random_schedule
-from repro.storage import NiMHCell
+from repro.core.config import NodeConfig
+from repro.core.energy_audit import audit_node
+from repro.core.node import PicoCube
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import random_schedule
+from repro.storage.nimh import NiMHCell
 
 
 def faulted_node(with_schedule=True):

@@ -3,17 +3,15 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import (
+from repro.faults.events import (
     ChannelNoiseBurst,
     ConverterDegradation,
-    EVENT_KINDS,
     EsrDrift,
-    FaultSchedule,
     HarvesterDropout,
     SelfDischargeSpike,
     SpuriousReset,
-    random_schedule,
 )
+from repro.faults.schedule import EVENT_KINDS, FaultSchedule, random_schedule
 
 
 class TestEventValidation:

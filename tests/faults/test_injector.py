@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.core import NodeConfig, PicoCube
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
 from repro.errors import ConfigurationError
-from repro.faults import (
+from repro.faults.events import (
     ChannelNoiseBurst,
     ConverterDegradation,
     EsrDrift,
-    FaultInjector,
-    FaultSchedule,
     HarvesterDropout,
     SelfDischargeSpike,
     SpuriousReset,
 )
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.net.packet import PicoPacket
 
 

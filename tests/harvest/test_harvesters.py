@@ -4,19 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harvest import (
-    BicycleWheelHarvester,
-    DriveCycle,
-    DriveSegment,
-    ElectromagneticShaker,
-    ResonantVibrationHarvester,
-    SolarCladding,
-    TireHarvester,
-    commuter_cycle,
-)
 from repro.harvest.base import SourceWaveform
+from repro.harvest.bicycle import BicycleWheelHarvester
+from repro.harvest.shaker import ElectromagneticShaker
+from repro.harvest.solar import SolarCladding
+from repro.harvest.tire import DriveCycle, DriveSegment, TireHarvester, commuter_cycle
+from repro.harvest.vibration import ResonantVibrationHarvester
 from repro.harvest.waveforms import damped_burst, pulse_train, rms, sine
-from repro.power import BoostRectifier, SynchronousRectifier
+from repro.power.rectifier import BoostRectifier, SynchronousRectifier
 
 
 V_BATT = 1.35

@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mcu import (
-    FirmwareImage,
-    Mode,
-    Msp430,
-    SpiMaster,
-    motion_firmware,
-    tpms_firmware,
-)
+from repro.mcu.firmware import FirmwareImage, motion_firmware, tpms_firmware
+from repro.mcu.msp430 import Mode, Msp430
+from repro.mcu.spi import SpiMaster
 
 
 # -- Msp430 -------------------------------------------------------------------

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import NoisyOokChannel, q_function
-from repro.radio import OokModulator
+from repro.net.baseband import NoisyOokChannel, q_function
+from repro.radio.ook import OokModulator
 
 
 def test_q_function_known_values():

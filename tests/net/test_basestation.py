@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError, PacketError
-from repro.net import encode_accel_reading, encode_tpms_reading
 from repro.net.basestation import BaseStation
+from repro.net.packet import encode_accel_reading, encode_tpms_reading
 
 
 def beacon(node_id=1, seq=0, pressure=32.0, time=0.0):
@@ -124,7 +124,7 @@ def test_validation():
 
 def test_end_to_end_with_node():
     """A real node's packets drive the station; a leak raises the alarm."""
-    from repro.core import build_tpms_node
+    from repro.core.builder import build_tpms_node
 
     node = build_tpms_node()
     node.environment.set_speed_kmh(60.0)

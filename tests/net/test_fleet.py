@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import FleetChannel, aloha_prediction, density_sweep
-from repro.net.fleet import AirTimeRecord
+from repro.net.fleet import AirTimeRecord, FleetChannel, aloha_prediction, density_sweep
 
 
 def test_air_time_record_overlap():

@@ -1,9 +1,11 @@
 """Channel noise windows and retry-with-backoff on the fleet channel."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import FleetChannel, RetryPolicy
+from repro.net.fleet import FleetChannel, RetryPolicy
 
 
 def run_fleet(**kwargs):
@@ -20,6 +22,14 @@ class TestRetryPolicy:
             RetryPolicy(backoff_s=0.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(jitter_s=-0.1)
+
+    @pytest.mark.parametrize("field", ["backoff_s", "jitter_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timing(self, field, value):
+        # NaN compares False against every bound, so a NaN backoff used to
+        # pass the range check and count every noise-lost burst recovered.
+        with pytest.raises(ConfigurationError, match="finite"):
+            RetryPolicy(**{field: value})
 
     def test_rejects_bad_noise_windows(self):
         with pytest.raises(ConfigurationError):

@@ -4,23 +4,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import PacketError
-from repro.net import (
+from repro.net.framing import (
+    bits_to_bytes,
+    bytes_to_bits,
+    manchester_decode,
+    manchester_encode,
+    ones_fraction,
+)
+from repro.net.packet import (
     KIND_ACCEL,
     KIND_TPMS,
     PicoPacket,
-    bits_to_bytes,
-    bytes_to_bits,
     crc8,
     decode_accel_reading,
     decode_tpms_reading,
     encode_accel_reading,
     encode_tpms_reading,
-    manchester_decode,
-    manchester_encode,
-    ones_fraction,
-    DemoReceiverChain,
 )
-from repro.radio import PatchAntenna, RadioLink, SuperregenerativeReceiver
+from repro.net.receiver_chain import DemoReceiverChain
+from repro.radio.antenna import PatchAntenna
+from repro.radio.link import RadioLink
+from repro.radio.receiver import SuperregenerativeReceiver
 
 
 # -- CRC ---------------------------------------------------------------------

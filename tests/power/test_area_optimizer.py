@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.power import (
+from repro.power.optimizer import (
     SiliconDensities,
     minimum_area_for_efficiency,
     optimize_area_split,

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError, ElectricalError
-from repro.power import IdealConverter, OperatingPoint, VoltageRange, series_efficiency
+from repro.power.base import (
+    IdealConverter,
+    OperatingPoint,
+    VoltageRange,
+    series_efficiency,
+)
 
 
 def test_operating_point_powers():

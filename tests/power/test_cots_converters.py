@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError, ElectricalError
-from repro.power import LinearRegulator, RegulatedChargePump, ShuntRegulator
 from repro.power.base import VoltageRange
+from repro.power.charge_pump import RegulatedChargePump
+from repro.power.linear_regulator import LinearRegulator
+from repro.power.shunt_regulator import ShuntRegulator
 
 
 # -- RegulatedChargePump -------------------------------------------------------

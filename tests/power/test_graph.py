@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.power import rail_topologies
 from repro.power.graph import (
     CHANNELS,
     ChargePumpSpec,
@@ -28,7 +29,6 @@ from repro.power.rail_topologies import (
     rail_topology_names,
     register_rail_topology,
 )
-from repro.power import rail_topologies
 
 
 def minimal_components():

@@ -3,20 +3,17 @@
 import pytest
 
 from repro.errors import ConfigurationError, ElectricalError
-from repro.power import (
-    ConverterIC,
-    ConverterICConfig,
-    CurrentReference,
-    LevelShifter,
-    PowerSwitch,
-    SampledBandgap,
+from repro.power.converter_ic import ConverterIC, ConverterICConfig
+from repro.power.optimizer import (
     compare_step_up_topologies,
-    design_for_load,
     efficiency_curve,
     log_spaced_loads,
     optimize_fsl_fraction,
     wide_load_range_efficiency,
 )
+from repro.power.references import CurrentReference, SampledBandgap
+from repro.power.sc_converter import design_for_load
+from repro.power.switches import LevelShifter, PowerSwitch
 from repro.power.topologies import all_step_up_families, doubler
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.power import (
+from repro.power.rectifier import (
     DiodeBridgeRectifier,
     IdealRectifier,
     SynchronousRectifier,

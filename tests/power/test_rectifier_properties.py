@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.power import (
+from repro.power.rectifier import (
     BoostRectifier,
     DiodeBridgeRectifier,
     IdealRectifier,

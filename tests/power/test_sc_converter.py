@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError, ElectricalError
-from repro.power import SwitchedCapacitorConverter, design_for_load
+from repro.power.sc_converter import SwitchedCapacitorConverter, design_for_load
 from repro.power.topologies import doubler, step_down_3_to_2
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.power import design_for_load
+from repro.power.sc_converter import design_for_load
 from repro.power.topologies import (
     dickson_step_up,
     fractional_step_up,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.campaigns  # noqa: F401  (registers the 'chaos' scenario)
-from repro.core import LoadState, make_power_train
+from repro.core.power_train import LoadState, make_power_train
 from repro.errors import ConfigurationError, ElectricalError
 from repro.power import compile as compiler
 from repro.power.charge_pump import RegulatedChargePump

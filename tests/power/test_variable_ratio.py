@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError, ElectricalError
-from repro.power import VariableRatioConverter, standard_gearbox
 from repro.power.topologies import doubler, fractional_step_up
+from repro.power.variable_ratio import VariableRatioConverter, standard_gearbox
 
 
 def make_bank(**kwargs):
@@ -61,7 +61,7 @@ def test_bank_regulates_target_across_range():
 
 def test_bank_beats_fixed_ratio_over_wide_input():
     """The whole point: worst-case efficiency across a 1.1-2.8 V swing."""
-    from repro.power import design_for_load
+    from repro.power.sc_converter import design_for_load
 
     bank = make_bank()
     fixed = design_for_load(

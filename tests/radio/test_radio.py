@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.radio import (
-    DielectricMaterial,
-    FbarResonator,
-    FbarTransmitter,
-    OokModulator,
-    PatchAntenna,
-    ROGERS_3010,
-    RadioLink,
-    SuperregenerativeReceiver,
-    WakeupRadio,
-    compare_reachability,
-    free_space_path_loss_db,
-)
+from repro.radio.antenna import DielectricMaterial, PatchAntenna
+from repro.radio.fbar import FbarResonator
+from repro.radio.link import RadioLink, free_space_path_loss_db
+from repro.radio.ook import OokModulator
+from repro.radio.receiver import SuperregenerativeReceiver
+from repro.radio.transmitter import FbarTransmitter
+from repro.radio.wakeup import WakeupRadio, compare_reachability
 from repro.units import dbm_to_watts, mils_to_metres
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.radio import FrequencyToleranceModel
+from repro.radio.tolerance import FrequencyToleranceModel
 
 
 def test_sigma_hz_from_ppm():

@@ -65,7 +65,7 @@ def test_e21_fleet_parallel_is_bit_identical_to_serial():
 
 
 def test_e16_topology_campaign_matches_direct_call():
-    from repro.power import compare_step_up_topologies
+    from repro.power.optimizer import compare_step_up_topologies
     from repro.power.topologies import all_step_up_families
 
     tables, stats = topology_campaign(ratios=(2, 3), workers=1)

@@ -9,7 +9,8 @@ import random
 import pytest
 
 from repro.errors import CampaignError, ConfigurationError
-from repro.runner import MonteCarlo, ResultStore, Sweep
+from repro.runner.pool import MonteCarlo, Sweep
+from repro.runner.store import ResultStore
 
 
 def square(params):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import derive_seed, derive_seeds
+from repro.runner.seeding import derive_seed, derive_seeds
 
 
 def test_seeds_are_deterministic():

@@ -8,12 +8,8 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner import (
-    RESULT_CODE_VERSION,
-    ResultStore,
-    Sweep,
-    stable_token,
-)
+from repro.runner.pool import Sweep
+from repro.runner.store import RESULT_CODE_VERSION, ResultStore, stable_token
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sensors import (
-    MotionEnvironment,
-    MotionInterval,
-    SampleTiming,
-    Sca3000,
-    Sp12Tpms,
-    TireEnvironment,
-    WAKE_PERIOD_S,
-)
+from repro.sensors.accelerometer import Sca3000
+from repro.sensors.base import SampleTiming
+from repro.sensors.environment import MotionEnvironment, MotionInterval, TireEnvironment
+from repro.sensors.tpms import WAKE_PERIOD_S, Sp12Tpms
 
 
 # -- SampleTiming -----------------------------------------------------------

@@ -13,11 +13,15 @@ import dataclasses
 import pytest
 
 from repro.campaigns import chaos_task
-from repro.core import NodeConfig, PicoCube, build_steady_tpms_node
+from repro.core.builder import build_steady_tpms_node
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
 from repro.errors import CheckpointError, ConfigurationError, SimulationError
-from repro.faults import FaultInjector, FaultSchedule, HarvesterDropout
+from repro.faults.events import HarvesterDropout
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FaultSchedule
 from repro.sim import checkpoint as cp
-from repro.storage import NiMHCell
+from repro.storage.nimh import NiMHCell
 
 CHAOS_PARAMS = {"duration_s": 1200.0, "profile": "harsh", "seed": 31}
 

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim import Engine, PeriodicTimer, PowerRecorder, Signal, spawn
+from repro.sim.clock import PeriodicTimer
+from repro.sim.engine import Engine
+from repro.sim.process import Signal, spawn
+from repro.sim.recorder import PowerRecorder
 
 
 # -- PeriodicTimer -----------------------------------------------------------
@@ -297,7 +300,8 @@ def test_recorder_zero_span_average_rejected():
 
 
 def test_make_repeating_fires_and_stops():
-    from repro.sim import Engine, make_repeating
+    from repro.sim.engine import Engine
+    from repro.sim.events import make_repeating
 
     engine = Engine()
     ticks = []
@@ -312,7 +316,8 @@ def test_make_repeating_fires_and_stops():
 
 
 def test_make_repeating_first_delay():
-    from repro.sim import Engine, make_repeating
+    from repro.sim.engine import Engine
+    from repro.sim.events import make_repeating
 
     engine = Engine()
     ticks = []
@@ -325,7 +330,8 @@ def test_make_repeating_first_delay():
 
 
 def test_make_repeating_stop_from_callback():
-    from repro.sim import Engine, make_repeating
+    from repro.sim.engine import Engine
+    from repro.sim.events import make_repeating
 
     engine = Engine()
     ticks = []

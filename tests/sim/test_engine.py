@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Engine, PRIORITY_MEASURE, PRIORITY_SUPPLY
+from repro.sim.engine import Engine
+from repro.sim.events import PRIORITY_MEASURE, PRIORITY_SUPPLY
 
 
 def test_initial_time_defaults_to_zero():

@@ -14,11 +14,18 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import NodeConfig, PicoCube
+from repro.core.config import NodeConfig
+from repro.core.node import PicoCube
 from repro.net.framing import ones_fraction
 from repro.net.packet import MAX_PAYLOAD_WORDS, PicoPacket, crc8
-from repro.sim import Engine, PeriodicTimer, PowerRecorder, Process
-from repro.storage import CapacitorStorage, EnergyStorage, NiMHCell, ThinFilmCell
+from repro.sim.clock import PeriodicTimer
+from repro.sim.engine import Engine
+from repro.sim.process import Process
+from repro.sim.recorder import PowerRecorder
+from repro.storage.base import EnergyStorage
+from repro.storage.capacitors import CapacitorStorage
+from repro.storage.nimh import NiMHCell
+from repro.storage.thin_film import ThinFilmCell
 
 
 def reference_crc8(data, polynomial=0x31, init=0x00):

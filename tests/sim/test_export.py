@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim import Engine, PowerRecorder, StepTrace
+from repro.sim.engine import Engine
 from repro.sim.export import recorder_to_csv, trace_to_csv, write_csv
+from repro.sim.recorder import PowerRecorder
+from repro.sim.trace import StepTrace
 
 
 def test_trace_to_csv_breakpoints():
@@ -81,7 +83,8 @@ def test_write_csv_round_trip(tmp_path):
 
 def test_node_profile_exports(tmp_path):
     """End to end: a node run exports a Fig 6 window to CSV."""
-    from repro.core import NodeConfig, PicoCube
+    from repro.core.config import NodeConfig
+    from repro.core.node import PicoCube
 
     node = PicoCube(NodeConfig(fidelity="profile"))
     node.run(13.0)

@@ -9,17 +9,17 @@ engine's clock warp.
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import (
-    Engine,
-    Event,
-    PeriodicTimer,
-    StepTrace,
+from repro.sim.clock import PeriodicTimer
+from repro.sim.engine import Engine
+from repro.sim.events import Event
+from repro.sim.fastforward import (
     SteadyStateDetector,
     extract_template,
     max_leap_count,
     next_octave_boundary,
     windows_match,
 )
+from repro.sim.trace import StepTrace
 
 
 # -- SteadyStateDetector ------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import StepTrace, sum_traces
+from repro.sim.trace import StepTrace, sum_traces
 
 
 def test_initial_value_and_time():

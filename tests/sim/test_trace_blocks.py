@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import StepTrace, sum_traces
+from repro.sim.trace import StepTrace, sum_traces
 
 
 TEMPLATE = ((1.0, 2.5, 4.0), (3.0, 0.25, 0.0))

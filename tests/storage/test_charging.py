@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import (
-    NiMHCell,
-    TrickleCharger,
-    VoltageLimitCharger,
-    supercapacitor,
-)
+from repro.storage.capacitors import supercapacitor
+from repro.storage.charging import TrickleCharger, VoltageLimitCharger
+from repro.storage.nimh import NiMHCell
 
 
 def test_trickle_limit_is_c_over_10():

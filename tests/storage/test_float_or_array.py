@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.radio import FbarTransmitter
+from repro.radio.transmitter import FbarTransmitter
 from repro.storage.nimh import (
     LOW_SOC,
     NiMHCell,

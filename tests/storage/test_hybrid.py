@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import HybridBuffer, NiMHCell
+from repro.storage.hybrid import HybridBuffer
+from repro.storage.nimh import NiMHCell
 
 
 def make_buffer(soc=0.6, **kwargs):

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import StorageError
-from repro.storage import (
-    NiMHCell,
-    ThinFilmCell,
-    ThinFilmStack,
-    ceramic_capacitor,
-    supercapacitor,
-)
-from repro.storage.nimh import DEFAULT_OCV_CURVE
+from repro.storage.capacitors import ceramic_capacitor, supercapacitor
+from repro.storage.nimh import DEFAULT_OCV_CURVE, NiMHCell
+from repro.storage.thin_film import ThinFilmCell, ThinFilmStack
 from repro.units import DAY, mah_to_coulombs
 
 

@@ -14,9 +14,9 @@ to survive benign refactors.
 
 import numpy as np
 
-from repro.core import build_tpms_node
-from repro.power import ConverterIC, SynchronousRectifier
-from repro.power.rectifier import relative_to_ideal
+from repro.core.builder import build_tpms_node
+from repro.power.converter_ic import ConverterIC
+from repro.power.rectifier import SynchronousRectifier, relative_to_ideal
 
 
 def test_tpms_node_average_power_is_about_6_uw():

@@ -41,8 +41,9 @@ TABLE_B = {
 
 
 def test_report_embeds_environment_metadata(bench_baseline, tmp_path):
-    import numpy
     import platform
+
+    import numpy
 
     path = bench_baseline.write_report(TABLE_A, str(tmp_path))
     report = json.loads(pathlib.Path(path).read_text())

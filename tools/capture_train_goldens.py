@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.core import LoadState, make_power_train
+from repro.core.power_train import LoadState, make_power_train
 from repro.errors import ElectricalError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

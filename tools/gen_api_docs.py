@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Generate docs/API.md: an index of the public API from live docstrings.
 
-Walks every ``repro`` subpackage, collects the symbols each package
-exports via ``__all__`` (falling back to public module members), and
-writes one line per symbol — kind, signature, and the first docstring
-line.  Run after API changes::
+Walks every ``repro`` module, collects its ``__all__`` (falling back to
+the public classes and functions the module defines), and writes one
+section per module with one line per symbol — kind, signature, and the
+first docstring line.  Run after API changes::
 
     python tools/gen_api_docs.py
 
@@ -16,34 +16,18 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import pkgutil
 import sys
 
-PACKAGES = [
-    "repro",
-    "repro.sim",
-    "repro.sim.fleet_engine",
-    "repro.sim.checkpoint",
-    "repro.runner",
-    "repro.faults",
-    "repro.power",
-    "repro.power.graph",
-    "repro.power.rail_topologies",
-    "repro.power.compile",
-    "repro.storage",
-    "repro.harvest",
-    "repro.mcu",
-    "repro.radio",
-    "repro.sensors",
-    "repro.net",
-    "repro.net.cohort",
-    "repro.board",
-    "repro.core",
-    "repro.campaigns",
-    "repro.units",
-    "repro.errors",
-    "repro.cli",
-    "repro.analysis",
-]
+def module_names():
+    """Every ``repro`` module and package, in walk order, bar ``__main__``."""
+    import repro
+
+    return ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name != "repro.__main__"
+    ]
 
 
 def first_line(obj) -> str:
@@ -65,24 +49,25 @@ def kind_of(obj) -> str:
         return "class"
     if inspect.isfunction(obj):
         return "function"
-    if inspect.ismodule(obj):
-        return "module"
     return "constant"
 
 
-def collect(package_name: str):
-    module = importlib.import_module(package_name)
+def collect(module_name: str):
+    """The module and its rows: ``__all__`` when it has one, otherwise the
+    public classes and functions the module itself defines."""
+    module = importlib.import_module(module_name)
     names = getattr(module, "__all__", None)
     if names is None:
-        names = [n for n in dir(module) if not n.startswith("_")]
+        names = [
+            name for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isclass(obj) or inspect.isfunction(obj))
+            and obj.__module__ == module_name
+        ]
     rows = []
     for name in sorted(names, key=str.lower):
-        obj = getattr(module, name, None)
-        if obj is None:
-            continue
+        obj = getattr(module, name)
         kind = kind_of(obj)
-        if kind == "module":
-            continue  # subpackage re-exports are listed under themselves
         sig = signature_of(obj) if kind in ("class", "function") else ""
         summary = first_line(obj)
         if kind == "constant":
@@ -108,20 +93,21 @@ def render() -> str:
         "analysis: unit suffixes, determinism, API contracts).",
         "",
     ]
-    for package_name in PACKAGES:
-        module, rows = collect(package_name)
-        lines.append(f"## `{package_name}`")
+    for module_name in module_names():
+        module, rows = collect(module_name)
+        lines.append(f"## `{module_name}`")
         lines.append("")
-        package_doc = first_line(module)
-        if package_doc:
-            lines.append(package_doc)
+        module_doc = first_line(module)
+        if module_doc:
+            lines.append(module_doc)
             lines.append("")
         for name, kind, sig, summary in rows:
             entry = f"- **`{name}{sig}`** ({kind})"
             if summary:
                 entry += f" — {summary}"
             lines.append(entry)
-        lines.append("")
+        if rows:
+            lines.append("")
     return "\n".join(lines)
 
 
