@@ -16,8 +16,6 @@ Shape checks: exactly that ordering at the node level, plus the IC's
 radio-chain efficiency advantage during transmit bursts.
 """
 
-import dataclasses
-
 from conftest import print_table
 
 from repro.core.config import NodeConfig

@@ -16,13 +16,13 @@ largest ratio per capacitor.
 import pytest
 from conftest import campaign_workers, print_table
 
-from repro.campaigns import topology_campaign
 from repro.power.topologies import (
     fibonacci_ratio,
     fibonacci_step_up,
     step_up_family,
 )
 from repro.runner.store import ResultStore
+from repro.studies import topology_campaign
 
 
 def sweep(root):

@@ -14,7 +14,7 @@ are the dominant failure, as the paper warns; the shrunk ring demands a
 
 from conftest import campaign_workers, print_table
 
-from repro.campaigns import (
+from repro.studies import (
     alignment_model,
     parallel_tolerance_for_yield,
     yield_table_campaign,

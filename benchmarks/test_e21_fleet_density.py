@@ -16,7 +16,7 @@ independent power-up times.
 
 from conftest import campaign_workers, print_table
 
-from repro.campaigns import fleet_density_campaign, fleet_task
+from repro.studies import fleet_density_campaign, fleet_task
 
 
 def sweep():

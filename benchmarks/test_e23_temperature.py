@@ -15,7 +15,7 @@ wide margin exactly where the node runs hottest (driving = harvesting).
 
 from conftest import campaign_workers, print_table
 
-from repro.campaigns import temperature_campaign
+from repro.studies import temperature_campaign
 
 CONDITIONS = [
     ("winter, parked (-10 C)", -10.0, 0.0),

@@ -4,8 +4,9 @@ Every stepped wake cycle of a node goes through the same few layers:
 engine dispatch of a process resume, ``PicoCube._update`` (one cell read,
 a battery-current pass and one scalar solve, a recorder write for
 power management and for each subsystem whose power changed), the
-recorder itself, and the frame bits of the packet on air.  Timing each alone shows which layer a
-change to the end-to-end node numbers came from.
+recorder itself, and the frame bits of the packet on air.  Timing each
+alone shows which layer a change to the end-to-end node numbers came
+from.
 """
 
 from repro.core.config import NodeConfig

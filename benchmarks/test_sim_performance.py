@@ -11,12 +11,12 @@ import os
 import random
 import time
 
-from repro.campaigns import node_hours_task
 from repro.core.config import NodeConfig
 from repro.core.node import PicoCube
 from repro.runner.pool import Sweep
 from repro.sim.engine import Engine
 from repro.sim.trace import StepTrace, sum_traces
+from repro.studies import node_hours_task
 
 
 def test_perf_engine_event_throughput(benchmark):

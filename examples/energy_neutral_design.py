@@ -11,10 +11,10 @@ rectifier to be usable at all).
 
 import os
 
-from repro.campaigns import energy_neutral_campaign
 from repro.core.builder import build_tpms_node
 from repro.harvest.vibration import ResonantVibrationHarvester
 from repro.power.rectifier import BoostRectifier
+from repro.studies import energy_neutral_campaign
 
 
 def main() -> None:

@@ -11,8 +11,8 @@ mode to engineer away (synchronised wake-ups).
 
 import os
 
-from repro.campaigns import fleet_density_campaign, fleet_task
 from repro.net.fleet import aloha_prediction
+from repro.studies import fleet_density_campaign, fleet_task
 
 
 def main() -> None:

@@ -26,7 +26,6 @@ be before the 18-pad ring can shrink.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from typing import Optional
 
@@ -170,22 +169,3 @@ def merge_yield_reports(reports: "list[YieldReport]") -> YieldReport:
         opens=sum(r.opens for r in reports),
         shorts=sum(r.shorts for r in reports),
     )
-
-
-def tolerance_for_yield(
-    model: PadAlignmentModel,
-    target_yield: float = 0.99,
-    samples: int = 1000,
-) -> float:
-    """Loosest fit tolerance meeting a target assembly yield (bisection)."""
-    if not 0.0 < target_yield < 1.0:
-        raise ConfigurationError("target yield must be in (0, 1)")
-    lo, hi = 1e-6, 2e-3
-    for _ in range(30):
-        mid = math.sqrt(lo * hi)
-        report = monte_carlo_yield(model, mid, samples=samples)
-        if report.yield_fraction >= target_yield:
-            lo = mid
-        else:
-            hi = mid
-    return lo

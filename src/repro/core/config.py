@@ -38,11 +38,7 @@ class NodeConfig:
     (:mod:`repro.core.fastforward`): once the node provably repeats its
     duty cycle bit-for-bit, whole spans are replayed analytically instead
     of event-by-event — same results, orders of magnitude faster on
-    year-scale horizons.  ``ff_charge_quantum`` (coulombs) quantizes the
-    cell charge in the steady-state hash so a cell drifting below the
-    quantum can still nominate a period; exactness is unaffected (leaps
-    are gated on bit-exact verification regardless), 0 disables
-    quantization.  See ``docs/PERF.md``.
+    year-scale horizons.  See ``docs/PERF.md``.
     """
 
     node_id: int = 1
@@ -58,7 +54,6 @@ class NodeConfig:
     recovery_voltage_v: float = 1.1
     recovery_check_period_s: float = 30.0
     fast_forward: bool = False
-    ff_charge_quantum: float = 0.0
 
     def __post_init__(self) -> None:
         # NaN passes every ``< 0`` / ``<= 0`` test below, and inf runs
@@ -99,5 +94,3 @@ class NodeConfig:
             raise ConfigurationError("recovery_voltage_v must be positive")
         if self.recovery_check_period_s <= 0.0:
             raise ConfigurationError("recovery_check_period_s must be positive")
-        if self.ff_charge_quantum < 0.0:
-            raise ConfigurationError("ff_charge_quantum must be >= 0")

@@ -15,7 +15,7 @@ Exactness contract
 A leap happens only after proof, never on a hash alone:
 
 1. the :class:`~repro.sim.fastforward.SteadyStateDetector` must see the
-   node's canonical snapshot (quantized cell charge, policy state, engine
+   node's canonical snapshot (cell charge, policy state, engine
    pending-event signature, environment state) three times, equally spaced
    in cycle count and simulation time;
 2. the exact per-span deltas (battery charge, event count, packet count)
@@ -47,8 +47,7 @@ verification:
 * **brownouts** — the supervisor timer and the browned-out flag both enter
   the snapshot, and no cycle completes while the node is down anyway;
 * **state drift** — a draining or recharging battery changes the charge
-  snapshot (and, below quantization, fails the exact per-span delta
-  check), so only genuinely stationary cycles are replayed;
+  snapshot, so only genuinely stationary cycles are replayed;
 * **time-varying harvest** — a charger function must be declared
   ``time_invariant`` at attach; deployment drive cycles are not, so they
   run event-by-event.
@@ -107,9 +106,8 @@ class CycleFastForward:
     #: spacing matches; re-proving each one would be quadratic).
     VERIFY_COOLDOWN_CYCLES = 64
 
-    def __init__(self, node, charge_quantum: float = 0.0) -> None:
+    def __init__(self, node) -> None:
         self._node = node
-        self._charge_quantum = float(charge_quantum)
         self._detector = SteadyStateDetector()
         self._horizon: Optional[float] = None
         self._cooldown = 0
@@ -178,16 +176,10 @@ class CycleFastForward:
         """Canonical node state at a cycle boundary, for period hashing.
 
         Everything that influences future behaviour goes in; monotone
-        diagnostics (heat, counters) stay out.  The cell charge may be
-        quantized (``ff_charge_quantum``) so a slowly-drifting cell can
-        still *nominate* a period — the exact per-span delta check in
-        :meth:`_verify` is what guards correctness.
+        diagnostics (heat, counters) stay out.
         """
         node = self._node
         battery = node.battery
-        charge = battery.charge
-        if self._charge_quantum > 0.0:
-            charge = round(charge / self._charge_quantum) * self._charge_quantum
         environment = tuple(
             sorted(
                 (key, value)
@@ -196,7 +188,7 @@ class CycleFastForward:
             )
         )
         return (
-            charge,
+            battery.charge,
             battery.temperature_c,
             battery._self_discharge_multiplier,
             battery._esr_multiplier,

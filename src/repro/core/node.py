@@ -19,6 +19,7 @@ and the whole tire-pressure day simulates in milliseconds.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, ElectricalError, SimulationError
@@ -136,9 +137,7 @@ class PicoCube:
         # Steady-state cycle accelerator (see repro.core.fastforward);
         # None unless config.fast_forward opts in.
         self.fast_forward: Optional[CycleFastForward] = (
-            CycleFastForward(self, charge_quantum=self.config.ff_charge_quantum)
-            if self.config.fast_forward
-            else None
+            CycleFastForward(self) if self.config.fast_forward else None
         )
         self.mcu.enter(Mode.LPM3)
         self._update()
@@ -430,8 +429,13 @@ class PicoCube:
         """
         if end_time < self.engine.now:
             raise SimulationError("end_time precedes the engine clock")
-        if checkpoint_every is not None and checkpoint_every <= 0.0:
-            raise SimulationError("checkpoint_every must be > 0")
+        if checkpoint_every is not None and not (
+            math.isfinite(checkpoint_every) and checkpoint_every > 0.0
+        ):
+            raise SimulationError(
+                f"checkpoint_every must be finite and > 0, got "
+                f"{checkpoint_every!r}"
+            )
         self.start()
         if self.fast_forward is not None:
             self.fast_forward.set_horizon(end_time)

@@ -64,7 +64,9 @@ class Harvester(abc.ABC):
     def waveform(self, duration: float, dt: float = 1e-5) -> SourceWaveform:
         """Sample the open-circuit output over ``duration`` seconds."""
 
-    def average_power_into(self, v_dc: float, duration: Optional[float] = None) -> float:
+    def average_power_into(
+        self, v_dc: float, duration: Optional[float] = None
+    ) -> float:
         """Average power an ideal rectifier extracts into a DC sink.
 
         ``duration`` defaults to a source-appropriate characteristic span

@@ -73,9 +73,9 @@ def check_finite(name: str, *values: float) -> None:
 def uniform_phases(count: int, rng: random.Random) -> List[float]:
     """``count`` wake phases drawn uniformly over one beacon period.
 
-    The one seeded phase draw: :func:`density_sweep`, the fleet engine's
-    ``phase_seed`` and the E21 campaign all call it, so equal RNG states
-    give equal fleets on every path.
+    The one seeded phase draw: the fleet engine's ``phase_seed`` and the
+    E21 campaign both call it, so equal RNG states give equal fleets on
+    every path.
     """
     return [rng.uniform(0.0, BEACON_PERIOD_S) for _ in range(count)]
 
@@ -323,10 +323,15 @@ class FleetChannel:
 
     def run(self, duration: float) -> FleetStats:
         """Simulate the fleet and resolve channel collisions."""
+        self.advance(duration)
+        return self.collision_stats()
+
+    def advance(self, duration: float) -> None:
+        """Simulate the fleet for ``duration`` seconds, then settle each
+        node's battery to the engine clock."""
         self.engine.run_until(self.engine.now + duration)
         for node in self.nodes:
             node._sync_battery()
-        return self.collision_stats()
 
     # -- channel resolution ----------------------------------------------------
 
@@ -537,33 +542,6 @@ def model_retries(
             accepted.append(candidate)
             break
     return retries, len(accepted)
-
-
-def density_sweep(
-    node_counts: List[int],
-    duration: float = 600.0,
-    stagger_s: Optional[float] = None,
-    phase_seed: Optional[int] = None,
-) -> List[Tuple[int, FleetStats]]:
-    """Collision statistics across fleet sizes (the density curve).
-
-    With ``phase_seed`` set, each fleet gets random wake phases from an
-    RNG seeded by ``(phase_seed, count)`` — a pure function of the sweep
-    parameters, so a seeded sweep reproduces bit-identically regardless
-    of which counts are swept or in what order.  Without it, the
-    deterministic ``stagger_s`` spacing applies as before.
-    """
-    results = []
-    for count in node_counts:
-        if phase_seed is not None:
-            phases = uniform_phases(
-                count, random.Random(f"{phase_seed}:{count}")
-            )
-            fleet = FleetChannel(count, phases=phases)
-        else:
-            fleet = FleetChannel(count, stagger_s=stagger_s)
-        results.append((count, fleet.run(duration)))
-    return results
 
 
 def aloha_prediction(

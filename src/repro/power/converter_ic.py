@@ -190,7 +190,9 @@ class ConverterIC:
 
     # -- standing current --------------------------------------------------------
 
-    def quiescent_breakdown(self, v_battery: Optional[float] = None) -> Dict[str, float]:
+    def quiescent_breakdown(
+        self, v_battery: Optional[float] = None
+    ) -> Dict[str, float]:
         """Standing battery current by source, amperes (radio rail gated)."""
         v_batt = v_battery or self.config.v_battery_nominal
         mcu_idle = self.mcu_converter.solve(v_batt, 0.0)

@@ -7,5 +7,5 @@ capture, a content-addressed result store, and throughput metrics.  See
 
 This package is infrastructure like ``sim/``: it knows nothing about the
 node models.  Experiment-specific task functions live in
-:mod:`repro.campaigns`.
+:mod:`repro.studies` and :mod:`repro.campaigns`.
 """

@@ -82,8 +82,8 @@ class FleetScenario:
     """A complete, hashable description of one fleet simulation.
 
     Wake phasing comes from exactly one of ``phases`` (explicit),
-    ``phase_seed`` (random phases drawn like
-    :func:`repro.net.fleet.density_sweep`, seeded per node count), or
+    ``phase_seed`` (random phases from
+    :func:`repro.net.fleet.uniform_phases`, seeded per node count), or
     ``stagger_s`` (even spacing; ``None`` means one beacon period spread
     across the fleet).  The per-node degradation tuples mirror the
     scalar fault knobs and must list one multiplier per node.
@@ -145,9 +145,8 @@ def scenario_offsets(scenario: FleetScenario) -> List[float]:
     """Resolve the scenario's wake offsets, one per node.
 
     ``phase_seed`` draws uniform phases from
-    ``random.Random(f"{seed}:{node_count}")`` — the same stream
-    :func:`repro.net.fleet.density_sweep` uses, so seeded engine runs
-    and seeded sweeps see identical fleets.
+    ``random.Random(f"{seed}:{node_count}")``, so a seeded fleet is a
+    pure function of ``(seed, node_count)``.
     """
     if scenario.phase_seed is not None:
         rng = random.Random(f"{scenario.phase_seed}:{scenario.node_count}")
@@ -372,11 +371,17 @@ def _run_per_node(
     fallback: Optional[str] = None,
 ) -> FleetRun:
     channel = _build_channel(scenario, offsets)
-    stats = channel.run(scenario.duration_s)
+    channel.advance(scenario.duration_s)
+    records = channel.air_time_records()
     return FleetRun(
         scenario=scenario,
-        stats=stats,
-        records=channel.air_time_records(),
+        stats=resolve_channel(
+            records,
+            noise_windows=scenario.noise_windows,
+            retry=scenario.retry,
+            retry_seed=scenario.retry_seed,
+        ),
+        records=records,
         engine_used="per-node",
         fallback_reason=fallback,
         _channel=channel,

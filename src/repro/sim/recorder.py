@@ -60,7 +60,9 @@ class PowerRecorder:
 
     # -- aggregates --------------------------------------------------------------
 
-    def energy(self, name: str, start: Optional[float] = None, end: Optional[float] = None) -> float:
+    def energy(
+        self, name: str, start: Optional[float] = None, end: Optional[float] = None
+    ) -> float:
         """Energy (J) consumed on one channel over ``[start, end]``.
 
         Channels are created lazily at first record and draw 0 W before
@@ -80,11 +82,15 @@ class PowerRecorder:
             return 0.0
         return trace.integral(lo, hi)
 
-    def total_energy(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
+    def total_energy(
+        self, start: Optional[float] = None, end: Optional[float] = None
+    ) -> float:
         """Energy (J) summed over all channels."""
         return sum(self.energy(name, start, end) for name in self._channels)
 
-    def average_power(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
+    def average_power(
+        self, start: Optional[float] = None, end: Optional[float] = None
+    ) -> float:
         """Average total power (W) over ``[start, end]``.
 
         Defaults to the full simulated span; this is the number compared

@@ -403,7 +403,9 @@ class StepTrace:
         """
         return list(self.iter_breakpoints())
 
-    def integral(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
+    def integral(
+        self, start: Optional[float] = None, end: Optional[float] = None
+    ) -> float:
         """Exact integral of the step function over ``[start, end]``.
 
         Defaults to the full recorded span.  For a power trace this is the
@@ -517,11 +519,15 @@ class StepTrace:
             raise SimulationError(f"mean needs a positive span, got [{start}, {end}]")
         return self.integral(start, end) / (end - start)
 
-    def maximum(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
+    def maximum(
+        self, start: Optional[float] = None, end: Optional[float] = None
+    ) -> float:
         """Maximum value attained on ``[start, end]``."""
         return max(v for _, v in self._segments_overlapping(start, end))
 
-    def minimum(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
+    def minimum(
+        self, start: Optional[float] = None, end: Optional[float] = None
+    ) -> float:
         """Minimum value attained on ``[start, end]``."""
         return min(v for _, v in self._segments_overlapping(start, end))
 

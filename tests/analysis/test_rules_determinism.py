@@ -78,7 +78,7 @@ def test_the_six_audited_modules_draw_only_from_seeded_rngs():
         "src/repro/net/fleet.py",
         "src/repro/faults/schedule.py",
         "src/repro/faults/injector.py",
-        "src/repro/campaigns.py",
+        "src/repro/studies.py",
         "src/repro/radio/tolerance.py",
     ]
     paths = [root / rel for rel in audited]

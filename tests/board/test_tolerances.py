@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.board.tolerances import (
-    PadAlignmentModel,
-    monte_carlo_yield,
-    tolerance_for_yield,
-)
+from repro.board.tolerances import PadAlignmentModel, monte_carlo_yield
 from repro.errors import ConfigurationError
+from repro.studies import (
+    alignment_model,
+    alignment_yield_campaign,
+    parallel_tolerance_for_yield,
+)
 
 
 def test_zero_misalignment_is_ok():
@@ -74,23 +75,27 @@ def test_yield_report_counts_consistent():
 
 
 def test_tolerance_for_yield_meets_target():
-    model = PadAlignmentModel()
-    tolerance = tolerance_for_yield(model, target_yield=0.95, samples=300)
-    report = monte_carlo_yield(model, tolerance, samples=300)
+    tolerance = parallel_tolerance_for_yield(
+        "18-pad", target_yield=0.95, samples=300, workers=1
+    )
+    # The campaign seeds each chunk from the tolerance, so this replays
+    # the draws the bisection accepted.
+    report, _ = alignment_yield_campaign(
+        "18-pad", tolerance, samples=300, chunks=4, workers=1
+    )
     assert report.yield_fraction >= 0.95
 
 
 def test_smaller_pads_need_tighter_fit():
     """The §5 warning: 'smaller pads with tighter tolerances'."""
-    from repro.board.pcb import PadRing
-
-    current = PadAlignmentModel(ring=PadRing(pad_length_m=1.2e-3))
-    shrunk = PadAlignmentModel(
-        ring=PadRing(pads_total=30, pad_length_m=0.7e-3), pad_gap_m=0.35e-3
-    )
+    current, shrunk = alignment_model("18-pad"), alignment_model("30-pad")
     assert shrunk.max_safe_misalignment() < current.max_safe_misalignment()
-    tol_now = tolerance_for_yield(current, target_yield=0.95, samples=300)
-    tol_next = tolerance_for_yield(shrunk, target_yield=0.95, samples=300)
+    tol_now = parallel_tolerance_for_yield(
+        "18-pad", target_yield=0.95, samples=300, workers=1
+    )
+    tol_next = parallel_tolerance_for_yield(
+        "30-pad", target_yield=0.95, samples=300, workers=1
+    )
     assert tol_next < tol_now
 
 
@@ -103,4 +108,4 @@ def test_validation():
     with pytest.raises(ConfigurationError):
         monte_carlo_yield(model, 1e-3, samples=0)
     with pytest.raises(ConfigurationError):
-        tolerance_for_yield(model, target_yield=1.5)
+        parallel_tolerance_for_yield("18-pad", target_yield=1.5)

@@ -1,7 +1,5 @@
 """Tests for the node's brownout semantics."""
 
-import pytest
-
 from repro.core.config import NodeConfig
 from repro.core.node import PicoCube
 from repro.storage.nimh import NiMHCell

@@ -9,7 +9,6 @@ randomized duty cycles (Hypothesis), and in the presence of faults and
 brownouts (where the accelerator must stand down automatically).
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.builder import (
@@ -21,7 +20,6 @@ from repro.core.config import NodeConfig
 from repro.core.energy_audit import audit_node
 from repro.core.fastforward import CycleFastForward
 from repro.core.node import PicoCube
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import random_schedule
 from repro.storage.nimh import NiMHCell
@@ -98,11 +96,6 @@ def test_fast_forward_off_by_default():
     node = build_steady_tpms_node()
     assert node.fast_forward is None
     assert PicoCube(NodeConfig()).fast_forward is None
-
-
-def test_negative_charge_quantum_rejected():
-    with pytest.raises(ConfigurationError):
-        NodeConfig(fast_forward=True, ff_charge_quantum=-1e-9)
 
 
 # -- randomized duty cycles (Hypothesis) --------------------------------------

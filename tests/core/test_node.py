@@ -29,7 +29,7 @@ def test_config_validation():
 NODE_CONFIG_FLOAT_FIELDS = (
     "bit_rate", "mcu_clock_hz", "pa_sequencing_delay_s",
     "motion_sample_interval_s", "recovery_voltage_v",
-    "recovery_check_period_s", "ff_charge_quantum",
+    "recovery_check_period_s",
 )
 
 
@@ -49,9 +49,6 @@ def test_config_negative_value_messages_unchanged():
     with pytest.raises(ConfigurationError,
                        match="invalid timing configuration"):
         NodeConfig(pa_sequencing_delay_s=-1e-6)
-    with pytest.raises(ConfigurationError,
-                       match="ff_charge_quantum must be >= 0"):
-        NodeConfig(ff_charge_quantum=-1.0)
 
 
 def test_tpms_node_samples_every_six_seconds():

@@ -4,7 +4,6 @@ exploratory topologies powering real nodes, the sweep campaign, and the
 
 import pytest
 
-from repro.campaigns import topology_sweep_campaign
 from repro.cli import main as cli_main
 from repro.core.builder import build_tpms_node
 from repro.core.config import NodeConfig
@@ -17,6 +16,7 @@ from repro.core.power_train import (
 )
 from repro.errors import ConfigurationError
 from repro.power.rail_topologies import rail_topology_names
+from repro.studies import topology_sweep_campaign
 
 EXPLORATORY = [k for k in rail_topology_names() if k not in ("cots", "ic")]
 

@@ -1,7 +1,5 @@
 """Tests for the noisy baseband channel — cross-validation of the BER model."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigurationError

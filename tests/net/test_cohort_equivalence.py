@@ -83,7 +83,7 @@ def test_node_id_wrap_past_255_is_bit_identical():
 
 def test_worker_count_does_not_change_campaign_results():
     """The E21 campaign is bit-identical serial vs parallel, per engine."""
-    from repro.campaigns import fleet_density_campaign
+    from repro.studies import fleet_density_campaign
 
     rows = {}
     for engine in ("per-node", "cohort"):

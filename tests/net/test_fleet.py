@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.fleet import AirTimeRecord, FleetChannel, aloha_prediction, density_sweep
+from repro.net.fleet import AirTimeRecord, FleetChannel, aloha_prediction
+from repro.sim.fleet_engine import FleetScenario, run_fleet
+from repro.studies import fleet_density_campaign
 
 
 def test_air_time_record_overlap():
@@ -77,9 +79,10 @@ def test_all_nodes_share_one_engine():
 
 
 def test_density_sweep_shapes():
-    results = density_sweep([1, 4], duration=60.0)
-    assert [count for count, _ in results] == [1, 4]
-    assert results[1][1].transmitted == 4 * results[0][1].transmitted
+    rows, _ = fleet_density_campaign([1, 4], duration_s=60.0, workers=1)
+    assert [row[0] for row in rows] == [1, 4]
+    assert rows[1][1].transmitted == 4 * rows[0][1].transmitted
+    assert rows[1][2].transmitted == 4 * rows[0][2].transmitted
 
 
 def test_aloha_prediction_bounds():
@@ -112,7 +115,7 @@ def test_random_phase_fleet_tracks_aloha():
 def test_collision_sweep_catches_chained_overlaps():
     """Regression: one long burst overlapping several later ones must flag
     every victim, not just the adjacent one."""
-    from repro.net.fleet import FleetChannel, FleetStats
+    from repro.net.fleet import FleetChannel
 
     fleet = FleetChannel.__new__(FleetChannel)  # bypass node construction
 
@@ -181,14 +184,15 @@ def test_air_time_records_use_each_packets_own_bit_count():
     assert durations[1] < durations[0]
 
 
+def seeded_fleet(count, seed):
+    scenario = FleetScenario(node_count=count, duration_s=30.0,
+                             phase_seed=seed)
+    return run_fleet(scenario, engine="per-node").stats
+
+
 def test_density_sweep_phase_seed_reproducible():
-    """A seeded random-phase sweep is a pure function of (seed, count)."""
-    first = density_sweep([2, 4], duration=30.0, phase_seed=9)
-    again = density_sweep([2, 4], duration=30.0, phase_seed=9)
-    assert first == again
-    # Sweeping a different subset draws the same phases per count.
-    subset = density_sweep([4], duration=30.0, phase_seed=9)
-    assert subset[0] == first[1]
+    """A seeded random-phase fleet is a pure function of (seed, count)."""
+    assert seeded_fleet(4, 9) == seeded_fleet(4, 9)
     # A different seed draws a genuinely different set of phases.
     import random
 
@@ -211,5 +215,4 @@ def test_density_sweep_phase_seed_matches_manual_phases():
     phases = [rng.uniform(0.0, BEACON_PERIOD_S) for _ in range(3)]
     fleet = FleetChannel(3, phases=phases)
     expected = fleet.run(30.0)
-    (_, seeded), = density_sweep([3], duration=30.0, phase_seed=9)
-    assert seeded == expected
+    assert seeded_fleet(3, 9) == expected

@@ -100,8 +100,8 @@ def test_engine_argument_validation():
 
 
 def test_phase_seed_offsets_match_density_sweep_stream():
-    """scenario_offsets draws from the same seeded stream density_sweep
-    uses, so seeded engine runs and seeded sweeps see identical fleets."""
+    """scenario_offsets draws uniform phases from the per-count stream
+    ``Random(f"{seed}:{count}")``, so a seeded fleet is reproducible."""
     scenario = FleetScenario(node_count=5, duration_s=10.0, phase_seed=77)
     rng = random.Random("77:5")
     expected = fleet_offsets(
@@ -168,3 +168,21 @@ def test_record_count_matches_packet_counts():
     total = sum(run.packets_sent(k) for k in range(3))
     assert len(run.records) == total
     assert run.node_count == 3
+
+
+def test_per_node_run_builds_its_air_time_records_once(monkeypatch):
+    from repro.net.fleet import FleetChannel
+
+    calls = []
+    build = FleetChannel.air_time_records
+
+    def counted(channel):
+        calls.append(channel)
+        return build(channel)
+
+    monkeypatch.setattr(FleetChannel, "air_time_records", counted)
+    run = run_fleet(
+        FleetScenario(node_count=3, duration_s=45.0), engine="per-node"
+    )
+    assert len(calls) == 1
+    assert run.stats.transmitted == len(run.records)

@@ -6,17 +6,17 @@ density) campaigns must be bit-identical with >= 2 workers vs serial.
 
 import pytest
 
-from repro.campaigns import (
+from repro.errors import ConfigurationError
+from repro.studies import (
     alignment_model,
     alignment_yield_campaign,
     energy_neutral_campaign,
     fleet_density_campaign,
-    steady_endurance_campaign,
+    fleet_task,
     temperature_campaign,
     topology_campaign,
     yield_table_campaign,
 )
-from repro.errors import ConfigurationError
 
 
 def test_alignment_model_kinds():
@@ -64,6 +64,23 @@ def test_e21_fleet_parallel_is_bit_identical_to_serial():
     assert stats.simulated_s == pytest.approx(60.0 * len(serial) * 2)
 
 
+@pytest.mark.parametrize("duration", [0.0, -5.0])
+@pytest.mark.parametrize("engine", ["per-node", "cohort"])
+def test_e21_fleet_task_rejects_bad_duration_on_both_engines(engine, duration):
+    with pytest.raises(ConfigurationError, match="duration must be positive"):
+        fleet_task((3, None, None, duration, engine))
+
+
+@pytest.mark.parametrize("samples, chunks", [(300, 0), (3, 6), (10, -1)])
+def test_e20_chunking_is_validated_before_any_task(samples, chunks):
+    with pytest.raises(ConfigurationError, match="chunks"):
+        alignment_yield_campaign("18-pad", 0.5e-3, samples=samples,
+                                 chunks=chunks, workers=1)
+    with pytest.raises(ConfigurationError, match="chunks"):
+        yield_table_campaign([0.5e-3], samples=samples, chunks=chunks,
+                             workers=1)
+
+
 def test_e16_topology_campaign_matches_direct_call():
     from repro.power.optimizer import compare_step_up_topologies
     from repro.power.topologies import all_step_up_families
@@ -96,20 +113,3 @@ def test_energy_neutral_campaign_catalogue():
     assert by_name["MEMS vibration + plain rectifier"] == 0.0
     assert by_name["MEMS vibration + boost rectifier"] > 0.0
     assert stats.tasks_failed == 0
-
-
-def test_steady_endurance_campaign_ff_transparent():
-    """Flipping fast_forward changes wall time, never results: the
-    campaign's cycle and power columns are bit-identical either way."""
-    durations = [3600.0, 7200.0]
-    fast_rows, fast_stats = steady_endurance_campaign(
-        durations, fast_forward=True, workers=1
-    )
-    plain_rows, _ = steady_endurance_campaign(
-        durations, fast_forward=False, workers=1
-    )
-    assert fast_stats.tasks_ok == 2
-    for (d_fast, fast), (d_plain, plain) in zip(fast_rows, plain_rows):
-        assert d_fast == d_plain
-        assert fast[:2] == plain[:2]  # (cycles, avg power) bit-identical
-        assert plain[2:] == (0, 0)  # the plain leg never leaps

@@ -9,6 +9,7 @@ saves checkpoints ends in exactly the state of one that doesn't.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -219,6 +220,18 @@ def test_checkpoint_every_must_be_positive():
     node = build_steady_tpms_node()
     with pytest.raises(SimulationError):
         node.run(600.0, checkpoint_every=0.0, on_checkpoint=lambda n: None)
+
+
+@pytest.mark.parametrize("every", [math.nan, math.inf, -math.inf])
+def test_checkpoint_every_must_be_finite(every):
+    """NaN and inf would never pause the run, so no checkpoint would
+    ever be written: both fail before the node starts."""
+    node = build_steady_tpms_node()
+    with pytest.raises(SimulationError,
+                       match="checkpoint_every must be finite"):
+        node.run_until_time(600.0, checkpoint_every=every,
+                            on_checkpoint=lambda n: None)
+    assert node.engine.now == 0.0
 
 
 def test_restore_into_wrong_scenario_is_refused():

@@ -1,6 +1,5 @@
 """Unit and property tests for the step-function traces."""
 
-import bisect
 import random
 
 import pytest

@@ -6,8 +6,6 @@ A block stores one cycle template plus a repetition count and must be
 CSV export.  Most tests here build the trace both ways and diff.
 """
 
-import math
-
 import pytest
 
 from repro.errors import SimulationError

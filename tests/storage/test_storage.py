@@ -10,7 +10,7 @@ from repro.errors import StorageError
 from repro.storage.capacitors import ceramic_capacitor, supercapacitor
 from repro.storage.nimh import DEFAULT_OCV_CURVE, NiMHCell
 from repro.storage.thin_film import ThinFilmCell, ThinFilmStack
-from repro.units import DAY, mah_to_coulombs
+from repro.units import DAY
 
 
 # -- NiMH ------------------------------------------------------------------

@@ -50,3 +50,15 @@ def test_a_node_run_loads_only_the_node_layers():
 
 def test_the_cli_imports_inside_its_commands():
     assert loaded_after("import repro.cli") == ["repro", "repro.cli"]
+
+
+def test_the_chaos_campaign_loads_no_design_study():
+    loaded = loaded_after("import repro.campaigns")
+    assert "repro.campaigns" in loaded
+    studies = [m for m in loaded
+               if m == "repro.board" or m.startswith("repro.board.")
+               or m in ("repro.harvest.bicycle", "repro.harvest.shaker",
+                        "repro.harvest.solar", "repro.harvest.vibration",
+                        "repro.power.optimizer", "repro.studies")]
+    assert studies == []
+    assert len(loaded) <= 62, f"{len(loaded)} repro modules"
