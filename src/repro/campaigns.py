@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core.config import NodeConfig
 from .core.energy_audit import audit_node
-from .core.node import PicoCube
+from .core.node import PicoCube, check_checkpoint_every
 from .errors import CheckpointError, ConfigurationError
 from .faults.injector import FaultInjector
 from .faults.schedule import random_schedule
@@ -91,6 +91,13 @@ class ChaosOutcome:
         return self.brownouts == 0
 
 
+def _chaos_profile(profile: str) -> Dict:
+    """The :data:`CHAOS_PROFILES` entry named ``profile``."""
+    if profile not in CHAOS_PROFILES:
+        raise ConfigurationError(f"unknown chaos profile {profile!r}")
+    return CHAOS_PROFILES[profile]
+
+
 def _chaos_node(duration_s: float) -> "PicoCube":
     """The deliberately marginal node every chaos trial runs.
 
@@ -120,12 +127,10 @@ def _chaos_scenario(params: dict) -> Tuple["PicoCube", FaultInjector]:
     reproduce the engine's same-instant tie-breaking.
     """
     duration_s = float(params["duration_s"])
-    profile = params["profile"]
+    profile = _chaos_profile(params["profile"])
     seed = int(params["seed"])
-    if profile not in CHAOS_PROFILES:
-        raise ConfigurationError(f"unknown chaos profile {profile!r}")
     node = _chaos_node(duration_s)
-    schedule = random_schedule(seed, duration_s, **CHAOS_PROFILES[profile])
+    schedule = random_schedule(seed, duration_s, **profile)
     injector = FaultInjector(node, schedule, noise_seed=seed)
     injector.arm()
     return node, injector
@@ -235,7 +240,20 @@ def chaos_campaign(
     replaying it — with bit-identical outcomes either way.  Note that
     the store key includes the checkpoint arguments (they are task
     params), so durable and plain campaigns do not share store entries.
+
+    A bad ``profile``, ``duration_s`` or ``checkpoint_every`` raises the
+    trials' own error before the pool starts, as does a
+    ``checkpoint_every`` without a ``checkpoint_dir`` to write to.
     """
+    # The trials' own checks, run once here: the schedule draw rejects
+    # the duration exactly as every trial's would.
+    random_schedule(base_seed, float(duration_s), **_chaos_profile(profile))
+    if checkpoint_every is not None:
+        if checkpoint_dir is None:
+            raise ConfigurationError(
+                "checkpoint_every needs a checkpoint_dir to write to"
+            )
+        check_checkpoint_every(float(checkpoint_every))
     params: Tuple = (duration_s, profile)
     if checkpoint_dir is not None:
         params = (duration_s, profile, checkpoint_every, checkpoint_dir)

@@ -41,7 +41,16 @@ from ..storage.charging import TrickleCharger
 from ..storage.nimh import NiMHCell
 from .config import NodeConfig
 from .fastforward import CycleFastForward
-from .power_train import LoadState, make_power_train
+from .power_train import check_load_currents, make_power_train
+
+
+def check_checkpoint_every(checkpoint_every: float) -> None:
+    """Reject a checkpoint period that is not finite and ``> 0``."""
+    if not (math.isfinite(checkpoint_every) and checkpoint_every > 0.0):
+        raise SimulationError(
+            f"checkpoint_every must be finite and > 0, got "
+            f"{checkpoint_every!r}"
+        )
 
 
 @dataclasses.dataclass
@@ -176,22 +185,18 @@ class PicoCube:
         self._sync_battery()
         if self.browned_out:
             return
-        loads = LoadState(self._i_mcu, self._i_sensor,
-                          self._i_radio_digital, self._i_radio_rf)
-        # One fixed-point pass on the terminal voltage: NiMH sag is small
-        # at microamp-to-milliamp loads, so one iteration converges.  The
-        # first pass needs only the battery current; the second is the
-        # full solve.  The cell does not change between them, so it is
-        # read once and both sags are ``terminal_voltage``'s own
-        # ``ocv - i * r``.
+        loads = (self._i_mcu, self._i_sensor, self._i_radio_digital,
+                 self._i_radio_rf)
+        check_load_currents(*loads)
+        # One train call is the whole electrical step: a fixed-point pass
+        # on the terminal voltage from the cell's one read (see
+        # GraphPowerTrain.solve).
+        battery = self.battery
         try:
-            ocv = self.battery.open_circuit_voltage()
-            resistance = self.battery.internal_resistance()
-            i_battery = self.train.battery_current(
-                ocv - self._i_battery * resistance, loads.i_mcu,
-                loads.i_sensor, loads.i_radio_digital, loads.i_radio_rf,
+            solution = self.train.solve(
+                battery.open_circuit_voltage(), loads,
+                battery.internal_resistance(), self._i_battery,
             )
-            solution = self.train.solve(ocv - i_battery * resistance, loads)
         except ElectricalError:
             # The sagging battery fell out of the power train's operating
             # range: the management circuitry drops out — a brownout.
@@ -429,13 +434,8 @@ class PicoCube:
         """
         if end_time < self.engine.now:
             raise SimulationError("end_time precedes the engine clock")
-        if checkpoint_every is not None and not (
-            math.isfinite(checkpoint_every) and checkpoint_every > 0.0
-        ):
-            raise SimulationError(
-                f"checkpoint_every must be finite and > 0, got "
-                f"{checkpoint_every!r}"
-            )
+        if checkpoint_every is not None:
+            check_checkpoint_every(checkpoint_every)
         self.start()
         if self.fast_forward is not None:
             self.fast_forward.set_horizon(end_time)

@@ -24,9 +24,8 @@ the paper says dominates the 6 uW budget.
 from __future__ import annotations
 
 import abc
-import dataclasses
 import math
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from ..power.rail_topologies import (
 from ..power.switches import PowerSwitch
 
 __all__ = [
+    "check_load_currents",
     "LoadState",
     "TrainSolution",
     "PowerTrain",
@@ -59,61 +59,84 @@ __all__ = [
 
 _INF = math.inf
 
+#: The four load currents in :class:`LoadState` field order: a
+#: ``LoadState``, or a plain tuple already passed through
+#: :func:`check_load_currents`.
+Loads = Tuple[float, float, float, float]
 
-@dataclasses.dataclass(frozen=True)
-class LoadState:
-    """Instantaneous load currents of the node's subsystems, amperes."""
 
+def check_load_currents(i_mcu: float, i_sensor: float,
+                        i_radio_digital: float, i_radio_rf: float) -> None:
+    """Reject a load current that is not finite and ``>= 0``.
+
+    The one validation of the four subsystem currents: :class:`LoadState`
+    runs it on construction and ``PicoCube._update`` once per update.
+    Raises :class:`~repro.errors.ConfigurationError` naming the first
+    bad field (or whatever ``math.isfinite`` raises on a non-number).
+    """
+    # One chained test per field; ``x + 0.0`` converts as math.isfinite
+    # does, so anything else (an exception included) falls through to
+    # the loop and its exact error.
+    try:
+        if (0.0 <= i_mcu + 0.0 < _INF
+                and 0.0 <= i_sensor + 0.0 < _INF
+                and 0.0 <= i_radio_digital + 0.0 < _INF
+                and 0.0 <= i_radio_rf + 0.0 < _INF):
+            return
+    except Exception:
+        pass
+    for name, value in zip(_LoadCurrents._fields, (
+            i_mcu, i_sensor, i_radio_digital, i_radio_rf)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        if value < 0.0:
+            raise ConfigurationError(f"{name} must be >= 0")
+
+
+class _LoadCurrents(NamedTuple):
     i_mcu: float = 0.0
     i_sensor: float = 0.0
     i_radio_digital: float = 0.0
     i_radio_rf: float = 0.0
 
-    def __post_init__(self) -> None:
-        # One chained test per field; ``x + 0.0`` converts as
-        # math.isfinite does, so anything else (an exception included)
-        # falls through to the loop and its exact error.
-        try:
-            if (0.0 <= self.i_mcu + 0.0 < _INF
-                    and 0.0 <= self.i_sensor + 0.0 < _INF
-                    and 0.0 <= self.i_radio_digital + 0.0 < _INF
-                    and 0.0 <= self.i_radio_rf + 0.0 < _INF):
-                return
-        except Exception:
-            pass
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"{field.name} must be finite, got {value!r}"
-                )
-            if value < 0.0:
-                raise ConfigurationError(f"{field.name} must be >= 0")
+
+class LoadState(_LoadCurrents):
+    """Instantaneous load currents of the node's subsystems, amperes.
+
+    A named tuple whose construction runs :func:`check_load_currents`;
+    :meth:`GraphPowerTrain.solve` takes it or a plain tuple of four
+    currents already checked, in this field order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i_mcu: float = 0.0, i_sensor: float = 0.0,
+                i_radio_digital: float = 0.0,
+                i_radio_rf: float = 0.0) -> LoadState:
+        check_load_currents(i_mcu, i_sensor, i_radio_digital, i_radio_rf)
+        return tuple.__new__(cls, (i_mcu, i_sensor, i_radio_digital,
+                                   i_radio_rf))
+
+    @classmethod
+    def _make(cls, iterable) -> LoadState:
+        # ``_replace`` builds through here: keep it checked too.
+        return cls(*iterable)
 
 
-@dataclasses.dataclass(frozen=True)
-class TrainSolution:
+class TrainSolution(NamedTuple):
     """Battery-side result of solving the power train."""
 
     v_battery: float
     i_battery: float
     v_mcu_rail: float
     subsystem_power: Dict[str, float]
+    #: Power-management overhead: battery power minus delivered power.
+    p_management: float
 
     @property
     def p_battery(self) -> float:
         """Total power leaving the battery, watts."""
         return self.v_battery * self.i_battery
-
-    @property
-    def p_management(self) -> float:
-        """Power-management overhead: battery power minus delivered power."""
-        # An explicit left fold: sum() of floats is compensated from
-        # Python 3.12 on, and the bits must not depend on the interpreter.
-        delivered = 0.0
-        for watts in self.subsystem_power.values():
-            delivered += watts
-        return max(self.p_battery - delivered, 0.0)
 
 
 class PowerTrain(abc.ABC):
@@ -125,14 +148,16 @@ class PowerTrain(abc.ABC):
         self._loss_factor = 1.0
 
     @abc.abstractmethod
-    def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:
-        """Quasi-static battery draw for a load state."""
+    def solve(self, v_battery: float, loads: Loads,
+              resistance: float = 0.0,
+              i_previous: float = 0.0) -> TrainSolution:
+        """Quasi-static battery draw for a load state.
 
-    @abc.abstractmethod
-    def battery_current(self, v_battery: float, i_mcu: float,
-                        i_sensor: float, i_radio_digital: float,
-                        i_radio_rf: float) -> float:
-        """:meth:`solve`'s ``i_battery`` alone, on validated currents."""
+        ``v_battery`` is the cell's open-circuit voltage when
+        ``resistance`` (its internal resistance, ohms) is non-zero: the
+        train then takes one fixed-point pass on the terminal voltage,
+        starting from the battery current ``i_previous``.
+        """
 
     @property
     def loss_factor(self) -> float:
@@ -276,55 +301,80 @@ class GraphPowerTrain(PowerTrain):
             degradation=self._component_degradations,
         )
 
-    def battery_current(self, v_battery: float, i_mcu: float,
-                        i_sensor: float, i_radio_digital: float,
-                        i_radio_rf: float) -> float:
-        """Battery-side current of one solve, amperes: :meth:`solve`'s
-        ``i_battery`` with no :class:`TrainSolution` built.
+    def solve(self, v_battery: float, loads: Loads,
+              resistance: float = 0.0,
+              i_previous: float = 0.0) -> TrainSolution:
+        """The node's whole electrical step, on validated currents.
 
-        The node's first fixed-point pass needs only this number, and
-        :meth:`solve` takes its own from here, errors included (radio
-        load while gated, unknown degradation key, envelope).  The
-        currents must already be validated, as a :class:`LoadState` is.
+        With ``resistance == 0.0`` this is one point solve at
+        ``v_battery``.  Otherwise ``v_battery`` is the cell's
+        open-circuit voltage and the step is one fixed-point pass on the
+        terminal voltage (NiMH sag is small at microamp-to-milliamp
+        loads, so one iteration converges): pass 1 solves at ``v_battery
+        - i_previous * resistance``, pass 2 at ``v_battery - i1 *
+        resistance`` and returns pass 2's solution.  Both sags are
+        ``terminal_voltage``'s own ``ocv - i * r``; the gating,
+        degradation and kernel checks are made once for both passes.
+        Raises :class:`~repro.errors.ElectricalError` when either pass
+        leaves the operating envelope (or a radio load is gated off).
         """
-        if not self.radio_enabled and (
-            i_radio_digital > 0.0 or i_radio_rf > 0.0
-        ):
+        i_mcu, i_sensor, i_digital, i_rf = loads
+        if not self.radio_enabled and (i_digital > 0.0 or i_rf > 0.0):
             raise ElectricalError(
                 f"{self.name}: radio load with its supplies gated off"
             )
+        graph = self.graph
+        gates = self._open_gates
         degradation = self._component_degradations
         if degradation:
-            self.graph._check_degradation_keys(degradation)
-        i_battery = self.graph._solve_currents(
-            v_battery, i_mcu, i_sensor, i_radio_digital, i_radio_rf,
-            self._open_gates, degradation)[1][0]
-        if self._loss_factor != 1.0:
-            i_battery = i_battery * self._loss_factor
-        return i_battery
-
-    def solve(self, v_battery: float, loads: LoadState) -> TrainSolution:
-        # The node's second fixed-point pass: LoadState has validated the
-        # four currents, so they go straight to the graph's point solve
-        # with no loads dict and no GraphSolution.
-        i_mcu, i_sensor = loads.i_mcu, loads.i_sensor
-        i_digital, i_rf = loads.i_radio_digital, loads.i_radio_rf
-        return self.solution(
-            v_battery,
-            self.battery_current(v_battery, i_mcu, i_sensor, i_digital, i_rf),
-            i_mcu, i_sensor, i_digital, i_rf)
+            graph._check_degradation_keys(degradation)
+        kernel = graph._promoted_kernel(gates)
+        loss = self._loss_factor
+        sag = resistance != 0.0
+        v = v_battery - i_previous * resistance if sag else v_battery
+        while True:
+            values = None
+            if kernel is not None:
+                try:
+                    values = kernel.fn(v, i_mcu, i_sensor, i_digital, i_rf,
+                                       degradation or None)
+                except Exception:
+                    values = None
+            if values is None:
+                # Not promoted, or the kernel declined the point: the
+                # compiler's slow path answers or raises the walk's error.
+                values = graph._solve_currents(
+                    v, i_mcu, i_sensor, i_digital, i_rf, gates,
+                    degradation)[1]
+            i_battery = values[0]
+            if loss != 1.0:
+                i_battery = i_battery * loss
+            if not sag:
+                break
+            sag = False
+            v = v_battery - i_battery * resistance
+        return self.solution(v, i_battery, i_mcu, i_sensor, i_digital, i_rf)
 
     def solution(self, v_battery: float, i_battery: float, i_mcu: float,
                  i_sensor: float, i_radio_digital: float,
                  i_radio_rf: float) -> TrainSolution:
         """The :class:`TrainSolution` of a solved operating point: each
-        subsystem's power is its tap voltage times its load current."""
+        subsystem's power is its tap voltage times its load current, and
+        power management is the battery power minus their left fold."""
         v_mcu, v_sensor, v_digital, v_rf = self._tap_v
-        return TrainSolution(v_battery, i_battery, v_mcu, {
-            "mcu": v_mcu * i_mcu, "sensor": v_sensor * i_sensor,
-            "radio-digital": v_digital * i_radio_digital,
-            "radio-rf": v_rf * i_radio_rf,
-        })
+        p_mcu = v_mcu * i_mcu
+        p_sensor = v_sensor * i_sensor
+        p_digital = v_digital * i_radio_digital
+        p_rf = v_rf * i_radio_rf
+        # An explicit left fold: sum() of floats is compensated from
+        # Python 3.12 on, and the bits must not depend on the interpreter.
+        delivered = 0.0 + p_mcu + p_sensor + p_digital + p_rf
+        # Every field, in order: tuple.__new__ skips the named tuple's
+        # Python-level __new__ (a third of this method's time).
+        return tuple.__new__(TrainSolution, (v_battery, i_battery, v_mcu, {
+            "mcu": p_mcu, "sensor": p_sensor, "radio-digital": p_digital,
+            "radio-rf": p_rf,
+        }, max(v_battery * i_battery - delivered, 0.0)))
 
 
 class CotsPowerTrain(GraphPowerTrain):

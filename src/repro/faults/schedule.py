@@ -11,6 +11,7 @@ lets the chaos Monte Carlo stay bit-identical across worker counts.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Type
 
@@ -129,8 +130,10 @@ def random_schedule(
     chaos campaign leans on.  Windows may overlap; the injector composes
     overlapping severities multiplicatively.
     """
-    if duration_s <= 0.0:
-        raise ConfigurationError("duration_s must be positive")
+    if not (math.isfinite(duration_s) and duration_s > 0.0):
+        raise ConfigurationError(
+            f"duration_s must be finite and > 0, got {duration_s!r}"
+        )
     rng = random.Random(seed)
     events: List[FaultEvent] = []
 

@@ -707,7 +707,8 @@ class _CohortMachine:
 
         Each pass sags the step's cell read by the battery current
         (``ocv - i * r``), solves the train in one batch and applies the
-        lane's loss factor, as ``battery_current`` does.  Returns the
+        lane's loss factor, as ``GraphPowerTrain.solve`` does with a
+        non-zero ``resistance``.  Returns the
         second pass's battery voltage and the new current, in ``lanes``
         buffers.
         """

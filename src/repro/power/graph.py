@@ -763,27 +763,37 @@ class RailGraph:
         validated inputs: ``(names, (i_source, *currents))`` in walk
         order.  A promoted kernel answers with no counter or lock;
         anything else takes the compiler's slow path."""
-        try:
-            entry = self._kernels.floats[open_gates]
-        except (KeyError, TypeError):
-            entry = None
-        if entry is not None and entry.verified and not entry.failed:
-            for converter in self._converter_list:
-                if not converter.enabled:
-                    break
-            else:
-                try:
-                    values = entry.fn(v_source, i_mcu, i_sensor,
-                                      i_radio_digital, i_radio_rf,
-                                      degradation or None)
-                except Exception:
-                    values = None
-                if values is not None:
-                    return entry.names, values
+        entry = self._promoted_kernel(open_gates)
+        if entry is not None:
+            try:
+                values = entry.fn(v_source, i_mcu, i_sensor,
+                                  i_radio_digital, i_radio_rf,
+                                  degradation or None)
+            except Exception:
+                values = None
+            if values is not None:
+                return entry.names, values
         return _compile_module().solve_point_slow(
             self, entry, v_source, i_mcu, i_sensor, i_radio_digital,
             i_radio_rf, open_gates, degradation,
         )
+
+    def _promoted_kernel(self, open_gates) -> Optional[CompiledKernel]:
+        """The verified float kernel that may answer a point solve at
+        ``open_gates``, or ``None`` when :meth:`_solve_currents` must
+        take the slow path (no kernel yet, unverified or retired, or a
+        converter disabled).  A ``None`` from the kernel's call still
+        goes to :meth:`_solve_currents`."""
+        try:
+            entry = self._kernels.floats[open_gates]
+        except (KeyError, TypeError):
+            return None
+        if not entry.verified or entry.failed:
+            return None
+        for converter in self._converter_list:
+            if not converter.enabled:
+                return None
+        return entry
 
     def _check_degradation_keys(self, degradation: Mapping) -> None:
         """Reject degradation entries that name no graph component.

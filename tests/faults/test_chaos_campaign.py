@@ -1,9 +1,12 @@
 """The chaos Monte Carlo: pool-parallel, bit-identical, coherent stats."""
 
+import math
+
 import pytest
 
 from repro.campaigns import CHAOS_PROFILES, chaos_campaign, chaos_task
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.runner.pool import MonteCarlo
 from repro.runner.seeding import derive_seed
 from repro.runner.store import ResultStore
 from repro.sim import checkpoint as cp
@@ -101,3 +104,41 @@ def test_pooled_durable_campaign_resumes_an_abandoned_trial(tmp_path):
     again, _ = chaos_campaign(**durable)
     assert again == plain
     assert store.stats.hits >= 2
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(profile="nope"), ConfigurationError,
+     "unknown chaos profile 'nope'"),
+    (dict(duration_s=0.0), ConfigurationError,
+     "duration_s must be finite and > 0, got 0.0"),
+    (dict(duration_s=math.nan), ConfigurationError,
+     "duration_s must be finite and > 0, got nan"),
+    (dict(duration_s=math.inf), ConfigurationError,
+     "duration_s must be finite and > 0, got inf"),
+    (dict(checkpoint_every=math.nan, checkpoint_dir="ckpt"),
+     SimulationError, "checkpoint_every must be finite and > 0, got nan"),
+    (dict(checkpoint_every=300.0), ConfigurationError,
+     "checkpoint_every needs a checkpoint_dir to write to"),
+], ids=["profile", "zero-duration", "nan-duration", "inf-duration",
+        "nan-checkpoint-every", "checkpoint-every-without-dir"])
+def test_campaign_rejects_bad_arguments_before_the_pool(
+        monkeypatch, tmp_path, kwargs, error, message):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pool started")
+
+    monkeypatch.setattr(MonteCarlo, "run", no_pool)
+    args = dict(trials=2, duration_s=600.0, profile="mild", workers=1)
+    args.update(kwargs)
+    if "checkpoint_dir" in args:
+        args["checkpoint_dir"] = str(tmp_path / args["checkpoint_dir"])
+    with pytest.raises(error) as raised:
+        chaos_campaign(**args)
+    assert str(raised.value) == message
+    if "checkpoint_dir" in kwargs or "checkpoint_every" not in kwargs:
+        # The trial raises the same error itself.
+        params = (args["duration_s"], args["profile"])
+        if "checkpoint_dir" in args:
+            params += (args["checkpoint_every"], args["checkpoint_dir"])
+        with pytest.raises(error) as in_trial:
+            chaos_task(params, seed=1)
+        assert str(in_trial.value) == message

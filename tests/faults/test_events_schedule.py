@@ -1,5 +1,7 @@
 """Fault-event validation and schedule determinism/serialisation."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -160,3 +162,9 @@ class TestRandomSchedule:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigurationError):
             random_schedule(1, 0.0)
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_duration(self, duration_s):
+        with pytest.raises(ConfigurationError,
+                           match="duration_s must be finite and > 0"):
+            random_schedule(1, duration_s)

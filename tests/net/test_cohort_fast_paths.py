@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.power_train import TrainSolution, make_power_train
+from repro.core.power_train import make_power_train
 from repro.errors import ConfigurationError, StorageError
 from repro.net.cohort import (
     _POW_PEEL_LIMIT,
@@ -263,11 +263,12 @@ def test_p_management_is_the_left_fold():
     powers = [float.fromhex(x) for x in (
         "0x1.06bd62575b443p-11", "0x1.523a8a6a7ca09p-21",
         "0x1.a36e2eb1c432dp-15", "0x0.0p+0")]
-    solution = TrainSolution(
-        v_battery=1.25, i_battery=5e-4, v_mcu_rail=1.0,
-        subsystem_power=dict(zip(
-            ("mcu", "sensor", "radio-digital", "radio-rf"), powers)),
-    )
+    # The IC taps are 2.1 / 2.1 / 1.0 / 0.65 V; these currents give the
+    # four powers above exactly.
+    solution = make_power_train("ic").solution(
+        1.25, 5e-4, 0.00023863636363636364, 3e-07, 5e-05, 0.0)
+    assert [watts.hex() for watts in solution.subsystem_power.values()] \
+        == [watts.hex() for watts in powers]
     delivered = ((powers[0] + powers[1]) + powers[2]) + powers[3]
     expected = max(1.25 * 5e-4 - delivered, 0.0)
     assert solution.p_management.hex() == expected.hex()

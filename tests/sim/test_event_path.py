@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import NodeConfig
 from repro.core.node import PicoCube
+from repro.core.power_train import GraphPowerTrain
 from repro.net.framing import ones_fraction
 from repro.net.packet import MAX_PAYLOAD_WORDS, PicoPacket, crc8
 from repro.sim.clock import PeriodicTimer
@@ -144,36 +145,78 @@ def test_update_sags_equal_terminal_voltage(make_cell):
     cell = make_cell()
     assert type(cell).terminal_voltage is EnergyStorage.terminal_voltage
     node = PicoCube(NodeConfig(), battery=cell)
+    train, graph = node.train, node.train.graph
     calls = []
-    battery_current = node.train.battery_current
-    solve = node.train.solve
+    solve = train.solve
+    solve_currents = graph._solve_currents
 
-    def spy_pass_1(v_battery, *currents):
-        i_battery = battery_current(v_battery, *currents)
-        calls.append(("battery_current", v_battery, i_battery))
-        return i_battery
-
-    def spy_pass_2(v_battery, loads):
-        solution = solve(v_battery, loads)
-        calls.append(("solve", v_battery, solution.i_battery))
+    def spy_solve(*args):
+        solution = solve(*args)
+        calls.append(("solve", solution.v_battery, solution.i_battery))
         return solution
 
-    node.train.battery_current = spy_pass_1
-    node.train.solve = spy_pass_2
+    def spy_pass(v_battery, *rest):
+        names, values = solve_currents(v_battery, *rest)
+        calls.append(("pass", v_battery, values[0] * train.loss_factor))
+        return names, values
+
+    # With no promoted kernel every pass goes through _solve_currents,
+    # so each pass's terminal voltage is seen; the sag arithmetic is the
+    # same on the kernel path.
+    graph._promoted_kernel = lambda open_gates: None
+    graph._solve_currents = spy_pass
+    train.solve = spy_solve
     for i_rf in (0.0, 2e-3, 0.0):
-        node.train.enable_radio()
+        train.enable_radio()
         i_before = node.battery_current_now
         calls.clear()
         node._set_radio_rf(i_rf)
         assert not node.browned_out
-        # Pass 1 asks only for the current; pass 2 is a full solve, which
-        # takes its own current from battery_current.
-        assert [name for name, _, _ in calls] == [
-            "battery_current", "battery_current", "solve",
-        ]
-        (_, v1, i1), (_, v2, _) = calls[0], calls[2]
+        # One train call per update, running the fixed-point pass on the
+        # terminal voltage inside it.
+        assert [name for name, _, _ in calls] == ["pass", "pass", "solve"]
+        (_, v1, i1), (_, v2, i2), (_, v_solved, i_solved) = calls
         assert v1.hex() == cell.terminal_voltage(i_before).hex()
         assert v2.hex() == cell.terminal_voltage(i1).hex()
+        assert (v_solved.hex(), i_solved.hex()) == (v2.hex(), i2.hex())
+        assert node.battery_current_now.hex() == i2.hex()
+
+
+def test_each_update_keeps_the_traced_entry_points(monkeypatch):
+    """Each ``_update`` on a live node makes one ``GraphPowerTrain.solve``
+    call, one ``NiMHCell.open_circuit_voltage`` call and at least one
+    ``PowerRecorder.record`` call: the profiler counts these layers by
+    wrapping them, so a bypass must fail here."""
+    counts = dict.fromkeys(("solve", "ocv", "record"), 0)
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(GraphPowerTrain, "solve", "solve")
+    counting(NiMHCell, "open_circuit_voltage", "ocv")
+    counting(PowerRecorder, "record", "record")
+    per_update = []
+    update = PicoCube._update
+
+    def counted_update(node):
+        counts.update(solve=0, ocv=0, record=0)
+        update(node)
+        per_update.append(dict(counts))
+
+    monkeypatch.setattr(PicoCube, "_update", counted_update)
+    node = PicoCube(NodeConfig())
+    node.run(60.0)
+    assert not node.browned_out and node.cycles_completed > 0
+    assert len(per_update) > 10
+    for seen in per_update:
+        assert seen["solve"] == 1 and seen["ocv"] == 1
+        assert seen["record"] >= 1
 
 
 # -- handle-free process resumes -----------------------------------------------
