@@ -17,6 +17,7 @@ from repro.runner.pool import Sweep
 from repro.sim.engine import Engine
 from repro.sim.trace import StepTrace, sum_traces
 from repro.studies import node_hours_task
+from repro.units import left_sum
 
 
 def test_perf_engine_event_throughput(benchmark):
@@ -103,14 +104,15 @@ def test_perf_simulated_day(benchmark):
 
 def _reference_sum_traces(traces):
     """The seed implementation: re-query every trace at every breakpoint
-    via bisect.  Kept as the baseline the k-way merge is measured against."""
+    via bisect, totals folded left to right.  Kept as the baseline the
+    k-way merge is measured against."""
     start = min(trace.start_time for trace in traces)
     out = StepTrace(name="sum", initial=0.0, start_time=start)
     times = sorted({t for trace in traces for t, _ in trace.breakpoints()})
     for t in times:
         out.set(
             t,
-            sum(
+            left_sum(
                 trace.value_at(t) if t >= trace.start_time else 0.0
                 for trace in traces
             ),

@@ -13,7 +13,7 @@ import dataclasses
 from typing import Dict, Optional
 
 from ..errors import SimulationError
-from ..units import DAY, YEAR
+from ..units import DAY, YEAR, left_sum
 from .node import PicoCube
 
 
@@ -58,7 +58,7 @@ class EnergyAudit:
             )
             lines.append(f"spurious resets    {self.resets}")
         lines.append("channel breakdown:")
-        total = sum(self.energy_by_channel_j.values())
+        total = left_sum(self.energy_by_channel_j.values())
         for name, energy in self.energy_by_channel_j.items():
             share = energy / total if total > 0 else 0.0
             lines.append(f"  {name:<18} {energy * 1e3:9.3f} mJ  {share:6.1%}")
@@ -76,9 +76,10 @@ def audit_node(node: PicoCube, start: Optional[float] = None,
         raise SimulationError(f"audit window [{start}, {end}] is empty")
     duration = end - start
     breakdown = node.recorder.energy_breakdown(start, end)
-    total = sum(breakdown.values())
+    total = left_sum(breakdown.values())
     cycles = node.cycles_completed
-    sleep_power = _sleep_floor(node)
+    # The always-on power floor, from the quietest instant.
+    sleep_power = node.recorder.total_minimum()
     per_cycle = 0.0
     if cycles > 0:
         # Cycle energy is what a cycle adds above the always-on floor.
@@ -96,15 +97,9 @@ def audit_node(node: PicoCube, start: Optional[float] = None,
         energy_per_cycle_j=per_cycle,
         management_fraction=management / total if total > 0 else 0.0,
         brownouts=len(outages),
-        outage_s=sum(event.overlap_s(start, end) for event in outages),
+        outage_s=left_sum(event.overlap_s(start, end) for event in outages),
         resets=node.resets,
     )
-
-
-def _sleep_floor(node: PicoCube) -> float:
-    """Estimate the always-on power floor from the quietest instant."""
-    total_trace = node.recorder.total_trace()
-    return total_trace.minimum(total_trace.start_time, node.engine.now)
 
 
 def projected_lifetime_s(node: PicoCube) -> float:

@@ -39,6 +39,7 @@ from ..sim.process import Process, spawn
 from ..sim.recorder import PowerRecorder
 from ..storage.charging import TrickleCharger
 from ..storage.nimh import NiMHCell
+from ..units import left_sum
 from .config import NodeConfig
 from .fastforward import CycleFastForward
 from .power_train import check_load_currents, make_power_train
@@ -317,7 +318,7 @@ class PicoCube:
     @property
     def outage_s(self) -> float:
         """Total seconds spent browned out so far."""
-        return sum(
+        return left_sum(
             event.overlap_s(0.0, self.engine.now)
             for event in self.brownout_events
         )

@@ -13,7 +13,7 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from ..errors import SimulationError
-from ..units import milli
+from ..units import left_sum, milli
 from .node import PicoCube
 
 
@@ -31,7 +31,7 @@ class CycleProfile:
     def phases(self) -> List[Tuple[float, float]]:
         """(relative time, total watts) pairs of the step profile."""
         return [
-            (t - self.t_start, sum(powers.values())) for t, powers in self.rows
+            (t - self.t_start, left_sum(powers.values())) for t, powers in self.rows
         ]
 
 
@@ -53,7 +53,7 @@ def capture_cycle_profile(
     window_start = max(t0 - pre_s, 0.0)
     window_end = min(t0 + post_s, node.engine.now)
     rows = node.recorder.profile(window_start, window_end)
-    totals = [(t, sum(p.values())) for t, p in rows]
+    totals = [(t, left_sum(p.values())) for t, p in rows]
     sleep_power = totals[0][1]
     peak = max(power for _, power in totals)
     # Cycle duration: from t0 to the last return to the sleep floor.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import SimulationError
-from ..units import DAY, HOUR, micro, milli
+from ..units import DAY, HOUR, left_sum, micro, milli
 from .energy_audit import audit_node, format_lifetime, projected_lifetime_s
 from .node import PicoCube
 
@@ -66,7 +66,7 @@ def run_report(node: PicoCube, title: Optional[str] = None) -> str:
     lines.append("")
     lines.append("| channel | energy | share |")
     lines.append("|---|---|---|")
-    total = sum(audit.energy_by_channel_j.values())
+    total = left_sum(audit.energy_by_channel_j.values())
     for name, energy in audit.energy_by_channel_j.items():
         share = energy / total if total > 0 else 0.0
         lines.append(f"| {name} | {energy * 1e3:.3f} mJ | {share:.1%} |")

@@ -50,6 +50,7 @@ from ..storage.nimh import (
     self_discharge_exponent,
     self_discharge_loss,
 )
+from ..units import left_sum
 from .fleet import (
     AirTimes,
     FleetChannel,
@@ -391,7 +392,7 @@ class _CohortMachine:
             probe.modulator.duration(n_air_bits),
             path("transmit-supervise") + path("sleep-entry"),
         )
-        if sum(delays) >= self.period:
+        if left_sum(delays) >= self.period:
             raise CohortFallback("sample cycle does not fit the wake period")
         u = _Update
         steps: Tuple[_Step, ...] = (
@@ -690,7 +691,7 @@ class _CohortMachine:
                     if commits_packet:
                         packets += mask
                 cycle += 1
-            # FleetChannel.run syncs every node once more at the horizon.
+            # FleetChannel.advance syncs every node once more at the horizon.
             mask.fill(True)
             self._sync(state, end, mask, accel)
         finally:

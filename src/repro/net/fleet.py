@@ -27,6 +27,7 @@ from ..core.power_train import make_power_train
 from ..errors import ConfigurationError, StorageError
 from ..sim.engine import Engine
 from ..storage.nimh import NiMHCell
+from ..units import left_sum
 
 BEACON_PERIOD_S = 6.0
 """The cube's wake/beacon period: one transmission every six seconds."""
@@ -280,13 +281,12 @@ class FleetStats:
 
 
 class FleetChannel:
-    """N uncoordinated PicoCubes sharing one OOK channel (pure ALOHA)."""
+    """N uncoordinated PicoCubes sharing one OOK channel (pure ALOHA).
 
-    # Class-level fallbacks: subclasses that stub out construction (the
-    # collision-sweep regression tests do) still resolve a clean channel.
-    noise_windows: Sequence[Tuple[float, float]] = ()
-    retry: Optional[RetryPolicy] = None
-    retry_seed: int = 2008
+    The channel simulates the fleet and reports its bursts; callers
+    resolve them with :func:`resolve_channel`, as
+    :func:`~repro.sim.fleet_engine.run_fleet` does.
+    """
 
     def __init__(
         self,
@@ -294,17 +294,10 @@ class FleetChannel:
         stagger_s: Optional[float] = None,
         phases: Optional[List[float]] = None,
         power_train: str = "cots",
-        noise_windows: Optional[Sequence[Tuple[float, float]]] = None,
-        retry: Optional[RetryPolicy] = None,
-        retry_seed: int = 2008,
         line_code: str = "nrz",
     ) -> None:
         if node_count < 1:
             raise ConfigurationError("need at least one node")
-        check_noise_windows(noise_windows or ())
-        self.noise_windows = [tuple(w) for w in noise_windows or ()]
-        self.retry = retry
-        self.retry_seed = retry_seed
         self.engine = Engine()
         self.nodes: List[PicoCube] = []
         for k in range(node_count):
@@ -320,11 +313,6 @@ class FleetChannel:
         )
         for node, offset in zip(self.nodes, self.offsets):
             phase_node(node, offset)
-
-    def run(self, duration: float) -> FleetStats:
-        """Simulate the fleet and resolve channel collisions."""
-        self.advance(duration)
-        return self.collision_stats()
 
     def advance(self, duration: float) -> None:
         """Simulate the fleet for ``duration`` seconds, then settle each
@@ -370,7 +358,7 @@ class FleetChannel:
     def _transmit_offset(node: PicoCube) -> float:
         fw = node.firmware
         mcu = node.mcu
-        cpu = sum(
+        cpu = left_sum(
             fw.path(p).duration(mcu)
             for p in ("wake", "sensor-config", "sample-read", "format-packet",
                       "radio-setup")
@@ -382,28 +370,6 @@ class FleetChannel:
             + node.sensor.sample_duration()
             + node.spi.transfer_time(16)
             + node.config.pa_sequencing_delay_s
-        )
-
-    def collision_stats(self) -> FleetStats:
-        """Sweep the sorted bursts and count overlaps, noise, and retries.
-
-        A plain adjacent-pair check undercounts: one long burst can
-        overlap several later ones, and a middle burst can end early
-        while the one before it still covers the one after.  The sweep
-        therefore tracks the latest-ending active burst: any burst
-        starting before that end collides with it (and transitively
-        flags the coverer).
-
-        Bursts that survive the collision sweep but fall inside an
-        injected noise window are ``lost_to_noise``; with a
-        :class:`RetryPolicy` each gets deterministic seeded
-        retransmissions (see :func:`model_retries`).
-        """
-        return resolve_channel(
-            self.air_time_records(),
-            noise_windows=self.noise_windows,
-            retry=self.retry,
-            retry_seed=self.retry_seed,
         )
 
 

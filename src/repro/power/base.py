@@ -19,6 +19,7 @@ import dataclasses
 from typing import Dict, Optional
 
 from ..errors import ConfigurationError, ElectricalError
+from ..units import left_sum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +61,7 @@ class OperatingPoint:
 
     def loss_total(self) -> float:
         """Sum of the itemised losses (should equal :attr:`p_loss`)."""
-        return sum(self.losses.values())
+        return left_sum(self.losses.values())
 
 
 class Converter(abc.ABC):

@@ -23,6 +23,7 @@ import dataclasses
 from typing import Dict, Optional
 
 from ..errors import ConfigurationError
+from ..units import left_sum
 from .base import OperatingPoint
 from .linear_regulator import LinearRegulator
 from .rectifier import SynchronousRectifier
@@ -209,7 +210,7 @@ class ConverterIC:
 
     def quiescent_current(self, v_battery: Optional[float] = None) -> float:
         """Total standing battery current, amperes (paper: ~6.5 µA)."""
-        return sum(self.quiescent_breakdown(v_battery).values())
+        return left_sum(self.quiescent_breakdown(v_battery).values())
 
     def quiescent_power(self, v_battery: Optional[float] = None) -> float:
         """Standing power from the battery, watts."""

@@ -36,7 +36,7 @@ interludes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from .trace import StepTrace
 
@@ -173,14 +173,7 @@ def extract_template(
     Relative times are ``t - start``; this is the cycle template the
     accelerator replays via :meth:`StepTrace.append_periodic`.
     """
-    rel_times: List[float] = []
-    values: List[float] = []
-    for time, value in trace.iter_breakpoints(start=start, end=end):
-        if time <= start:
-            continue
-        rel_times.append(time - start)
-        values.append(value)
-    return tuple(rel_times), tuple(values)
+    return trace.window(start, end)
 
 
 def windows_match(trace: StepTrace, start_a: float, start_b: float,
@@ -195,11 +188,9 @@ def windows_match(trace: StepTrace, start_a: float, start_b: float,
     """
     if trace.value_at(start_a) != trace.value_at(start_b):
         return False
-    iter_a = trace.iter_breakpoints(start=start_a, end=start_a + span)
-    iter_b = trace.iter_breakpoints(start=start_b, end=start_b + span)
-    a = [(t - start_a, v) for t, v in iter_a if t > start_a]
-    b = [(t - start_b, v) for t, v in iter_b if t > start_b]
-    return a == b
+    return trace.window(start_a, start_a + span) == trace.window(
+        start_b, start_b + span
+    )
 
 
 def next_octave_boundary(time: float) -> float:

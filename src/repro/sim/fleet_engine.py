@@ -330,9 +330,6 @@ def _build_channel(
         scenario.node_count,
         phases=list(offsets),
         power_train=scenario.power_train,
-        noise_windows=scenario.noise_windows,
-        retry=scenario.retry,
-        retry_seed=scenario.retry_seed,
         line_code=scenario.line_code,
     )
     for index, node in enumerate(channel.nodes):

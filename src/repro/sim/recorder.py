@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
+from ..units import left_sum
 from .engine import Engine
-from .trace import StepTrace, sum_traces
+from .trace import StepTrace, sum_minimum, sum_traces
 
 
 class PowerRecorder:
@@ -86,7 +87,7 @@ class PowerRecorder:
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> float:
         """Energy (J) summed over all channels."""
-        return sum(self.energy(name, start, end) for name in self._channels)
+        return left_sum(self.energy(name, start, end) for name in self._channels)
 
     def average_power(
         self, start: Optional[float] = None, end: Optional[float] = None
@@ -115,11 +116,17 @@ class PowerRecorder:
 
     def total_trace(self) -> StepTrace:
         """Pointwise-summed total power trace across all channels."""
+        return sum_traces(self._sorted_channels(), name="total")
+
+    def total_minimum(self) -> float:
+        """Lowest total power over the recorded span (W): the minimum of
+        :meth:`total_trace`, without building it."""
+        return sum_minimum(self._sorted_channels())
+
+    def _sorted_channels(self) -> List[StepTrace]:
         if not self._channels:
             raise SimulationError("no channels recorded")
-        return sum_traces(
-            [self._channels[name] for name in self.channel_names()], name="total"
-        )
+        return [self._channels[name] for name in self.channel_names()]
 
     def profile(
         self,
@@ -139,9 +146,8 @@ class PowerRecorder:
             trace = self._channels.get(name)
             if trace is None:
                 continue
-            for bp_time, _ in trace.breakpoints():
-                if start <= bp_time <= end:
-                    times.add(bp_time)
+            for bp_time, _ in trace.iter_breakpoints(start, end):
+                times.add(bp_time)
         rows = []
         for time in sorted(times):
             row = {}

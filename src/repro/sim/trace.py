@@ -21,17 +21,47 @@ Integrals are computed with :func:`math.fsum`, which returns the correctly
 rounded sum of the segment products regardless of how the segments are
 grouped — so a compressed trace integrates to the *bit-identical* value its
 fully materialized equivalent would.
+
+Every read (integrals, minima and maxima, windows, sums of traces) walks
+the breakpoint lists as runs of up to ``_CHUNK`` breakpoints, with NumPy
+doing the per-breakpoint arithmetic.  NumPy's float64 ``*``, ``-`` and
+``+`` are the same IEEE-754 operations as Python's, so each product, time
+difference and total comes out bit for bit as a one-at-a-time loop would
+compute it.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import SimulationError
+from ..units import left_sum
+
+#: Breakpoints per trace that one bulk read turns into arrays at a time:
+#: reads run at array speed while their scratch memory stays bounded,
+#: however long the trace.
+_CHUNK = 4096
+
+#: A run of materialized breakpoints: parallel ascending times and values.
+_Run = Tuple[Sequence[float], Sequence[float]]
+
+
+def _array(values: Sequence[float], first: Optional[float] = None) -> np.ndarray:
+    """``values`` as a float64 array, optionally after a leading ``first``.
+
+    ``fromiter`` with a known length converts a list of floats about
+    twice as fast as ``np.array``.
+    """
+    if first is None:
+        return np.fromiter(values, np.float64, len(values))
+    return np.fromiter(
+        itertools.chain((first,), values), np.float64, len(values) + 1
+    )
 
 
 class _PeriodicBlock:
@@ -86,49 +116,62 @@ class _PeriodicBlock:
             return self.values[index]
         return self.values[-1] if k > 0 else before
 
-    def iter_breakpoints(
-        self, start: Optional[float], end: Optional[float]
-    ) -> Iterator[Tuple[float, float]]:
-        """Materialize template repetitions lazily, clipped to a window."""
+    @property
+    def last_breakpoint(self) -> float:
+        """Time of the final repetition's last template breakpoint."""
+        return self.t0 + (self.count - 1) * self.span + self.times[-1]
+
+    def runs(self, start: float, end: float, closed: bool) -> Iterator[_Run]:
+        """The materialized breakpoints after ``start`` and before ``end``.
+
+        ``closed`` keeps a breakpoint at ``end`` itself.  Repetition ``k``
+        sits at ``t0 + k * span + rel``, computed as a one-at-a-time loop
+        would, and whole repetitions are materialized ``_CHUNK``
+        breakpoints at a time.
+        """
+        if not self.times:
+            return
         k0 = 0
-        if start is not None and start > self.t0:
+        if start > self.t0:
             k0 = max(0, int((start - self.t0) // self.span) - 1)
-        for k in range(k0, self.count):
-            base = self.t0 + k * self.span
-            if end is not None and base > end:
-                return
-            for rel, value in zip(self.times, self.values):
-                time = base + rel
-                if start is not None and time < start:
-                    continue
-                if end is not None and time > end:
-                    return
-                yield time, value
+        k1 = self.count
+        if end < self.end:
+            k1 = min(k1, int((end - self.t0) // self.span) + 2)
+        rel = _array(self.times)
+        values = _array(self.values)
+        step = max(1, _CHUNK // len(rel))
+        for k in range(k0, k1, step):
+            reps = min(step, k1 - k)
+            base = self.t0 + np.arange(k, k + reps, dtype=np.float64) * self.span
+            times = (base[:, None] + rel).ravel()
+            keep = (times > start) & (times <= end if closed else times < end)
+            if keep.any():
+                yield (times[keep].tolist(),
+                       np.tile(values, reps)[keep].tolist())
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
-def _scaled_product(product: float, count: int) -> Iterator[float]:
-    """Yield floats whose exact sum is ``count * product``.
+def _scaled(products: np.ndarray, count: int) -> List[np.ndarray]:
+    """Arrays whose exact sum is ``count * products``.
 
-    Dekker's two-product: the rounded product plus its exact rounding
-    error.  Lets a periodic block feed ``fsum`` the same exact real mass
-    as ``count`` repeated segment products without materializing them.
+    Dekker's two-product, elementwise: each rounded product plus its exact
+    rounding error.  Lets a periodic block feed ``fsum`` the same exact
+    real mass as ``count`` repeated segment products without
+    materializing them.
     """
     if count == 1:
-        yield product
-        return
+        return [products]
     k = float(count)
-    hi = k * product
+    hi = k * products
     c = _SPLITTER * k
     k_hi = c - (c - k)
     k_lo = k - k_hi
-    c = _SPLITTER * product
-    p_hi = c - (c - product)
-    p_lo = product - p_hi
-    yield hi
-    yield ((k_hi * p_hi - hi) + k_hi * p_lo + k_lo * p_hi) + k_lo * p_lo
+    c = _SPLITTER * products
+    p_hi = c - (c - products)
+    p_lo = products - p_hi
+    return [hi, ((k_hi * p_hi - hi) + k_hi * p_lo + k_lo * p_hi) + k_lo * p_lo]
 
 
 class StepTrace:
@@ -314,7 +357,7 @@ class StepTrace:
             if block.anchor < len(self._times):
                 break
             if block.times:
-                return block.t0 + (block.count - 1) * block.span + block.times[-1]
+                return block.last_breakpoint
         return self._times[-1]
 
     @property
@@ -368,28 +411,19 @@ class StepTrace:
     def iter_breakpoints(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> Iterator[Tuple[float, float]]:
-        """Lazily yield ``(time, value)`` breakpoints, optionally windowed.
+        """Lazily yield ``(time, value)`` breakpoints in ``[start, end]``.
 
-        Compressed blocks are materialized on the fly, so this is the
-        memory-safe way to walk a fast-forwarded trace (a full
+        Compressed blocks are materialized a chunk at a time, so this is
+        the memory-safe way to walk a fast-forwarded trace (a full
         :meth:`breakpoints` list of a simulated year does not fit in RAM).
         """
-        blocks = self._blocks
-        first = 0
-        if start is not None:
-            first = bisect.bisect_left(self._times, start)
-        block_index = 0
-        for i in range(first, len(self._times)):
-            while block_index < len(blocks) and blocks[block_index].anchor <= i:
-                yield from blocks[block_index].iter_breakpoints(start, end)
-                block_index += 1
-            time = self._times[i]
-            if end is not None and time > end:
-                return
-            yield time, self._values[i]
-        while block_index < len(blocks):
-            yield from blocks[block_index].iter_breakpoints(start, end)
-            block_index += 1
+        # The largest float below ``start``: "after it" is "from start on".
+        after = -math.inf if start is None else math.nextafter(start, -math.inf)
+        for times, values in self._runs(
+            after, math.inf if end is None else end,
+            closed=True, whole_blocks=False,
+        ):
+            yield from zip(times, values)
 
     def cursor(self) -> "TraceCursor":
         """A sequential reader for monotone time scans (O(1) amortized)."""
@@ -435,10 +469,65 @@ class StepTrace:
             raise SimulationError(f"integral bounds reversed: [{start}, {end}]")
         if end == start:
             return 0.0
-        return math.fsum(self._products(start, end))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return math.fsum(itertools.chain.from_iterable(
+                self._products(start, end)
+            ))
 
-    def _products(self, start: float, end: float) -> Iterator[float]:
-        """Yield floats whose exact sum is the integral over [start, end].
+    def _runs(
+        self, start: float, end: float, closed: bool, whole_blocks: bool
+    ) -> Iterator[Union[_Run, _PeriodicBlock]]:
+        """The breakpoints after ``start`` and before ``end``, in order.
+
+        Yields runs of at most ``_CHUNK`` breakpoints: slices of the plain
+        lists, and materialized repetitions of the periodic blocks the
+        window cuts.  ``closed`` keeps a breakpoint at ``end`` itself.
+        With ``whole_blocks``, a block lying inside ``[start, end]`` is
+        yielded as the block itself, for the caller to read its template
+        once, and blocks that add nothing to the window are skipped.
+        """
+        times = self._times
+        i = bisect.bisect_right(times, start)
+        hi = (bisect.bisect_right if closed else bisect.bisect_left)(times, end)
+        for block in self._blocks:
+            if block.anchor > hi:
+                # A plain breakpoint past the window precedes the block.
+                break
+            yield from self._plain_runs(i, block.anchor)
+            i = max(i, block.anchor)
+            if not block.times or block.last_breakpoint <= start \
+                    or block.t0 >= end:
+                continue
+            if whole_blocks and start <= block.t0 and block.end <= end:
+                yield block
+            else:
+                yield from block.runs(start, end, closed)
+        yield from self._plain_runs(i, hi)
+
+    def _plain_runs(self, lo: int, hi: int) -> Iterator[_Run]:
+        for a in range(lo, hi, _CHUNK):
+            b = min(a + _CHUNK, hi)
+            yield self._times[a:b], self._values[a:b]
+
+    def window(
+        self, start: float, end: float
+    ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+        """Breakpoints in ``(start, end]`` as ``(rel_times, values)``.
+
+        Relative times are ``t - start``.  Periodic blocks inside the
+        window are materialized.
+        """
+        rel_times: List[float] = []
+        values: List[float] = []
+        for run_times, run_values in self._runs(
+            start, end, closed=True, whole_blocks=False
+        ):
+            rel_times += (_array(run_times) - start).tolist()
+            values += run_values
+        return tuple(rel_times), tuple(values)
+
+    def _products(self, start: float, end: float) -> Iterator[List[float]]:
+        """Lists of floats whose exact sum is the integral over [start, end].
 
         For plain spans this is one ``value * dt`` product per segment.
         A periodic block fully inside the window contributes each template
@@ -450,55 +539,25 @@ class StepTrace:
         """
         previous_t = start
         previous_v = self.value_at(start)
-        first = bisect.bisect_left(self._times, start)
-        blocks = self._blocks
-        block_index = 0
-        for i in range(first, len(self._times) + 1):
-            while block_index < len(blocks) and blocks[block_index].anchor <= i:
-                block = blocks[block_index]
-                block_index += 1
-                if not block.values:
-                    continue
-                rel = block.times
-                last_bp = (
-                    block.t0 + (block.count - 1) * block.span + rel[-1]
-                )
-                if last_bp <= start:
-                    continue
-                if start <= block.t0 and block.end <= end:
-                    # Fully covered: emit the template products scaled.
-                    t0 = block.t0
-                    values = block.values
-                    yield previous_v * ((t0 + rel[0]) - previous_t)
-                    for j in range(len(rel) - 1):
-                        dt = (t0 + rel[j + 1]) - (t0 + rel[j])
-                        yield from _scaled_product(values[j] * dt, block.count)
-                    if block.count > 1:
-                        gap = (t0 + block.span + rel[0]) - (t0 + rel[-1])
-                        yield from _scaled_product(
-                            values[-1] * gap, block.count - 1
-                        )
-                    previous_t = last_bp
-                    previous_v = values[-1]
-                    continue
-                # Window boundary cuts the block: materialize the clipped part.
-                for time, value in block.iter_breakpoints(start, end):
-                    if time <= start:
-                        continue
-                    if time >= end:
-                        break
-                    yield previous_v * (time - previous_t)
-                    previous_t, previous_v = time, value
-            if i >= len(self._times):
-                break
-            time = self._times[i]
-            if time <= start:
+        for run in self._runs(start, end, closed=False, whole_blocks=True):
+            if isinstance(run, _PeriodicBlock):
+                t0, rel, values = run.t0, run.times, run.values
+                yield [previous_v * ((t0 + rel[0]) - previous_t)]
+                products = _array(values[:-1]) * np.diff(t0 + _array(rel))
+                parts = _scaled(products, run.count)
+                if run.count > 1:
+                    gap = (t0 + run.span + rel[0]) - (t0 + rel[-1])
+                    parts += _scaled(np.array([values[-1] * gap]), run.count - 1)
+                for part in parts:
+                    yield part.tolist()
+                previous_t = run.last_breakpoint
+                previous_v = values[-1]
                 continue
-            if time >= end:
-                break
-            yield previous_v * (time - previous_t)
-            previous_t, previous_v = time, self._values[i]
-        yield previous_v * (end - previous_t)
+            times, values = run
+            held = _array(values[:-1], previous_v)
+            yield (held * np.diff(_array(times), prepend=previous_t)).tolist()
+            previous_t, previous_v = times[-1], values[-1]
+        yield [previous_v * (end - previous_t)]
 
     def mean(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         """Time-average of the signal over ``[start, end]``.
@@ -523,22 +582,22 @@ class StepTrace:
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> float:
         """Maximum value attained on ``[start, end]``."""
-        return max(v for _, v in self._segments_overlapping(start, end))
+        return max(self._attained(start, end))
 
     def minimum(
         self, start: Optional[float] = None, end: Optional[float] = None
     ) -> float:
         """Minimum value attained on ``[start, end]``."""
-        return min(v for _, v in self._segments_overlapping(start, end))
+        return min(self._attained(start, end))
 
     def sample(self, times: Sequence[float]) -> List[float]:
         """Sample the step function at each time in ``times``."""
         return [self.value_at(t) for t in times]
 
-    def _segments_overlapping(
+    def _attained(
         self, start: Optional[float] = None, end: Optional[float] = None
-    ) -> Iterable[Tuple[float, float]]:
-        """(time, value) pairs covering every value attained on the window.
+    ) -> Iterator[float]:
+        """Every value attained on the window, in order, as one iterator.
 
         Feeds :meth:`minimum`/:meth:`maximum` only, so a periodic block
         fully inside the window yields its template once — repetitions
@@ -549,37 +608,14 @@ class StepTrace:
         if end is None:
             end = self.last_time
         start = max(start, self._times[0])
-        yield start, self.value_at(start)
-        first = bisect.bisect_left(self._times, start)
-        blocks = self._blocks
-        block_index = 0
-        for i in range(first, len(self._times) + 1):
-            while block_index < len(blocks) and blocks[block_index].anchor <= i:
-                block = blocks[block_index]
-                block_index += 1
-                if not block.values:
-                    continue
-                rel = block.times
-                last_bp = (
-                    block.t0 + (block.count - 1) * block.span + rel[-1]
-                )
-                if last_bp <= start:
-                    continue
-                if start <= block.t0 and block.end <= end:
-                    for j in range(len(rel)):
-                        yield block.t0 + rel[j], block.values[j]
-                    continue
-                for time, value in block.iter_breakpoints(start, end):
-                    if time > start:
-                        yield time, value
-            if i >= len(self._times):
-                break
-            time = self._times[i]
-            if time <= start:
-                continue
-            if time > end:
-                break
-            yield time, self._values[i]
+        runs = self._runs(start, end, closed=True, whole_blocks=True)
+        values = (
+            run.values if isinstance(run, _PeriodicBlock) else run[1]
+            for run in runs
+        )
+        return itertools.chain(
+            [self.value_at(start)], itertools.chain.from_iterable(values)
+        )
 
     def __len__(self) -> int:
         return len(self._times) + sum(
@@ -630,66 +666,69 @@ class TraceCursor:
         return self._value
 
 
-def _merge_region(
-    chunks: List[Iterable[Tuple[float, float, int]]],
-    current: List[float],
-    emit,
-) -> None:
-    """K-way merge one region of breakpoint streams into ``emit(t, total)``.
+def _merge(
+    runs: List[_Run], current: List[float]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """K-way merge one region of breakpoint runs into ``(times, totals)``.
 
-    ``current`` carries each trace's running value and is updated in
-    place.  Summing the carried values (rather than accumulating deltas)
-    keeps the result bit-identical to the pointwise definition.
+    ``runs`` holds each trace's ascending ``(times, values)`` for the
+    region, in trace order; ``current`` holds each trace's value entering
+    the region and is updated in place to its value at the region's end.
+    Yields, a chunk at a time, the union of the region's times and the
+    total at each: the left fold of every trace's value there, in trace
+    order — bit-identical to the pointwise definition.
+
+    A chunk ends at the earliest time by which some trace has contributed
+    ``_CHUNK`` breakpoints, so no trace contributes more than that to one
+    chunk.
     """
-    previous = None
-    for time, value, index in heapq.merge(*chunks):
-        if previous is not None and time != previous:
-            emit(previous, sum(current))
-        current[index] = value
-        previous = time
-    if previous is not None:
-        emit(previous, sum(current))
+    cursors = [0] * len(runs)
+    while True:
+        cut = math.inf
+        for (times, _), lo in zip(runs, cursors):
+            if lo + _CHUNK <= len(times):
+                cut = min(cut, times[lo + _CHUNK - 1])
+        chunk = []
+        for index, ((times, values), lo) in enumerate(zip(runs, cursors)):
+            hi = bisect.bisect_right(times, cut, lo, min(lo + _CHUNK, len(times)))
+            chunk.append((_array(times[lo:hi]), values[lo:hi]))
+            cursors[index] = hi
+        if not any(len(times) for times, _ in chunk):
+            return
+        union = np.concatenate([times for times, _ in chunk])
+        union.sort()
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]
+        rows = []
+        for index, (times, values) in enumerate(chunk):
+            if not values:
+                rows.append(current[index])
+                continue
+            held = _array(values, current[index])
+            rows.append(held[np.searchsorted(times, union, side="right")])
+            current[index] = values[-1]
+        yield union, left_sum(rows)
 
 
-def sum_traces(traces: Sequence[StepTrace], name: str = "sum") -> StepTrace:
-    """Pointwise sum of several step traces as a new trace.
+def _regions(
+    traces: Sequence[StepTrace],
+) -> Iterator[Tuple[Optional[_PeriodicBlock], List[float], List[float]]]:
+    """Walk the pointwise sum of ``traces`` without building it.
 
-    Used to build a total-node power trace from per-component traces for
-    the Fig 6 style stacked profile.
+    The walk yields ``(None, times, totals)`` chunks for the plain
+    stretches and, for each compressed span, one ``(block, rel_times,
+    totals)`` holding the merged template; ``block`` is the first
+    trace's, which carries the span's geometry.  Summing blocks needs
+    every trace to carry the same block geometry (the accelerator writes
+    all channels in lock-step, so this holds by construction) and each
+    block to return to its entry value; anything else raises
+    :class:`SimulationError` (the geometry before the walk starts).
 
     A trace contributes 0 before its own start time, so traces recorded
     from different moments (lazily-created recorder channels) sum
     consistently.
-
-    Implemented as a single k-way merge over the traces' breakpoint lists:
-    each trace's current value is carried forward and the total re-summed
-    only at emitted times, so the cost is ``O(B (log n + n))`` for ``B``
-    total breakpoints over ``n`` traces — not the ``O(B * n log B)`` of
-    re-querying every trace via bisect at every breakpoint.
-
-    Fast-forwarded traces sum without materializing: when every input
-    carries the same compressed block geometry (the accelerator writes
-    all channels in lock-step, so this holds by construction), the block
-    templates are merged once and the result stays compressed.  Mixed or
-    misaligned block geometries raise :class:`SimulationError`.
     """
     if not traces:
         raise SimulationError("sum_traces needs at least one trace")
-    start = min(trace.start_time for trace in traces)
-    out = StepTrace(name=name, initial=0.0, start_time=start)
-    current = [0.0] * len(traces)
-
-    if not any(trace._blocks for trace in traces):
-        _merge_region(
-            [
-                zip(trace._times, trace._values, itertools.repeat(index))
-                for index, trace in enumerate(traces)
-            ],
-            current,
-            out.set,
-        )
-        return out
-
     geometry = [
         tuple((b.t0, b.span, b.count) for b in trace._blocks) for trace in traces
     ]
@@ -698,49 +737,80 @@ def sum_traces(traces: Sequence[StepTrace], name: str = "sum") -> StepTrace:
             "sum_traces: traces carry misaligned compressed spans; "
             "materialize with breakpoints() before summing"
         )
-    block_count = len(traces[0]._blocks)
-    for region in range(block_count + 1):
-        chunks = []
+    return _walk(traces)
+
+
+def _walk(
+    traces: Sequence[StepTrace],
+) -> Iterator[Tuple[Optional[_PeriodicBlock], np.ndarray, np.ndarray]]:
+    current = [0.0] * len(traces)
+    lows = [0] * len(traces)
+    for region in range(len(traces[0]._blocks) + 1):
+        runs = []
         for index, trace in enumerate(traces):
-            lo = trace._blocks[region - 1].anchor if region > 0 else 0
             hi = (
                 trace._blocks[region].anchor
-                if region < block_count
+                if region < len(trace._blocks)
                 else len(trace._times)
             )
-            chunks.append(
-                zip(
-                    trace._times[lo:hi],
-                    trace._values[lo:hi],
-                    itertools.repeat(index),
-                )
-            )
-        _merge_region(chunks, current, out.set)
-        if region == block_count:
-            break
-        reference = traces[0]._blocks[region]
-        for index, trace in enumerate(traces):
-            block = trace._blocks[region]
-            if block.values and block.values[-1] != current[index]:
+            runs.append((trace._times[lows[index]:hi],
+                         trace._values[lows[index]:hi]))
+            lows[index] = hi
+        for times, totals in _merge(runs, current):
+            yield None, times, totals
+        if region == len(traces[0]._blocks):
+            return
+        blocks = [trace._blocks[region] for trace in traces]
+        for trace, block, entry in zip(traces, blocks, current):
+            if block.values and block.values[-1] != entry:
                 raise SimulationError(
                     "sum_traces: compressed span does not return to its "
                     f"entry value on trace {trace.name!r}"
                 )
-        rel_times: List[float] = []
-        rel_values: List[float] = []
-        _merge_region(
-            [
-                zip(
-                    trace._blocks[region].times,
-                    trace._blocks[region].values,
-                    itertools.repeat(index),
+        merged = list(_merge([(b.times, b.values) for b in blocks], current))
+        yield (
+            blocks[0],
+            np.concatenate([times for times, _ in merged] or [np.empty(0)]),
+            np.concatenate([totals for _, totals in merged] or [np.empty(0)]),
+        )
+
+
+def sum_traces(traces: Sequence[StepTrace], name: str = "sum") -> StepTrace:
+    """Pointwise sum of several step traces as a new trace.
+
+    Used to build a total-node power trace from per-component traces for
+    the Fig 6 style stacked profile.  See :func:`_regions` for how traces
+    starting at different times and compressed spans sum.
+
+    Implemented as a single k-way merge over the traces' breakpoint runs,
+    each trace's value carried forward between its breakpoints, so the
+    cost is ``O(B log B)`` array work for ``B`` total breakpoints — not the
+    ``O(B * n log B)`` of re-querying every trace via bisect at every
+    breakpoint.  Compressed spans sum without materializing: the block
+    templates are merged once and the result stays compressed.
+    """
+    regions = _regions(traces)
+    start = min(trace.start_time for trace in traces)
+    out = StepTrace(name=name, initial=0.0, start_time=start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, times, totals in regions:
+            if block is None:
+                for time, total in zip(times.tolist(), totals.tolist()):
+                    out.set(time, total)
+            else:
+                out.append_periodic(
+                    block.t0, times.tolist(), totals.tolist(), block.span,
+                    block.count,
                 )
-                for index, trace in enumerate(traces)
-            ],
-            current,
-            lambda t, v: (rel_times.append(t), rel_values.append(v)),
-        )
-        out.append_periodic(
-            reference.t0, rel_times, rel_values, reference.span, reference.count
-        )
     return out
+
+
+def sum_minimum(traces: Sequence[StepTrace]) -> float:
+    """Minimum of the pointwise sum of ``traces`` over its whole span.
+
+    ``sum_traces(traces).minimum()`` without building the summed trace.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return min(itertools.chain.from_iterable(
+            totals.tolist() for _, _, totals in _regions(traces)
+        ))

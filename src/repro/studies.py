@@ -13,8 +13,9 @@ these studies' modules.
 
 Determinism contract: every campaign's output is a pure function of its
 parameters and ``base_seed`` — bit-identical for any ``workers`` value —
-because stochastic tasks get per-task seeds derived from the task index,
-never from worker identity or completion order.
+because stochastic tasks get per-task seeds derived from the task index
+(E20: from the chunk index and the cell), never from worker identity or
+completion order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .power.rectifier import BoostRectifier, SynchronousRectifier
 from .power.topologies import all_step_up_families
 from .runner.metrics import CampaignStats
 from .runner.pool import Sweep
+from .runner.seeding import derive_seed
 from .runner.store import ResultStore
 from .sensors.environment import TireEnvironment
 from .sim.fleet_engine import FleetScenario, run_fleet
@@ -93,9 +95,10 @@ def alignment_model(kind: str) -> PadAlignmentModel:
     raise ConfigurationError(f"unknown ring kind {kind!r}")
 
 
-def yield_chunk_task(params: Tuple[str, float, int], seed: int) -> YieldReport:
-    """One seed-independent chunk of the yield Monte-Carlo."""
-    kind, tolerance_m, samples = params
+def yield_chunk_task(params: Tuple[str, float, int, int]) -> YieldReport:
+    """One chunk of the yield Monte-Carlo: ``(kind, tolerance_m, samples,
+    seed)``."""
+    kind, tolerance_m, samples, seed = params
     return monte_carlo_yield(
         alignment_model(kind), tolerance_m, samples=samples, seed=seed
     )
@@ -111,6 +114,21 @@ def _chunk_sizes(samples: int, chunks: int) -> List[int]:
     return [base + (1 if k < extra else 0) for k in range(chunks)]
 
 
+def _yield_chunks(
+    kind: str, tolerance_m: float, samples: int, chunks: int, base_seed: int
+) -> List[Tuple[str, float, int, int]]:
+    """The :func:`yield_chunk_task` grid of one (ring, tolerance) cell.
+
+    Chunk ``k`` is seeded from ``(base_seed, k)`` salted with the cell,
+    so a cell draws the same samples in every campaign that runs it.
+    """
+    salt = f"{kind}:{tolerance_m}"
+    return [
+        (kind, tolerance_m, n, derive_seed(base_seed, k, salt))
+        for k, n in enumerate(_chunk_sizes(samples, chunks))
+    ]
+
+
 def alignment_yield_campaign(
     kind: str,
     tolerance_m: float,
@@ -121,19 +139,15 @@ def alignment_yield_campaign(
 ) -> Tuple[YieldReport, CampaignStats]:
     """Assembly yield at one tolerance, fanned out in seeded chunks.
 
-    The chunk split and per-chunk seeds depend only on ``(samples,
-    chunks, base_seed)``, so the merged report is bit-identical for any
-    worker count.
+    The chunk split and per-chunk seeds depend only on the cell and
+    ``(samples, chunks, base_seed)``, so the merged report is
+    bit-identical for any worker count, and equal to the cell's entry in
+    :func:`yield_table_campaign`.
     """
-    sweep = Sweep(
-        yield_chunk_task,
-        name=f"e20-{kind}",
-        workers=workers,
-        base_seed=base_seed,
-        seed_salt=f"{kind}:{tolerance_m}",
+    grid = _yield_chunks(kind, tolerance_m, samples, chunks, base_seed)
+    result = Sweep(yield_chunk_task, name=f"e20-{kind}", workers=workers).run(
+        grid
     )
-    grid = [(kind, tolerance_m, n) for n in _chunk_sizes(samples, chunks)]
-    result = sweep.run(grid)
     return merge_yield_reports(result.values()), result.stats
 
 
@@ -144,24 +158,21 @@ def yield_table_campaign(
     base_seed: int = 2008,
     workers: Optional[int] = None,
 ) -> Tuple[List[Tuple[float, YieldReport, YieldReport]], CampaignStats]:
-    """The full E20 table: both rings at every tolerance, one flat grid."""
-    sweep = Sweep(
-        yield_chunk_task,
-        name="e20-table",
-        workers=workers,
-        base_seed=base_seed,
-    )
-    sizes = _chunk_sizes(samples, chunks)
+    """The full E20 table: both rings at every tolerance, one flat grid.
+
+    Each cell is seeded as :func:`alignment_yield_campaign` seeds it, so
+    the table and the bisection agree on a shared tolerance.
+    """
     grid = [
-        (kind, tolerance, n)
+        chunk
         for tolerance in tolerances_m
         for kind in RING_KINDS
-        for n in sizes
+        for chunk in _yield_chunks(kind, tolerance, samples, chunks, base_seed)
     ]
-    result = sweep.run(grid)
+    result = Sweep(yield_chunk_task, name="e20-table", workers=workers).run(grid)
     by_key: Dict[Tuple[str, float], List[YieldReport]] = {}
     for record in result.records:
-        kind, tolerance, _ = record.params
+        kind, tolerance, _, _ = record.params
         by_key.setdefault((kind, tolerance), []).append(record.value)
     rows = [
         (

@@ -11,7 +11,10 @@ that the datasheet-facing models need.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from typing import Iterable
 
 # ---------------------------------------------------------------------------
 # Metric prefixes
@@ -56,6 +59,22 @@ def nano(value: float) -> float:
 def pico(value: float) -> float:
     """Scale ``value`` by 1e-12."""
     return value * 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Totals
+# ---------------------------------------------------------------------------
+
+
+def left_sum(values: Iterable) -> float:
+    """``0 + v0 + v1 + ...``, added strictly left to right.
+
+    What ``sum()`` computes up to Python 3.11.  From 3.12 on, ``sum()`` of
+    floats is compensated (Neumaier), so its last bits depend on the
+    interpreter; every total that reaches a recorded result folds through
+    here instead.  Adds NumPy arrays elementwise, in the same order.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -153,16 +153,15 @@ def test_fleet_with_noise_and_retries_matches_record_loop():
     rng = random.Random(5)
     phases = [rng.uniform(0.0, 6.0) for _ in range(60)]
     phases[1] = phases[0] + 1e-4  # one pair always collides
-    fleet = FleetChannel(
-        60, phases=phases,
-        noise_windows=[(10.0, 13.0), (20.0, 20.5)], retry=RetryPolicy(),
-    )
-    stats = fleet.run(40.0)
+    noise = [(10.0, 13.0), (20.0, 20.5)]
+    retry = RetryPolicy()
+    fleet = FleetChannel(60, phases=phases)
+    fleet.advance(40.0)
+    stats = resolve_channel(fleet.air_time_records(), noise_windows=noise,
+                            retry=retry, retry_seed=2008)
     records = list(fleet.air_time_records())
     assert stats.lost_to_noise and stats.collided and stats.recovered
-    assert stats == _reference_resolve(
-        records, fleet.noise_windows, fleet.retry, fleet.retry_seed
-    )
+    assert stats == _reference_resolve(records, noise, retry, 2008)
 
 
 def test_retry_touching_delivered_bursts_is_accepted():

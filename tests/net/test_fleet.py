@@ -3,9 +3,20 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.fleet import AirTimeRecord, FleetChannel, aloha_prediction
+from repro.net.fleet import (
+    AirTimeRecord,
+    FleetChannel,
+    aloha_prediction,
+    resolve_channel,
+)
 from repro.sim.fleet_engine import FleetScenario, run_fleet
 from repro.studies import fleet_density_campaign
+
+
+def advanced(fleet, duration):
+    """Simulate ``fleet`` and resolve its bursts, as ``run_fleet`` does."""
+    fleet.advance(duration)
+    return resolve_channel(fleet.air_time_records())
 
 
 def test_air_time_record_overlap():
@@ -19,7 +30,7 @@ def test_air_time_record_overlap():
 
 def test_single_node_never_collides():
     fleet = FleetChannel(1)
-    stats = fleet.run(60.5)
+    stats = advanced(fleet, 60.5)
     assert stats.transmitted == 10
     assert stats.collided == 0
 
@@ -27,7 +38,7 @@ def test_single_node_never_collides():
 def test_staggered_fleet_collision_free():
     """Default stagger spreads the 6 s period: no overlap at ~300 us bursts."""
     fleet = FleetChannel(8)
-    stats = fleet.run(120.5)
+    stats = advanced(fleet, 120.5)
     # Offsets spread over the period, so per-node counts straddle 19-20.
     assert stats.transmitted >= 8 * 19
     assert stats.collided == 0
@@ -36,14 +47,14 @@ def test_staggered_fleet_collision_free():
 def test_clustered_fleet_collides():
     """Nodes waking within a burst width of each other all collide."""
     fleet = FleetChannel(6, stagger_s=0.0001)
-    stats = fleet.run(60.0)
+    stats = advanced(fleet, 60.0)
     assert stats.collision_rate == 1.0
 
 
 def test_explicit_phases():
     # Two nodes on top of each other, one far away.
     fleet = FleetChannel(3, phases=[0.0, 0.00005, 3.0])
-    stats = fleet.run(62.0)
+    stats = advanced(fleet, 62.0)
     assert stats.transmitted == 29  # the offset-3s node fits one fewer
     # The two clustered nodes lose everything; the third is clean.
     assert stats.collided == 20
@@ -61,7 +72,7 @@ def test_node_count_validated():
 
 def test_air_time_records_sorted_and_sized():
     fleet = FleetChannel(4)
-    fleet.run(60.0)
+    fleet.advance(60.0)
     records = fleet.air_time_records()
     starts = [r.start for r in records]
     assert starts == sorted(starts)
@@ -73,7 +84,7 @@ def test_air_time_records_sorted_and_sized():
 def test_all_nodes_share_one_engine():
     fleet = FleetChannel(3)
     assert all(node.engine is fleet.engine for node in fleet.nodes)
-    fleet.run(30.0)
+    fleet.advance(30.0)
     for node in fleet.nodes:
         assert node.cycles_completed >= 4
 
@@ -105,7 +116,7 @@ def test_random_phase_fleet_tracks_aloha():
     rng = random.Random(42)
     count = 30
     fleet = FleetChannel(count, phases=[rng.uniform(0, 6.0) for _ in range(count)])
-    stats = fleet.run(600.0)
+    stats = advanced(fleet, 600.0)
     predicted_loss = 1.0 - aloha_prediction(count, 3.2e-4)
     # Both should be "a few percent at worst"; agree within a factor ~3
     # (small-sample noise on a rare event).
@@ -115,44 +126,24 @@ def test_random_phase_fleet_tracks_aloha():
 def test_collision_sweep_catches_chained_overlaps():
     """Regression: one long burst overlapping several later ones must flag
     every victim, not just the adjacent one."""
-    from repro.net.fleet import FleetChannel
-
-    fleet = FleetChannel.__new__(FleetChannel)  # bypass node construction
-
-    class _Stub(FleetChannel):
-        def __init__(self, records):
-            self._records = records
-
-        def air_time_records(self):
-            return self._records
-
     records = [
         AirTimeRecord(1, 0, 0.0, 10.0),   # covers everything below
         AirTimeRecord(2, 0, 1.0, 2.0),
         AirTimeRecord(3, 0, 3.0, 4.0),    # NOT adjacent to record 1
         AirTimeRecord(4, 0, 20.0, 21.0),  # clean
     ]
-    stats = _Stub(records).collision_stats()
+    stats = resolve_channel(records)
     assert stats.transmitted == 4
     assert stats.collided == 3  # nodes 1, 2, AND 3
 
 
 def test_collision_sweep_middle_burst_ends_early():
-    from repro.net.fleet import FleetChannel
-
-    class _Stub(FleetChannel):
-        def __init__(self, records):
-            self._records = records
-
-        def air_time_records(self):
-            return self._records
-
     records = [
         AirTimeRecord(1, 0, 0.0, 5.0),
         AirTimeRecord(2, 0, 0.5, 1.0),   # inside record 1
         AirTimeRecord(3, 0, 4.0, 6.0),   # overlaps record 1, not record 2
     ]
-    stats = _Stub(records).collision_stats()
+    stats = resolve_channel(records)
     assert stats.collided == 3
 
 
@@ -163,7 +154,7 @@ def test_air_time_records_use_each_packets_own_bit_count():
     from repro.net.packet import KIND_HEARTBEAT, PicoPacket
 
     fleet = FleetChannel(1, phases=[0.0])
-    fleet.run(13.0)
+    fleet.advance(13.0)
     node = fleet.nodes[0]
     assert len(node.packets_sent) == 2
     short = PicoPacket(node_id=node.config.node_id, kind=KIND_HEARTBEAT,
@@ -214,5 +205,5 @@ def test_density_sweep_phase_seed_matches_manual_phases():
     rng = random.Random("9:3")
     phases = [rng.uniform(0.0, BEACON_PERIOD_S) for _ in range(3)]
     fleet = FleetChannel(3, phases=phases)
-    expected = fleet.run(30.0)
+    expected = advanced(fleet, 30.0)
     assert seeded_fleet(3, 9) == expected

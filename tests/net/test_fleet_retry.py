@@ -5,12 +5,16 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.fleet import FleetChannel, RetryPolicy
+from repro.net.fleet import FleetChannel, RetryPolicy, resolve_channel
+from repro.sim.fleet_engine import FleetScenario
 
 
-def run_fleet(**kwargs):
-    fleet = FleetChannel(3, **kwargs)
-    stats = fleet.run(120.0)
+def run_fleet(**channel):
+    """Three nodes for 120 s, their bursts resolved with ``channel``'s
+    noise windows and retry settings, as ``run_fleet`` resolves them."""
+    fleet = FleetChannel(3)
+    fleet.advance(120.0)
+    stats = resolve_channel(fleet.air_time_records(), **channel)
     return fleet, stats
 
 
@@ -33,9 +37,9 @@ class TestRetryPolicy:
 
     def test_rejects_bad_noise_windows(self):
         with pytest.raises(ConfigurationError):
-            FleetChannel(2, noise_windows=[(10.0, 5.0)])
+            FleetScenario(2, 60.0, noise_windows=((10.0, 5.0),))
         with pytest.raises(ConfigurationError):
-            FleetChannel(2, noise_windows=[(-1.0, 5.0)])
+            FleetScenario(2, 60.0, noise_windows=((-1.0, 5.0),))
 
 
 class TestNoiseAccounting:

@@ -55,6 +55,16 @@ def test_e20_table_parallel_is_bit_identical_to_serial():
     assert parallel == serial
 
 
+def test_e20_table_cells_equal_the_single_cell_campaign():
+    tolerances = [0.3e-3, 0.5e-3]
+    rows, _ = yield_table_campaign(tolerances, samples=200, chunks=4, workers=1)
+    for tolerance, built, shrunk in rows:
+        for kind, report in (("18-pad", built), ("30-pad", shrunk)):
+            single, _ = alignment_yield_campaign(kind, tolerance, samples=200,
+                                                 chunks=4, workers=1)
+            assert report == single
+
+
 def test_e21_fleet_parallel_is_bit_identical_to_serial():
     counts = (2, 5)
     serial, _ = fleet_density_campaign(counts, duration_s=60.0, workers=1)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.trace import StepTrace, sum_traces
+from repro.units import left_sum
 
 
 def test_initial_value_and_time():
@@ -211,8 +212,9 @@ def test_sum_traces_with_offset_start_times():
 def reference_sum_traces(traces, name="sum"):
     """The seed implementation: re-query every trace at every breakpoint.
 
-    Kept verbatim as the executable specification for the k-way merge;
-    O(B * n log B), correct by construction.
+    Kept as the executable specification for the k-way merge; O(B * n
+    log B), correct by construction.  Totals fold left to right, as
+    every recorded total does, whatever the interpreter's ``sum()``.
     """
     start = min(trace.start_time for trace in traces)
     out = StepTrace(name=name, initial=0.0, start_time=start)
@@ -224,7 +226,7 @@ def reference_sum_traces(traces, name="sum"):
         return trace.value_at(t)
 
     for t in times:
-        out.set(t, sum(value_before_start(trace, t) for trace in traces))
+        out.set(t, left_sum(value_before_start(trace, t) for trace in traces))
     return out
 
 
