@@ -406,8 +406,9 @@ class PicoCube:
 
         With ``checkpoint_every`` set, ``on_checkpoint(self)`` is invoked
         at the first checkpoint-safe event boundary after each elapsed
-        interval (see :meth:`checkpoint_safe`); the callback typically
-        persists :func:`repro.sim.checkpoint.save_checkpoint` output.
+        interval and before the end time (see :meth:`checkpoint_safe`);
+        the callback typically persists
+        :func:`repro.sim.checkpoint.save_checkpoint` output.
         Checkpointing only observes state, so the run is bit-identical
         to an uncheckpointed one.
         """
@@ -449,9 +450,11 @@ class PicoCube:
                 )
             next_checkpoint = self.engine.now + checkpoint_every
 
+            # No pause at end_time itself: the run is over there, so a
+            # checkpoint would only be written to be thrown away.
             def pause() -> bool:
                 return (
-                    self.engine.now >= next_checkpoint
+                    next_checkpoint <= self.engine.now < end_time
                     and self.checkpoint_safe()
                 )
 

@@ -18,6 +18,7 @@ Components never poll; they schedule their next state change and return.
 
 from __future__ import annotations
 
+import sys
 from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional
 
@@ -25,6 +26,8 @@ from ..errors import SchedulingError, SimulationError
 from .events import Event, EventHandle, PRIORITY_NORMAL
 
 _INF = float("inf")
+#: run_to_completion's end time: no finite event time exceeds it.
+_LAST_TIME = sys.float_info.max
 
 
 class Engine:
@@ -52,6 +55,12 @@ class Engine:
         # Callbacks invoked with the time offset whenever warp() shifts
         # the clock, so periodic timers can move their epochs along.
         self._warp_hooks: List[Callable[[float], None]] = []
+        # The open run loop's end time, event budget and pause hook, which
+        # _resume_after reads; -inf end time while no loop runs.
+        self._end_time = -_INF
+        self._budget: float = 0
+        self._pause_hook: Optional[Callable[[], bool]] = None
+        self._paused = False
 
     # -- inspection --------------------------------------------------------
 
@@ -120,8 +129,9 @@ class Engine:
     ) -> Event:
         """Create and heap-push one event; the shared scheduling core.
 
-        :class:`~repro.sim.process.Process` resumes call this directly:
-        they never cancel, so they skip the :class:`EventHandle`.
+        A process resume that must wait for the heap comes here through
+        :meth:`_resume_after`: it is never cancelled, so it skips the
+        :class:`EventHandle`.
         """
         # One chained test rejects the past, NaN and +inf alike.
         if not self._now <= time < _INF:
@@ -140,6 +150,37 @@ class Engine:
         if len(heap) >= self.COMPACT_MIN_SIZE and self._live * 2 < len(heap):
             self._compact()
         return event
+
+    def _resume_after(
+        self, delay: float, resume: Callable[[], None], name: str
+    ) -> bool:
+        """Resume a process ``delay`` seconds from now; True to go on inline.
+
+        When the resume is the very next event the open run loop would
+        fire, it fires in place: the clock moves to it and it is credited
+        to ``events_fired``, ``sequence`` and the ``max_events`` budget
+        exactly as a heap push and pop would, and the caller runs the
+        generator on in the same callback.  That holds when its time is
+        within the run's end time, no live pending event is due at or
+        before it (ties keep the heap's priority order), the budget has
+        room, and the pause hook, consulted for the event that just fired,
+        lets the run go on.  Otherwise the resume is heap-pushed.
+        """
+        time = self._now + delay
+        if time <= self._end_time and self._budget > 0:
+            self._drop_cancelled_head()
+            heap = self._heap
+            if not heap or heap[0].time > time:
+                hook = self._pause_hook
+                if hook is None or not hook():
+                    self._now = time
+                    self._sequence += 1
+                    self._events_fired += 1
+                    self._budget -= 1
+                    return True
+                self._paused = True
+        self._push(time, resume, name, PRIORITY_NORMAL)
+        return False
 
     # -- time warp (cycle fast-forward support) ----------------------------
 
@@ -255,27 +296,9 @@ class Engine:
             raise SchedulingError(
                 f"cannot run to t={end_time}: the end time must be finite"
             )
-        if self._running:
-            raise SimulationError("run_until called re-entrantly from an event")
-        self._running = True
-        fired = 0
-        try:
-            while True:
-                self._drop_cancelled_head()
-                if not self._heap or self._heap[0].time > end_time:
-                    break
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} before t={end_time}; "
-                        "likely a zero-delay event loop"
-                    )
-                self.step()
-                fired += 1
-                if pause_hook is not None and pause_hook():
-                    return False
-            self._now = float(end_time)
-        finally:
-            self._running = False
+        if not self._run(end_time, max_events, pause_hook):
+            return False
+        self._now = float(end_time)
         return True
 
     def run_to_completion(self, max_events: int = 1_000_000) -> None:
@@ -284,17 +307,46 @@ class Engine:
         Same ``max_events`` semantics as :meth:`run_until`: exactly
         ``max_events`` callbacks fire before the guard trips.
         """
-        fired = 0
-        while True:
-            self._drop_cancelled_head()
-            if not self._heap:
-                break
-            if fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely an event loop"
-                )
-            self.step()
-            fired += 1
+        self._run(_LAST_TIME, max_events, None)
+
+    def _run(
+        self,
+        end_time: float,
+        max_events: Optional[int],
+        pause_hook: Optional[Callable[[], bool]],
+    ) -> bool:
+        """The run loop of both entry points; False when the hook paused it.
+
+        Every heap event fires through :meth:`step`.  A process resume
+        that is already the next event fires inside the callback before
+        it (:meth:`_resume_after`), so the loop keeps its end time,
+        budget and pause hook on the engine.
+        """
+        if self._running:
+            raise SimulationError("the engine is already running an event loop")
+        self._running = True
+        self._end_time = end_time
+        self._budget = _INF if max_events is None else max_events
+        self._pause_hook = pause_hook
+        self._paused = False
+        try:
+            while True:
+                self._drop_cancelled_head()
+                if not self._heap or self._heap[0].time > end_time:
+                    return True
+                if self._budget <= 0:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} at t={self._now}; "
+                        "likely a zero-delay event loop"
+                    )
+                self._budget -= 1
+                self.step()
+                if self._paused or (pause_hook is not None and pause_hook()):
+                    return False
+        finally:
+            self._running = False
+            self._end_time = -_INF
+            self._pause_hook = None
 
     def pending_signature(self) -> tuple:
         """Canonical snapshot of the pending schedule, relative to now.

@@ -126,37 +126,3 @@ class EventHandle:
         """Prevent the event from firing (idempotent)."""
         self._event.cancel()
 
-
-def make_repeating(
-    schedule: Callable[..., "EventHandle"],
-    period: float,
-    callback: Callable[[], None],
-    name: str = "",
-    priority: int = PRIORITY_NORMAL,
-    first_delay: Optional[float] = None,
-) -> Callable[[], None]:
-    """Build a self-rescheduling callback and schedule its first firing.
-
-    Returns a ``stop`` function that cancels the chain.  This is the
-    engine-agnostic core of periodic behaviour (sensor wake timers, trickle
-    charge pulses); most callers use :class:`repro.sim.clock.PeriodicTimer`
-    which wraps this with nicer bookkeeping.
-    """
-    state = {"handle": None, "stopped": False}
-
-    def fire() -> None:
-        if state["stopped"]:
-            return
-        callback()
-        if not state["stopped"]:
-            state["handle"] = schedule(period, fire, name=name, priority=priority)
-
-    def stop() -> None:
-        state["stopped"] = True
-        handle = state["handle"]
-        if handle is not None:
-            handle.cancel()
-
-    initial = period if first_delay is None else first_delay
-    state["handle"] = schedule(initial, fire, name=name, priority=priority)
-    return stop

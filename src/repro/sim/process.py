@@ -13,53 +13,20 @@ reads top-to-bottom instead of being shredded into a dozen callbacks::
         node.radio.transmit(packet)
         ...
 
-Processes also support waiting on :class:`Signal` objects, the engine-level
-analogue of an interrupt line.
+A resume that is already the next event runs in the same callback
+(:meth:`Engine._resume_after`); any other goes through the event heap.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Union
+from typing import Generator, Union
 
 from ..errors import SimulationError
 from .engine import Engine
-from .events import PRIORITY_NORMAL
 
 _INF = float("inf")
 
-Yieldable = Union[float, int, "Signal"]
-ProcessBody = Generator[Yieldable, None, None]
-
-
-class Signal:
-    """A waitable one-shot broadcast, like an interrupt line.
-
-    Processes yield a Signal to park until someone calls :meth:`fire`.
-    Each ``fire`` wakes every currently-waiting process exactly once.
-    """
-
-    def __init__(self, engine: Engine, name: str = "signal") -> None:
-        self._engine = engine
-        self.name = name
-        self._waiters: List[Callable[[], None]] = []
-        self.fire_count = 0
-
-    def fire(self) -> None:
-        """Wake all waiting processes at the current simulation instant."""
-        self.fire_count += 1
-        waiters, self._waiters = self._waiters, []
-        for resume in waiters:
-            # Zero-delay schedule keeps resumption ordering deterministic
-            # and avoids re-entrant generator resumes from inside fire().
-            self._engine.schedule(0.0, resume, name=f"{self.name}.resume")
-
-    def _add_waiter(self, resume: Callable[[], None]) -> None:
-        self._waiters.append(resume)
-
-    @property
-    def waiter_count(self) -> int:
-        """Number of processes currently parked on this signal."""
-        return len(self._waiters)
+ProcessBody = Generator[Union[float, int], None, None]
 
 
 class Process:
@@ -90,34 +57,27 @@ class Process:
         self.finished = True
 
     def _resume(self) -> None:
-        if self.finished:
-            return
-        try:
-            yielded = next(self._body)
-        except StopIteration:
-            self.finished = True
-            return
-        if isinstance(yielded, (int, float)):
+        engine = self._engine
+        body = self._body
+        while not self.finished:
+            try:
+                yielded = next(body)
+            except StopIteration:
+                self.finished = True
+                return
+            if not isinstance(yielded, (int, float)):
+                self.finished = True
+                raise SimulationError(
+                    f"process {self.name!r} yielded unsupported value {yielded!r}"
+                )
             if not 0.0 <= yielded < _INF:
                 self.finished = True
                 problem = "negative" if yielded < 0 else "non-finite"
                 raise SimulationError(
                     f"process {self.name!r} yielded {problem} delay {yielded}"
                 )
-            # Resumes are never cancelled, so they skip schedule()'s
-            # EventHandle; the event itself is exactly the one it makes.
-            engine = self._engine
-            engine._push(
-                engine.now + float(yielded), self._resume, self.name,
-                PRIORITY_NORMAL,
-            )
-        elif isinstance(yielded, Signal):
-            yielded._add_waiter(self._resume)
-        else:
-            self.finished = True
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported value {yielded!r}"
-            )
+            if not engine._resume_after(float(yielded), self._resume, self.name):
+                return
 
 
 def spawn(

@@ -166,6 +166,26 @@ def test_chaos_task_resumes_only_its_own_checkpoint(tmp_path, monkeypatch):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_durable_chaos_task_writes_no_checkpoint_at_its_end_time(
+    tmp_path, monkeypatch
+):
+    """A trial deletes its checkpoint as soon as it completes, so one
+    whose duration is a multiple of ``checkpoint_every`` must not write a
+    last checkpoint at its own end time."""
+    seed = 7
+    written = []
+    write_checkpoint = cp.write_checkpoint
+    monkeypatch.setattr(
+        cp, "write_checkpoint",
+        lambda checkpoint, path: written.append(checkpoint.engine.now)
+        or write_checkpoint(checkpoint, path),
+    )
+    durable = chaos_task((1800.0, "harsh", 300.0, str(tmp_path)), seed)
+    assert durable == chaos_task((1800.0, "harsh"), seed)
+    assert written and max(written) < 1800.0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fast_forward_scenario_round_trips():
     def build(params):
         return build_steady_tpms_node(fast_forward=True), None

@@ -1,11 +1,11 @@
-"""Tests for PeriodicTimer, Process/Signal, and PowerRecorder."""
+"""Tests for PeriodicTimer, Process, and PowerRecorder."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.clock import PeriodicTimer
 from repro.sim.engine import Engine
-from repro.sim.process import Signal, spawn
+from repro.sim.process import spawn
 from repro.sim.recorder import PowerRecorder
 
 
@@ -83,7 +83,7 @@ def test_timer_restart_after_stop():
     assert ticks == [1.0, 2.0, 6.0, 7.0]
 
 
-# -- Process / Signal --------------------------------------------------------
+# -- Process ----------------------------------------------------------------
 
 
 def test_process_sequential_delays():
@@ -114,55 +114,6 @@ def test_process_start_delay():
     spawn(engine, body(), delay=3.0)
     engine.run_until(10.0)
     assert marks == [3.0]
-
-
-def test_process_waits_on_signal():
-    engine = Engine()
-    sig = Signal(engine, "irq")
-    marks = []
-
-    def body():
-        marks.append(("waiting", engine.now))
-        yield sig
-        marks.append(("woken", engine.now))
-
-    spawn(engine, body())
-    engine.schedule(5.0, sig.fire)
-    engine.run_until(10.0)
-    assert marks == [("waiting", 0.0), ("woken", 5.0)]
-    assert sig.fire_count == 1
-
-
-def test_signal_wakes_all_waiters_once():
-    engine = Engine()
-    sig = Signal(engine)
-    woken = []
-
-    def body(tag):
-        yield sig
-        woken.append(tag)
-
-    spawn(engine, body("a"))
-    spawn(engine, body("b"))
-    engine.schedule(1.0, sig.fire)
-    engine.schedule(2.0, sig.fire)  # no waiters left: no double wake
-    engine.run_until(5.0)
-    assert sorted(woken) == ["a", "b"]
-
-
-def test_signal_waiter_count():
-    engine = Engine()
-    sig = Signal(engine)
-
-    def body():
-        yield sig
-
-    spawn(engine, body())
-    engine.run_until(0.0)
-    assert sig.waiter_count == 1
-    sig.fire()
-    engine.run_until(1.0)
-    assert sig.waiter_count == 0
 
 
 def test_process_negative_yield_rejected():
@@ -294,53 +245,3 @@ def test_recorder_zero_span_average_rejected():
     rec.record("a", 2.0)
     with pytest.raises(SimulationError):
         rec.average_power(1.0, 1.0)
-
-
-# -- make_repeating ----------------------------------------------------------
-
-
-def test_make_repeating_fires_and_stops():
-    from repro.sim.engine import Engine
-    from repro.sim.events import make_repeating
-
-    engine = Engine()
-    ticks = []
-    stop = make_repeating(
-        engine.schedule, 2.0, lambda: ticks.append(engine.now), name="rep"
-    )
-    engine.run_until(7.0)
-    assert ticks == [2.0, 4.0, 6.0]
-    stop()
-    engine.run_until(20.0)
-    assert ticks == [2.0, 4.0, 6.0]
-
-
-def test_make_repeating_first_delay():
-    from repro.sim.engine import Engine
-    from repro.sim.events import make_repeating
-
-    engine = Engine()
-    ticks = []
-    make_repeating(
-        engine.schedule, 5.0, lambda: ticks.append(engine.now),
-        first_delay=1.0,
-    )
-    engine.run_until(12.0)
-    assert ticks == [1.0, 6.0, 11.0]
-
-
-def test_make_repeating_stop_from_callback():
-    from repro.sim.engine import Engine
-    from repro.sim.events import make_repeating
-
-    engine = Engine()
-    ticks = []
-
-    def on_tick():
-        ticks.append(engine.now)
-        if len(ticks) == 2:
-            stop()
-
-    stop = make_repeating(engine.schedule, 1.0, on_tick)
-    engine.run_until(10.0)
-    assert ticks == [1.0, 2.0]

@@ -2,8 +2,8 @@
 
 Each shortcut on the per-event path — the CRC table, the byte-to-bits
 table, ``list.count`` mark density, the single cell read per
-``PicoCube._update``, handle-free process resumes and the inlined
-recorder write — must reproduce, bit for bit, what the straightforward
+``PicoCube._update``, handle-free and in-place process resumes and the
+inlined recorder write — must reproduce, bit for bit, what the straightforward
 code computes.  The references live here so the program keeps one
 implementation of each.
 """
@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import NodeConfig
 from repro.core.node import PicoCube
 from repro.core.power_train import GraphPowerTrain
+from repro.errors import SimulationError
 from repro.net.framing import ones_fraction
 from repro.net.packet import MAX_PAYLOAD_WORDS, PicoPacket, crc8
 from repro.sim.clock import PeriodicTimer
 from repro.sim.engine import Engine
+from repro.sim.events import PRIORITY_MEASURE, PRIORITY_NORMAL, PRIORITY_SUPPLY
 from repro.sim.process import Process
 from repro.sim.recorder import PowerRecorder
 from repro.storage.base import EnergyStorage
@@ -297,6 +299,183 @@ def test_process_resumes_queue_like_schedule(delays, timer_periods, cancels):
         if not fired:
             break
     assert logs[0] == logs[1]
+
+
+# -- inline process resumes ----------------------------------------------------
+
+GRID = 0.25  # every drawn time is on this grid, so same-instant ties abound
+
+body_steps = st.lists(
+    st.one_of(
+        st.integers(0, 4).map(lambda k: ("yield", k * GRID)),
+        st.just(("yield", 0)),
+        st.integers(1, 3).map(lambda k: ("warp", k * GRID)),
+        st.tuples(
+            st.just("at"), st.integers(0, 2).map(lambda k: k * GRID),
+            st.sampled_from([PRIORITY_SUPPLY, PRIORITY_NORMAL, PRIORITY_MEASURE]),
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, 3)),
+        st.just(("stop",)),
+    ),
+    max_size=8,
+)
+
+schedules = st.fixed_dictionaries({
+    "bodies": st.lists(
+        st.tuples(st.integers(0, 3).map(lambda k: k * GRID), body_steps),
+        min_size=1, max_size=3,
+    ),
+    "timers": st.lists(
+        st.tuples(
+            st.sampled_from([GRID, 2 * GRID, 4 * GRID]),
+            st.sampled_from([PRIORITY_SUPPLY, PRIORITY_NORMAL, PRIORITY_MEASURE]),
+        ),
+        max_size=3,
+    ),
+    "one_shots": st.lists(
+        st.tuples(
+            st.integers(0, 8).map(lambda k: k * GRID),
+            st.sampled_from([PRIORITY_SUPPLY, PRIORITY_NORMAL, PRIORITY_MEASURE]),
+            st.booleans(),
+        ),
+        max_size=4,
+    ),
+    # Prefix lengths of the first body's yields: each gives an end time
+    # that lands exactly on one of its resumes.
+    "end_prefixes": st.lists(st.integers(0, 8), min_size=1, max_size=3),
+    "end_times": st.lists(st.integers(0, 24).map(lambda k: k * GRID), max_size=2),
+    "pause_every": st.one_of(st.none(), st.integers(1, 7)),
+    "max_events": st.one_of(st.none(), st.integers(1, 40)),
+})
+
+
+def _run_schedule(process_cls, plan):
+    """Drive one drawn schedule through run_until and run_to_completion.
+
+    Returns the log (body marks, callbacks, every pause-hook consult,
+    each pause and each tripped budget) and the engine's bookkeeping."""
+    engine, log, processes, handles = Engine(), [], [], []
+
+    def note(tag):
+        return lambda: log.append((tag, engine.now))
+
+    def body(k, steps):
+        for step in steps:
+            log.append((f"p{k}", step, engine.now))
+            if step[0] == "yield":
+                yield step[1]
+            elif step[0] == "warp":
+                engine.warp(step[1])
+            elif step[0] == "at":
+                handles.append(engine.schedule(
+                    step[1], note(f"p{k}.at"), name=f"p{k}.at",
+                    priority=step[2],
+                ))
+            elif step[0] == "cancel" and step[1] < len(handles):
+                handles[step[1]].cancel()
+            elif step[0] == "stop":
+                processes[k].cancel()
+        log.append((f"p{k}", "end", engine.now))
+
+    for k, (delay, steps) in enumerate(plan["bodies"]):
+        processes.append(process_cls(engine, body(k, steps), name=f"p{k}"))
+        processes[k].start(delay)
+    for k, (period, priority) in enumerate(plan["timers"]):
+        PeriodicTimer(
+            engine, period, note(f"t{k}"), name=f"t{k}", priority=priority
+        ).start()
+    for k, (delay, priority, cancel) in enumerate(plan["one_shots"]):
+        handles.append(engine.schedule(
+            delay, note(f"e{k}"), name=f"e{k}", priority=priority
+        ))
+        if cancel:
+            handles[-1].cancel()
+
+    def pause():
+        log.append(("consult", engine.now, engine.events_fired))
+        every = plan["pause_every"]
+        return every is not None and engine.events_fired % every == 0
+
+    def bookkeeping():
+        return (
+            engine.now, engine.events_fired, engine.sequence,
+            engine.pending_events(), engine.pending_count,
+        )
+
+    start, first_yields = plan["bodies"][0][0], [
+        step[1] for step in plan["bodies"][0][1] if step[0] == "yield"
+    ]
+    end_times = sorted(
+        [start + sum(first_yields[:n]) for n in plan["end_prefixes"]]
+        + plan["end_times"]
+    )
+    try:
+        for end_time in end_times:
+            if end_time < engine.now:
+                continue  # a warp already carried the clock past it
+            while not engine.run_until(
+                end_time, max_events=plan["max_events"], pause_hook=pause
+            ):
+                log.append(("paused", bookkeeping()))
+            log.append(("reached", bookkeeping()))
+        engine.run_to_completion(max_events=plan["max_events"] or 40)
+        log.append(("completed", bookkeeping()))
+    except SimulationError as error:
+        log.append(("overrun", type(error).__name__, bookkeeping()))
+    return log, bookkeeping()
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedules)
+def test_inline_resumes_match_heap_only_resumes(plan):
+    """A resume that fires in place must leave every observable exactly
+    as the heap round trip does: the callback order, each pause-hook
+    consult and pause, ``events_fired``, ``sequence`` and the pending
+    events at every pause and end."""
+    inline_log, inline_state = _run_schedule(Process, plan)
+    heap_log, heap_state = _run_schedule(_ScheduledProcess, plan)
+    assert inline_log == heap_log
+    assert inline_state == heap_state
+
+
+def test_inline_resumes_fire_no_heap_events():
+    """A lone process runs every resume in place: only its start event
+    goes through ``Engine.step``, yet each resume is counted."""
+    engine = Engine()
+    steps = []
+    step = engine.step
+    engine.step = lambda: steps.append(engine.now) or step()
+
+    def body():
+        for _ in range(5):
+            yield 0.5
+
+    Process(engine, body()).start()
+    engine.run_until(10.0)
+    assert steps == [0.0]
+    assert engine.events_fired == 6 and engine.sequence == 6
+    assert engine.now == 10.0
+
+
+@pytest.mark.parametrize("run", ["run_until", "run_to_completion"])
+def test_zero_delay_process_loop_trips_max_events(run):
+    """A process stuck yielding 0 is resumed in place, so the loop would
+    spin inside one callback if the inline path skipped the budget."""
+    engine = Engine()
+
+    def spin():
+        while True:
+            yield 0.0
+
+    Process(engine, spin(), name="spin").start()
+    with pytest.raises(SimulationError, match="max_events=25"):
+        if run == "run_until":
+            engine.run_until(1.0, max_events=25)
+        else:
+            engine.run_to_completion(max_events=25)
+    assert engine.events_fired == 25
+    assert engine.now == 0.0
+    assert engine.pending_count == 1
 
 
 # -- inlined recorder writes ---------------------------------------------------
