@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, ElectricalError, SimulationError
@@ -125,7 +126,7 @@ class PicoCube:
         self.cycles_completed = 0
         self.packets_sent: List[PicoPacket] = []
         self.packets_corrupted: List[PicoPacket] = []
-        self.cycle_start_times: List[float] = []
+        self.cycle_start_times: array[float] = array("d")
         self.browned_out = False
         self.brownout_time: Optional[float] = None
         self.brownout_events: List[BrownoutEvent] = []

@@ -42,6 +42,7 @@ import hashlib
 import json
 import os
 import pickle
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError, ConfigurationError
@@ -332,7 +333,7 @@ def save_checkpoint(
         cycles_completed=node.cycles_completed,
         packets_sent=list(node.packets_sent),
         packets_corrupted=list(node.packets_corrupted),
-        cycle_start_times=list(node.cycle_start_times),
+        cycle_start_times=node.cycle_start_times.tolist(),
         browned_out=node.browned_out,
         brownout_time=node.brownout_time,
         brownout_events=[
@@ -440,7 +441,7 @@ def _restore_node_state(node, state: NodeState) -> None:
     node.cycles_completed = state.cycles_completed
     node.packets_sent = list(state.packets_sent)
     node.packets_corrupted = list(state.packets_corrupted)
-    node.cycle_start_times = list(state.cycle_start_times)
+    node.cycle_start_times = array("d", state.cycle_start_times)
     node.browned_out = state.browned_out
     node.brownout_time = state.brownout_time
     node.brownout_events = [

@@ -9,8 +9,9 @@ error.
 
 Two representations coexist inside a trace:
 
-* **plain breakpoints** — parallel ``times``/``values`` lists, one entry per
-  recorded change (the only representation most traces ever use);
+* **plain breakpoints** — parallel ``times``/``values`` float64 buffers
+  (``array('d')``, 8 bytes a number), one entry per recorded change (the
+  only representation most traces ever use);
 * **periodic blocks** — a compressed run of ``count`` repetitions of a
   cycle template, appended by the fast-forward accelerator when the
   simulation has proven the cycle repeats bit-identically
@@ -23,7 +24,7 @@ grouped — so a compressed trace integrates to the *bit-identical* value its
 fully materialized equivalent would.
 
 Every read (integrals, minima and maxima, windows, sums of traces) walks
-the breakpoint lists as runs of up to ``_CHUNK`` breakpoints, with NumPy
+the breakpoint buffers as runs of up to ``_CHUNK`` breakpoints, with NumPy
 doing the per-breakpoint arithmetic.  NumPy's float64 ``*``, ``-`` and
 ``+`` are the same IEEE-754 operations as Python's, so each product, time
 difference and total comes out bit for bit as a one-at-a-time loop would
@@ -35,6 +36,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from array import array
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,21 +49,20 @@ from ..units import left_sum
 #: however long the trace.
 _CHUNK = 4096
 
+_INF = math.inf
+
 #: A run of materialized breakpoints: parallel ascending times and values.
-_Run = Tuple[Sequence[float], Sequence[float]]
+_Run = Tuple[np.ndarray, np.ndarray]
 
 
-def _array(values: Sequence[float], first: Optional[float] = None) -> np.ndarray:
-    """``values`` as a float64 array, optionally after a leading ``first``.
+def _floats(buffer: array[float], lo: int = 0,
+            hi: Optional[int] = None) -> np.ndarray:
+    """``buffer[lo:hi]`` as a float64 array over a copy of the slice.
 
-    ``fromiter`` with a known length converts a list of floats about
-    twice as fast as ``np.array``.
+    Never a view of ``buffer`` itself: while a view is alive the buffer
+    is exported, and its next ``append`` would raise ``BufferError``.
     """
-    if first is None:
-        return np.fromiter(values, np.float64, len(values))
-    return np.fromiter(
-        itertools.chain((first,), values), np.float64, len(values) + 1
-    )
+    return np.frombuffer(buffer[lo:hi], np.float64)
 
 
 class _PeriodicBlock:
@@ -80,8 +81,8 @@ class _PeriodicBlock:
         t0: float,
         span: float,
         count: int,
-        times: Tuple[float, ...],
-        values: Tuple[float, ...],
+        times: array[float],
+        values: array[float],
         anchor: int,
     ) -> None:
         self.t0 = t0
@@ -137,8 +138,8 @@ class _PeriodicBlock:
         k1 = self.count
         if end < self.end:
             k1 = min(k1, int((end - self.t0) // self.span) + 2)
-        rel = _array(self.times)
-        values = _array(self.values)
+        rel = _floats(self.times)
+        values = _floats(self.values)
         step = max(1, _CHUNK // len(rel))
         for k in range(k0, k1, step):
             reps = min(step, k1 - k)
@@ -146,8 +147,7 @@ class _PeriodicBlock:
             times = (base[:, None] + rel).ravel()
             keep = (times > start) & (times <= end if closed else times < end)
             if keep.any():
-                yield (times[keep].tolist(),
-                       np.tile(values, reps)[keep].tolist())
+                yield times[keep], np.tile(values, reps)[keep]
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
@@ -181,12 +181,16 @@ class StepTrace:
     until the next breakpoint.  Times must be non-decreasing; setting the
     same time twice overwrites (last write wins), which is what a supply
     rail wants when several loads switch in the same instant.
+
+    Breakpoints live in two ``array('d')`` buffers, 8 bytes a number.
+    Reads walk copies of the slices they need, so no read leaves a buffer
+    exported to block the next append.
     """
 
     def __init__(self, name: str = "", initial: float = 0.0, start_time: float = 0.0):
         self.name = name
-        self._times: List[float] = [float(start_time)]
-        self._values: List[float] = [float(initial)]
+        self._times = array("d", [float(start_time)])
+        self._values = array("d", [float(initial)])
         self._blocks: List[_PeriodicBlock] = []
         # High-water mark of times ever passed to set().  The compaction in
         # set() may pop the last breakpoint, so _times[-1] can move
@@ -197,60 +201,41 @@ class StepTrace:
     # -- recording ---------------------------------------------------------
 
     def set(self, time: float, value: float) -> None:
-        """Record that the signal becomes ``value`` at ``time``."""
+        """Record that the signal becomes ``value`` at ``time`` (both finite)."""
         time = float(time)
-        if time < self._frontier:
-            raise SimulationError(
-                f"trace {self.name!r}: time {time} precedes last recorded "
-                f"time {self._frontier}"
-            )
+        # ``value - value`` is 0.0 for a finite value, NaN otherwise.
+        if not (self._frontier <= time < _INF and value - value == 0.0):
+            raise SimulationError(self._refusal(time, value))
         self._frontier = time
-        if self._blocks:
-            self._set_after_blocks(time, float(value))
+        if self._blocks and self._blocks[-1].anchor >= len(self._times):
+            # The compressed span is the trace's tail; appends resume
+            # after it.  (time == _times[-1] is impossible here: the
+            # frontier already passed the block's end.)
+            if value != self.current:
+                self._times.append(time)
+                self._values.append(value)
             return
         if time == self._times[-1]:
-            self._values[-1] = float(value)
+            self._values[-1] = value
             # Collapse a redundant breakpoint that now repeats its
-            # predecessor's value, keeping traces minimal.
-            if len(self._values) >= 2 and self._values[-2] == self._values[-1]:
+            # predecessor's value, keeping traces minimal -- unless that
+            # predecessor is a compressed block's.
+            floor = self._blocks[-1].anchor if self._blocks else 0
+            if len(self._times) - 2 >= floor and self._values[-2] == value:
                 self._times.pop()
                 self._values.pop()
             return
         if value == self._values[-1]:
             return  # no change; keep the trace compact
         self._times.append(time)
-        self._values.append(float(value))
-
-    def _set_after_blocks(self, time: float, value: float) -> None:
-        """set() for a trace carrying compressed blocks.
-
-        Same semantics as the plain path, except "the previous value" may
-        live in a block's template, and the same-time collapse must never
-        pop a breakpoint whose true predecessor is a block.
-        """
-        last = self._blocks[-1]
-        if last.anchor >= len(self._times):
-            # The compressed span is the trace's tail; appends resume
-            # after it.  (time == _times[-1] is impossible here: the
-            # frontier already passed the block's end.)
-            if value == self.current:
-                return
-            self._times.append(time)
-            self._values.append(value)
-            return
-        if time == self._times[-1]:
-            self._values[-1] = value
-            if (
-                len(self._times) - 2 >= last.anchor
-                and self._values[-2] == self._values[-1]
-            ):
-                self._times.pop()
-                self._values.pop()
-            return
-        if value == self._values[-1]:
-            return
-        self._times.append(time)
         self._values.append(value)
+
+    def _refusal(self, time: float, value: float) -> str:
+        """Why :meth:`set` refuses ``(time, value)``."""
+        if -_INF < time < _INF and -_INF < value < _INF:
+            return (f"trace {self.name!r}: time {time} precedes last recorded "
+                    f"time {self._frontier}")
+        return f"trace {self.name!r}: time {time} or value {value} is not finite"
 
     def add(self, time: float, delta: float) -> None:
         """Increment the current value by ``delta`` at ``time``."""
@@ -272,35 +257,37 @@ class StepTrace:
         ``values[-1]`` (or its prior value, for an empty template) between
         repetitions' ends and the next template breakpoint.  This is the
         fast-forward accelerator's write path; ordinary recording never
-        calls it.
+        calls it.  Every time, span and value must be finite.
         """
-        if span <= 0.0:
-            raise SimulationError(f"trace {self.name!r}: block span must be > 0")
+        span = float(span)
+        if not 0.0 < span < _INF:
+            raise SimulationError(
+                f"trace {self.name!r}: block span must be > 0 and finite"
+            )
         if count < 1:
             raise SimulationError(f"trace {self.name!r}: block count must be >= 1")
         if len(rel_times) != len(values):
             raise SimulationError(
                 f"trace {self.name!r}: template times/values length mismatch"
             )
-        t0 = float(t0)
-        if t0 < self._frontier:
-            raise SimulationError(
-                f"trace {self.name!r}: block at {t0} precedes last recorded "
-                f"time {self._frontier}"
-            )
-        rel = tuple(float(t) for t in rel_times)
-        if any(b <= a for a, b in zip(rel, rel[1:])):
-            raise SimulationError(
-                f"trace {self.name!r}: template times must ascend"
-            )
-        if rel and not (0.0 < rel[0] and rel[-1] <= span):
-            raise SimulationError(
-                f"trace {self.name!r}: template times must lie in (0, span]"
-            )
         block = _PeriodicBlock(
-            t0, float(span), int(count), rel,
-            tuple(float(v) for v in values), len(self._times),
+            float(t0), span, int(count), array("d", rel_times),
+            array("d", values), len(self._times),
         )
+        if not (self._frontier <= block.t0 and block.end < _INF):
+            raise SimulationError(
+                f"trace {self.name!r}: block [{block.t0}, {block.end}) is not "
+                f"finite or precedes last recorded time {self._frontier}"
+            )
+        rel = _floats(block.times)
+        if len(rel) and not (
+            0.0 < rel[0] and rel[-1] <= span and (np.diff(rel) > 0.0).all()
+            and np.isfinite(_floats(block.values)).all()
+        ):
+            raise SimulationError(
+                f"trace {self.name!r}: template times must ascend in "
+                f"(0, span] and its values be finite"
+            )
         self._blocks.append(block)
         self._frontier = block.end
 
@@ -316,10 +303,10 @@ class StepTrace:
         """
         return {
             "name": self.name,
-            "times": list(self._times),
-            "values": list(self._values),
+            "times": self._times.tolist(),
+            "values": self._values.tolist(),
             "blocks": [
-                [b.t0, b.span, b.count, list(b.times), list(b.values),
+                [b.t0, b.span, b.count, b.times.tolist(), b.values.tolist(),
                  b.anchor]
                 for b in self._blocks
             ],
@@ -330,13 +317,12 @@ class StepTrace:
     def from_state_dict(cls, state: dict) -> "StepTrace":
         """Rebuild a trace from :meth:`state_dict` output."""
         trace = cls(name=state["name"])
-        trace._times = [float(t) for t in state["times"]]
-        trace._values = [float(v) for v in state["values"]]
+        trace._times = array("d", state["times"])
+        trace._values = array("d", state["values"])
         trace._blocks = [
             _PeriodicBlock(
                 float(t0), float(span), int(count),
-                tuple(float(t) for t in times),
-                tuple(float(v) for v in values), int(anchor),
+                array("d", times), array("d", values), int(anchor),
             )
             for t0, span, count, times, values, anchor in state["blocks"]
         ]
@@ -423,7 +409,7 @@ class StepTrace:
             after, math.inf if end is None else end,
             closed=True, whole_blocks=False,
         ):
-            yield from zip(times, values)
+            yield from zip(times.tolist(), values.tolist())
 
     def cursor(self) -> "TraceCursor":
         """A sequential reader for monotone time scans (O(1) amortized)."""
@@ -479,12 +465,13 @@ class StepTrace:
     ) -> Iterator[Union[_Run, _PeriodicBlock]]:
         """The breakpoints after ``start`` and before ``end``, in order.
 
-        Yields runs of at most ``_CHUNK`` breakpoints: slices of the plain
-        lists, and materialized repetitions of the periodic blocks the
-        window cuts.  ``closed`` keeps a breakpoint at ``end`` itself.
-        With ``whole_blocks``, a block lying inside ``[start, end]`` is
-        yielded as the block itself, for the caller to read its template
-        once, and blocks that add nothing to the window are skipped.
+        Yields runs of at most ``_CHUNK`` breakpoints as float64 arrays:
+        copied slices of the plain buffers, and materialized repetitions
+        of the periodic blocks the window cuts.  ``closed`` keeps a
+        breakpoint at ``end`` itself.  With ``whole_blocks``, a block
+        lying inside ``[start, end]`` is yielded as the block itself, for
+        the caller to read its template once, and blocks that add nothing
+        to the window are skipped.
         """
         times = self._times
         i = bisect.bisect_right(times, start)
@@ -507,7 +494,7 @@ class StepTrace:
     def _plain_runs(self, lo: int, hi: int) -> Iterator[_Run]:
         for a in range(lo, hi, _CHUNK):
             b = min(a + _CHUNK, hi)
-            yield self._times[a:b], self._values[a:b]
+            yield _floats(self._times, a, b), _floats(self._values, a, b)
 
     def window(
         self, start: float, end: float
@@ -522,8 +509,8 @@ class StepTrace:
         for run_times, run_values in self._runs(
             start, end, closed=True, whole_blocks=False
         ):
-            rel_times += (_array(run_times) - start).tolist()
-            values += run_values
+            rel_times += (run_times - start).tolist()
+            values += run_values.tolist()
         return tuple(rel_times), tuple(values)
 
     def _products(self, start: float, end: float) -> Iterator[List[float]]:
@@ -543,7 +530,7 @@ class StepTrace:
             if isinstance(run, _PeriodicBlock):
                 t0, rel, values = run.t0, run.times, run.values
                 yield [previous_v * ((t0 + rel[0]) - previous_t)]
-                products = _array(values[:-1]) * np.diff(t0 + _array(rel))
+                products = _floats(values)[:-1] * np.diff(t0 + _floats(rel))
                 parts = _scaled(products, run.count)
                 if run.count > 1:
                     gap = (t0 + run.span + rel[0]) - (t0 + rel[-1])
@@ -554,9 +541,9 @@ class StepTrace:
                 previous_v = values[-1]
                 continue
             times, values = run
-            held = _array(values[:-1], previous_v)
-            yield (held * np.diff(_array(times), prepend=previous_t)).tolist()
-            previous_t, previous_v = times[-1], values[-1]
+            yield [previous_v * (times[0].item() - previous_t)]
+            yield (values[:-1] * np.diff(times)).tolist()
+            previous_t, previous_v = times[-1].item(), values[-1].item()
         yield [previous_v * (end - previous_t)]
 
     def mean(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
@@ -610,7 +597,7 @@ class StepTrace:
         start = max(start, self._times[0])
         runs = self._runs(start, end, closed=True, whole_blocks=True)
         values = (
-            run.values if isinstance(run, _PeriodicBlock) else run[1]
+            run.values if isinstance(run, _PeriodicBlock) else run[1].tolist()
             for run in runs
         )
         return itertools.chain(
@@ -635,7 +622,7 @@ class TraceCursor:
 
     ``value_at`` must be called with non-decreasing times; each call
     advances linearly from the previous position instead of re-bisecting
-    the whole breakpoint list, which turns an O(n log n) monotone scan
+    the whole breakpoint buffer, which turns an O(n log n) monotone scan
     (profiles, CSV resampling) into O(n).  The trace must not be mutated
     while a cursor is reading it.
     """
@@ -690,8 +677,8 @@ def _merge(
                 cut = min(cut, times[lo + _CHUNK - 1])
         chunk = []
         for index, ((times, values), lo) in enumerate(zip(runs, cursors)):
-            hi = bisect.bisect_right(times, cut, lo, min(lo + _CHUNK, len(times)))
-            chunk.append((_array(times[lo:hi]), values[lo:hi]))
+            hi = lo + int(np.searchsorted(times[lo:lo + _CHUNK], cut, "right"))
+            chunk.append((times[lo:hi], values[lo:hi]))
             cursors[index] = hi
         if not any(len(times) for times, _ in chunk):
             return
@@ -700,12 +687,12 @@ def _merge(
         union = union[np.concatenate(([True], union[1:] != union[:-1]))]
         rows = []
         for index, (times, values) in enumerate(chunk):
-            if not values:
+            if not len(values):
                 rows.append(current[index])
                 continue
-            held = _array(values, current[index])
+            held = np.concatenate(([current[index]], values))
             rows.append(held[np.searchsorted(times, union, side="right")])
-            current[index] = values[-1]
+            current[index] = values[-1].item()
         yield union, left_sum(rows)
 
 
@@ -753,8 +740,8 @@ def _walk(
                 if region < len(trace._blocks)
                 else len(trace._times)
             )
-            runs.append((trace._times[lows[index]:hi],
-                         trace._values[lows[index]:hi]))
+            runs.append((_floats(trace._times, lows[index], hi),
+                         _floats(trace._values, lows[index], hi)))
             lows[index] = hi
         for times, totals in _merge(runs, current):
             yield None, times, totals
@@ -767,7 +754,9 @@ def _walk(
                     "sum_traces: compressed span does not return to its "
                     f"entry value on trace {trace.name!r}"
                 )
-        merged = list(_merge([(b.times, b.values) for b in blocks], current))
+        merged = list(_merge(
+            [(_floats(b.times), _floats(b.values)) for b in blocks], current
+        ))
         yield (
             blocks[0],
             np.concatenate([times for times, _ in merged] or [np.empty(0)]),
@@ -799,8 +788,7 @@ def sum_traces(traces: Sequence[StepTrace], name: str = "sum") -> StepTrace:
                     out.set(time, total)
             else:
                 out.append_periodic(
-                    block.t0, times.tolist(), totals.tolist(), block.span,
-                    block.count,
+                    block.t0, times, totals, block.span, block.count
                 )
     return out
 
