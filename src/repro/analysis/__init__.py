@@ -9,11 +9,6 @@ AST level, before a simulation ever runs:
 
 - **Unit rules** (``UNIT001``–``UNIT003``): suffix-mismatched argument
   bindings, mixed-dimension ``+``/``-``, and bare ``1e-…`` SI literals.
-- **Flow unit rules** (``UNIT004``–``UNIT005``): the flow-sensitive
-  tier — an abstract interpreter (:mod:`repro.analysis.flow`)
-  propagates dimensions through assignments, field access, and calls,
-  catching conflicts one or more hops from where a value was born, and
-  functions whose unit-suffixed name disagrees with what they return.
 - **Determinism rules** (``DET001``–``DET004``): unseeded ``random.*``
   draws, wall-clock reads inside ``repro.sim``/``repro.core``, unsorted
   set iteration in the replay hot paths, and ``exec``/``eval`` anywhere
@@ -22,15 +17,16 @@ AST level, before a simulation ever runs:
   dataclasses, missing ``__slots__`` on registered hot-path classes,
   mutable default arguments, and rail-graph topology specs that are
   not frozen dataclasses.
-- **Kernel rules** (``KER001``–``KER002``): the code the compiler
-  *writes* — every registered topology × gate signature is emitted via
-  ``iter_registered_kernel_sources`` and audited for structural and
-  hygiene invariants (``repro lint --kernels``).
+- **Kernel rule** (``KER002``): the code the compiler *writes* — every
+  registered topology × gate signature is emitted via
+  ``iter_registered_kernel_sources`` and audited for imports,
+  wall-clock or random calls, and dynamic code
+  (``repro lint --kernels``).
 
 Run it as ``python -m repro lint [--json] [--baseline PATH]
-[--update-baseline] [--no-flow] [--kernels] [--changed [REF]]
-[--check-baseline] [paths…]``; see ``docs/LINTING.md`` for the rule
-catalogue and the baseline workflow.
+[--update-baseline] [--kernels] [--changed [REF]] [--check-baseline]
+[paths…]``; see ``docs/LINTING.md`` for the rule catalogue, the
+evidence behind each rule, and the baseline workflow.
 """
 
 from .rules_contracts import (
@@ -38,7 +34,6 @@ from .rules_contracts import (
     MutableDefaultRule,
     UnfrozenFaultEventRule,
     UnfrozenRailSpecRule,
-    UnregisteredCheckpointStateRule,
 )
 from .rules_determinism import (
     DynamicCodeRule,
@@ -46,8 +41,7 @@ from .rules_determinism import (
     UnseededRandomRule,
     WallClockRule,
 )
-from .rules_flow_units import UnitFlowMismatchRule, UnitReturnMismatchRule
-from .rules_kernels import KernelHygieneRule, KernelStructureRule
+from .rules_kernels import KernelHygieneRule
 from .rules_units import (
     UnitBareSiLiteralRule,
     UnitBindingMismatchRule,
@@ -55,16 +49,15 @@ from .rules_units import (
 )
 
 
-def default_rules(*, flow: bool = True):
+def default_rules():
     """Fresh instances of every registered rule, in report order.
 
-    ``flow=False`` drops the flow-sensitive tier (UNIT004/UNIT005) —
-    the ``--no-flow`` escape hatch for quick editor runs.  The kernel
-    rules are always in the list but carry a synthetic module prefix no
-    real file matches; they fire only through the ``--kernels`` audit
-    entry point (:func:`repro.analysis.rules_kernels.audit_registered_kernels`).
+    The kernel rule is always in the list but carries a synthetic
+    module prefix no real file matches; it fires only through the
+    ``--kernels`` audit entry point
+    (:func:`repro.analysis.rules_kernels.audit_registered_kernels`).
     """
-    rules = [
+    return [
         UnitBindingMismatchRule(),
         UnitMixedArithmeticRule(),
         UnitBareSiLiteralRule(),
@@ -76,13 +69,8 @@ def default_rules(*, flow: bool = True):
         MissingSlotsRule(),
         MutableDefaultRule(),
         UnfrozenRailSpecRule(),
-        UnregisteredCheckpointStateRule(),
-        KernelStructureRule(),
         KernelHygieneRule(),
     ]
-    if flow:
-        rules[3:3] = [UnitFlowMismatchRule(), UnitReturnMismatchRule()]
-    return rules
 
 
 __all__ = ["default_rules"]

@@ -128,54 +128,6 @@ def combine(op: ast.operator, left: Optional[str],
     return None, f"{verb} {left} and {right}"
 
 
-#: ``left * right`` -> product dimension, for the pairs the electrical
-#: models actually multiply.  ``charge`` (coulombs) has no suffix of its
-#: own but shows up as every ``current * time`` integral, so it gets an
-#: internal lattice value to keep propagating through.
-PRODUCT_DIMENSIONS = {
-    ("voltage", "current"): "power",
-    ("current", "voltage"): "power",
-    ("current", "resistance"): "voltage",
-    ("resistance", "current"): "voltage",
-    ("power", "time"): "energy",
-    ("time", "power"): "energy",
-    ("current", "time"): "charge",
-    ("time", "current"): "charge",
-    ("voltage", "capacitance"): "charge",
-    ("capacitance", "voltage"): "charge",
-}
-
-#: ``numerator / denominator`` -> quotient dimension.
-RATIO_DIMENSIONS = {
-    ("power", "voltage"): "current",
-    ("power", "current"): "voltage",
-    ("voltage", "current"): "resistance",
-    ("voltage", "resistance"): "current",
-    ("energy", "time"): "power",
-    ("energy", "power"): "time",
-    ("energy", "voltage"): "charge",
-    ("charge", "time"): "current",
-    ("charge", "current"): "time",
-    ("charge", "voltage"): "capacitance",
-}
-
-
-def multiply_dimensions(left: Optional[str],
-                        right: Optional[str]) -> Optional[str]:
-    """Dimension of ``left * right`` when the pair is in the table."""
-    if left is None or right is None:
-        return None
-    return PRODUCT_DIMENSIONS.get((left, right))
-
-
-def divide_dimensions(num: Optional[str],
-                      den: Optional[str]) -> Optional[str]:
-    """Dimension of ``num / den`` when the pair is in the table."""
-    if num is None or den is None:
-        return None
-    return RATIO_DIMENSIONS.get((num, den))
-
-
 def dimension_of_expr(source: str, node: ast.AST) -> Optional[str]:
     """Infer the dimension of an expression, or ``None`` if unknown."""
     if isinstance(node, ast.Name):

@@ -9,7 +9,7 @@ resolve functions defined in *other* modules), and then hands every
 Rules are plain objects satisfying :class:`Rule`: a ``rule_id``, a
 ``rule_name``, a ``severity``, a one-line ``description``, and a
 ``check(ctx, index)`` generator of :class:`Finding`.  Registering a new
-rule is appending an instance to :data:`DEFAULT_RULES` (see
+rule is appending an instance to ``default_rules()`` (see
 ``docs/LINTING.md`` for the recipe).
 """
 
@@ -27,10 +27,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from .dimensions import dimension_of_expr, dimension_of_name
+from .dimensions import dimension_of_name
 from .findings import SEVERITY_ERROR, Finding
 
 
@@ -96,29 +95,9 @@ class FunctionInfo:
     """Parameter names of one function def, minus a leading self/cls."""
 
     params: Tuple[str, ...]
-    module: str
-    #: Dimension every ``return`` of the function agrees on (inferred
-    #: suffix-level from the return expressions), else ``None``.
-    return_dimension: Optional[str] = None
 
     def dimension_signature(self) -> Tuple[Optional[str], ...]:
         return tuple(dimension_of_name(p) for p in self.params)
-
-
-def _return_dimension(ctx: ModuleContext,
-                      func: ast.AST) -> Optional[str]:
-    """The one dimension every return expression carries, or ``None``."""
-    dims = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Return) and node.value is not None:
-            dims.add(dimension_of_expr(ctx.source, node.value))
-    if len(dims) == 1:
-        return dims.pop()
-    return None
-
-
-#: Either def-statement node type, as one alias.
-FunctionDefNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 class ProjectIndex:
@@ -141,8 +120,7 @@ class ProjectIndex:
             params = [a.arg for a in node.args.posonlyargs + node.args.args]
             if params and params[0] in ("self", "cls"):
                 params = params[1:]
-            info = FunctionInfo(params=tuple(params), module=ctx.module,
-                                return_dimension=_return_dimension(ctx, node))
+            info = FunctionInfo(params=tuple(params))
             existing = self.functions.get(node.name, _MISSING)
             if existing is _MISSING:
                 self.functions[node.name] = info
@@ -151,8 +129,6 @@ class ProjectIndex:
             elif (existing.dimension_signature()
                   != info.dimension_signature()):
                 self.functions[node.name] = None
-            elif existing.return_dimension != info.return_dimension:
-                existing.return_dimension = None
 
     def lookup(self, name: str) -> Optional[FunctionInfo]:
         return self.functions.get(name)

@@ -21,14 +21,6 @@
     serialization round-trips assume value semantics.  Every
     ``*Spec`` dataclass in the rail-graph modules must stay
     ``frozen=True`` (and must stay a dataclass at all).
-
-``API005 unregistered-checkpoint-state``
-    Checkpoint payloads outlive the process that wrote them, so every
-    state dataclass in :mod:`repro.sim.checkpoint` must declare an
-    integer ``CHECKPOINT_VERSION`` and register in the schema registry
-    via ``@register_state`` — that is what lets a reader refuse a
-    checkpoint written by an incompatible schema instead of silently
-    mis-restoring it.
 """
 
 from __future__ import annotations
@@ -184,67 +176,6 @@ class UnfrozenRailSpecRule(Rule):
                     f"@dataclass(frozen=True); specs are shared by the "
                     f"registry and cross process boundaries",
                 )
-
-
-class UnregisteredCheckpointStateRule(Rule):
-    """Checkpoint state dataclasses must version and register themselves."""
-
-    rule_id = "API005"
-    rule_name = "unregistered-checkpoint-state"
-    severity = SEVERITY_ERROR
-    description = ("dataclass in repro.sim.checkpoint without an integer "
-                   "CHECKPOINT_VERSION or the @register_state decorator")
-    module_prefixes = ("repro.sim.checkpoint",)
-
-    def check(self, ctx: ModuleContext,
-              index: ProjectIndex) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if _dataclass_decorator(node) is None:
-                continue  # helpers and exceptions manage themselves
-            if not self._has_register_state(node):
-                yield self.finding(
-                    ctx, node,
-                    f"checkpoint state `{node.name}` must be wrapped by "
-                    f"@register_state so schema versions are compared "
-                    f"on restore",
-                )
-            if not self._declares_version(node):
-                yield self.finding(
-                    ctx, node,
-                    f"checkpoint state `{node.name}` must declare an "
-                    f"integer CHECKPOINT_VERSION class attribute",
-                )
-
-    @staticmethod
-    def _has_register_state(node: ast.ClassDef) -> bool:
-        for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            name = target.attr if isinstance(target, ast.Attribute) else (
-                target.id if isinstance(target, ast.Name) else None)
-            if name == "register_state":
-                return True
-        return False
-
-    @staticmethod
-    def _declares_version(node: ast.ClassDef) -> bool:
-        for stmt in node.body:
-            targets = []
-            value = None
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                targets = [stmt.target]
-                value = stmt.value
-            for target in targets:
-                if (isinstance(target, ast.Name)
-                        and target.id == "CHECKPOINT_VERSION"):
-                    return (isinstance(value, ast.Constant)
-                            and isinstance(value.value, int)
-                            and not isinstance(value.value, bool))
-        return False
 
 
 class MutableDefaultRule(Rule):

@@ -404,7 +404,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis.report import render_json, render_text
     from .analysis.rules_kernels import audit_registered_kernels
 
-    rules = default_rules(flow=args.flow)
+    if args.changed is not None and (args.update_baseline
+                                     or args.check_baseline):
+        # The baseline covers the whole tree; a --changed subset would
+        # drop (or call stale) every entry outside the touched files.
+        flag = ("--update-baseline" if args.update_baseline
+                else "--check-baseline")
+        print(f"{flag} needs the whole tree and cannot be combined "
+              f"with --changed", file=sys.stderr)
+        return 2
+    rules = default_rules()
     if args.list_rules:
         for rule in rules:
             print(f"{rule.rule_id}  {rule.rule_name:<28} "
@@ -623,17 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="PATH",
                       help="baseline file of accepted findings "
                            "(default: lint-baseline.json if present)")
-    lint.add_argument("--flow", action="store_true", dest="flow",
-                      default=True,
-                      help="enable the flow-sensitive unit rules "
-                           "UNIT004/UNIT005 (default)")
-    lint.add_argument("--no-flow", action="store_false", dest="flow",
-                      help="disable the flow-sensitive unit rules "
-                           "(faster editor runs)")
     lint.add_argument("--kernels", action="store_true",
                       help="also audit every generated solve_batch "
                            "kernel (registered topologies x gate "
-                           "signatures, rules KER001/KER002)")
+                           "signatures, rule KER002)")
     lint.add_argument("--changed", nargs="?", const="HEAD",
                       default=None, metavar="REF",
                       help="lint only python files changed since REF "

@@ -701,8 +701,8 @@ def iter_registered_kernel_sources():
     open/closed combination — the full space the runtime kernel cache
     can ever hold.  The two dialects define differently named kernel
     functions (``_kernel`` and ``_float_kernel``).  The lint kernel auditor
-    (``repro lint --kernels``) parses each emitted source and checks the
-    structural invariants; keeping enumeration here means the auditor
+    (``repro lint --kernels``) parses each emitted source and checks its
+    hygiene; keeping enumeration here means the auditor
     never has to know how plans, signatures, or gates are spelled.
 
     Pure codegen: no caching, no ``exec``.  ``failure`` is ``None`` for

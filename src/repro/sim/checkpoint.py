@@ -22,10 +22,11 @@ guarantees rest on three design rules:
    exactly.  The restored queue is verified descriptor-by-descriptor.
 
 Every state container here is a dataclass carrying a
-``CHECKPOINT_VERSION`` and registered in the schema registry (lint rule
-API005 enforces this); bumping a dataclass's version invalidates old
-checkpoints, which restore refuses with :class:`CheckpointError` so
-callers fall back to a cold run.
+``CHECKPOINT_VERSION`` and registered in the schema registry
+(``register_state`` refuses a class without its own integer version);
+bumping a dataclass's version invalidates old checkpoints, which
+restore refuses with :class:`CheckpointError` so callers fall back to a
+cold run.
 
 This module sits deliberately above both the ``sim`` substrate and the
 ``core`` node model: it is the one place allowed to reach into private

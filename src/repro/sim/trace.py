@@ -188,15 +188,21 @@ class StepTrace:
     """
 
     def __init__(self, name: str = "", initial: float = 0.0, start_time: float = 0.0):
+        start_time = float(start_time)
+        initial = float(initial)
+        if not (-_INF < start_time < _INF and -_INF < initial < _INF):
+            raise SimulationError(
+                f"trace {name!r}: start time {start_time} or initial value "
+                f"{initial} is not finite")
         self.name = name
-        self._times = array("d", [float(start_time)])
-        self._values = array("d", [float(initial)])
+        self._times = array("d", [start_time])
+        self._values = array("d", [initial])
         self._blocks: List[_PeriodicBlock] = []
         # High-water mark of times ever passed to set().  The compaction in
         # set() may pop the last breakpoint, so _times[-1] can move
         # *backwards*; validating against it alone would let a later call
         # rewrite a window that was already recorded.
-        self._frontier: float = float(start_time)
+        self._frontier: float = start_time
 
     # -- recording ---------------------------------------------------------
 

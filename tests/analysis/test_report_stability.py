@@ -13,15 +13,13 @@ TREE = {
         import random
         jitter = random.random()
 
-        def radio_budget(bus_v, drop_v, load_a):
-            held = bus_v - drop_v
-            return held + load_a
+        def radio_budget(bus_v, load_a):
+            return bus_v + load_a
     """,
     "repro/beta.py": """
         def drain(sleep_w, idle_a):
-            total = sleep_w
-            total += idle_a
-            return total
+            sleep_w += idle_a
+            return sleep_w
     """,
 }
 
@@ -62,7 +60,7 @@ def test_findings_sorted_by_path_line_rule(tmp_path):
     write_tree(tmp_path)
     findings = lint(tmp_path)
     assert findings == sorted(findings, key=Finding.sort_key)
-    assert len(findings) >= 3  # DET001 + two flow findings
+    assert len(findings) >= 3  # DET001 + two UNIT002 findings
 
 
 def test_finalize_deduplicates_and_orders():
@@ -71,9 +69,9 @@ def test_finalize_deduplicates_and_orders():
                        rule_name="r", severity="error", message="m",
                        snippet="s")
 
-    later = make("b.py", 2, "UNIT004")
+    later = make("b.py", 2, "UNIT002")
     earlier = make("a.py", 9, "DET001")
-    duplicate = make("b.py", 2, "UNIT004")
+    duplicate = make("b.py", 2, "UNIT002")
     out = finalize_findings([later, earlier, duplicate])
     assert out == [earlier, later]
 

@@ -5,7 +5,6 @@ from repro.analysis.rules_contracts import (
     MutableDefaultRule,
     UnfrozenFaultEventRule,
     UnfrozenRailSpecRule,
-    UnregisteredCheckpointStateRule,
 )
 
 from .conftest import rule_ids
@@ -304,109 +303,3 @@ def test_api004_is_clean_on_the_real_rail_modules():
     ]
     findings = analyze_paths(paths, [UnfrozenRailSpecRule()], root=root)
     assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# API005: checkpoint states declare versions and register
-# ---------------------------------------------------------------------------
-
-
-def test_unregistered_checkpoint_state_is_caught(lint_snippet):
-    findings = lint_snippet(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class RogueState:
-            CHECKPOINT_VERSION = 1
-            value: float = 0.0
-        """,
-        relpath="repro/sim/checkpoint.py",
-        rules=[UnregisteredCheckpointStateRule()],
-    )
-    assert rule_ids(findings) == ["API005"]
-    assert "register_state" in findings[0].message
-
-
-def test_checkpoint_state_missing_version_is_caught(lint_snippet):
-    findings = lint_snippet(
-        """
-        import dataclasses
-
-        @register_state
-        @dataclasses.dataclass
-        class QuietState:
-            value: float = 0.0
-        """,
-        relpath="repro/sim/checkpoint.py",
-        rules=[UnregisteredCheckpointStateRule()],
-    )
-    assert rule_ids(findings) == ["API005"]
-    assert "CHECKPOINT_VERSION" in findings[0].message
-
-
-def test_checkpoint_state_non_integer_version_is_caught(lint_snippet):
-    findings = lint_snippet(
-        """
-        import dataclasses
-
-        @register_state
-        @dataclasses.dataclass
-        class StringyState:
-            CHECKPOINT_VERSION = "one"
-            value: float = 0.0
-        """,
-        relpath="repro/sim/checkpoint.py",
-        rules=[UnregisteredCheckpointStateRule()],
-    )
-    assert rule_ids(findings) == ["API005"]
-
-
-def test_registered_versioned_state_is_clean(lint_snippet):
-    findings = lint_snippet(
-        """
-        import dataclasses
-
-        @register_state
-        @dataclasses.dataclass
-        class GoodState:
-            CHECKPOINT_VERSION = 2
-            value: float = 0.0
-
-        class HelperNotADataclass:
-            pass
-        """,
-        relpath="repro/sim/checkpoint.py",
-        rules=[UnregisteredCheckpointStateRule()],
-    )
-    assert findings == []
-
-
-def test_checkpoint_rule_ignores_other_modules(lint_snippet):
-    findings = lint_snippet(
-        """
-        import dataclasses
-
-        @dataclasses.dataclass
-        class FreeDataclass:
-            value: float = 0.0
-        """,
-        relpath="repro/sim/engine.py",
-        rules=[UnregisteredCheckpointStateRule()],
-    )
-    assert findings == []
-
-
-def test_real_checkpoint_module_is_api005_clean():
-    import dataclasses as dc
-
-    import repro.sim.checkpoint as module
-    from repro.sim.checkpoint import registered_states
-
-    registered = set(registered_states().values())
-    for name in dir(module):
-        obj = getattr(module, name)
-        if isinstance(obj, type) and dc.is_dataclass(obj) \
-                and obj.__module__ == module.__name__:
-            assert obj in registered, f"{name} escaped the schema registry"
-            assert isinstance(obj.__dict__.get("CHECKPOINT_VERSION"), int)

@@ -336,6 +336,19 @@ def test_schema_registry_covers_the_state_containers():
     assert all(isinstance(v, int) for v in versions.values())
 
 
+def test_every_checkpoint_dataclass_is_a_registered_versioned_state():
+    # A state dataclass left out of the registry would be restored
+    # without its schema version being compared.
+    registered = set(cp.registered_states().values())
+    for name in dir(cp):
+        obj = getattr(cp, name)
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) \
+                and obj.__module__ == cp.__name__:
+            assert obj in registered, f"{name} escaped the schema registry"
+            version = obj.__dict__.get("CHECKPOINT_VERSION")
+            assert isinstance(version, int) and not isinstance(version, bool)
+
+
 # ---------------------------------------------------------------------------
 # disk envelope corruption armour
 # ---------------------------------------------------------------------------

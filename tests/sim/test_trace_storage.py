@@ -4,8 +4,9 @@
 starts live in ``array('d')`` buffers of 8 bytes a number.  These tests
 pin what that storage promises:
 
-* a time, value, block start, span or template entry that is not finite
-  is refused with :class:`SimulationError` and leaves the trace intact;
+* a start time, initial value, time, value, block start, span or
+  template entry that is not finite is refused with
+  :class:`SimulationError`, and a refused write leaves the trace intact;
 * no read leaves a buffer exported, so every write after it succeeds;
 * the memory per entry, measured with ``tracemalloc``;
 * the checkpoint format: plain lists of floats on the way out, arrays
@@ -129,6 +130,13 @@ def test_append_periodic_refuses_a_block_that_ends_past_the_largest_float():
     with pytest.raises(SimulationError, match="not finite"):
         trace.append_periodic(1.0, [], [], span=1e308, count=10)
     assert not trace.compressed
+
+
+@pytest.mark.parametrize("field", ["initial", "start_time"])
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_constructor_refuses_a_start_that_is_not_finite(field, bad):
+    with pytest.raises(SimulationError, match="'x'.*not finite"):
+        StepTrace("x", **{field: bad})
 
 
 # -- reading never blocks writing --------------------------------------------------
