@@ -1,7 +1,7 @@
 """Per-layer microbenchmarks of the stepped node event path (not a paper experiment).
 
 Every stepped wake cycle of a node goes through the same few layers:
-engine dispatch of a process resume, ``PicoCube._update`` (one cell read,
+the cycle handler's dispatch of its steps, ``PicoCube._update`` (one cell read,
 a battery-current pass and one scalar solve, a recorder write for
 power management and for each subsystem whose power changed), the
 recorder itself, and the frame bits of the packet on air.  Timing each
@@ -14,29 +14,37 @@ from repro.core.node import PicoCube
 from repro.net.framing import ones_fraction
 from repro.net.packet import encode_tpms_reading
 from repro.sim.engine import Engine
-from repro.sim.process import spawn
 from repro.sim.recorder import PowerRecorder
 
-RESUMES = 50_000
+STEPS = 50_000
 
 
-def test_perf_process_resume_dispatch(benchmark):
-    """Engine dispatch of a generator process yielding 50k times."""
+def _idle():
+    pass
+
+
+def test_perf_cycle_step_dispatch(benchmark):
+    """The wake-cycle handler walking a 50k-step table of idle steps."""
+    node = PicoCube(NodeConfig())
+    node._build_cycle()
+
+    def end():
+        node._cycle_active = False
+        return True
+
+    steps = [(_idle, 1e-3)] * STEPS + [(end, 0.0)]
 
     def run():
-        engine = Engine()
+        node._cycle_steps = steps
+        engine = node.engine = Engine()
+        engine.schedule(0.0, node._on_wake_interrupt, name="wake")
+        engine.run_to_completion(max_events=STEPS + 2)
+        return engine
 
-        def body():
-            for _ in range(RESUMES):
-                yield 1e-3
-
-        process = spawn(engine, body(), name="resume")
-        engine.run_to_completion(max_events=RESUMES + 1)
-        return engine, process
-
-    engine, process = benchmark(run)
-    assert process.finished
-    assert engine.events_fired == RESUMES + 1
+    engine = benchmark(run)
+    assert not node._cycle_active
+    # The wake, the cycle's start and one event per wait.
+    assert engine.events_fired == STEPS + 2
 
 
 def test_perf_node_update(benchmark):

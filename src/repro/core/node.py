@@ -21,7 +21,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from array import array
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, ElectricalError, SimulationError
 from ..mcu.firmware import motion_firmware, tpms_firmware
@@ -36,7 +37,6 @@ from ..sensors.environment import MotionEnvironment, MotionInterval, TireEnviron
 from ..sensors.tpms import Sp12Tpms
 from ..sim.clock import PeriodicTimer
 from ..sim.engine import Engine
-from ..sim.process import Process, spawn
 from ..sim.recorder import PowerRecorder
 from ..storage.charging import TrickleCharger
 from ..storage.nimh import NiMHCell
@@ -44,6 +44,24 @@ from ..units import left_sum
 from .config import NodeConfig
 from .fastforward import CycleFastForward
 from .power_train import check_load_currents, make_power_train
+
+
+#: One wake-cycle step: its action, then the wait before the next step.
+#: An action returning True ends the cycle.
+_Step = Tuple[Callable[[], Optional[bool]], float]
+
+
+def _idle() -> None:
+    """A step that only waits (firmware running, loads unchanged)."""
+
+
+def _checked_delay(delay: float) -> float:
+    """A step's delay as a float; finite and ``>= 0``, or refused."""
+    if not isinstance(delay, (int, float)) or not 0.0 <= delay < math.inf:
+        raise SimulationError(
+            f"wake cycle step delay {delay!r} must be a finite number >= 0"
+        )
+    return float(delay)
 
 
 def check_checkpoint_every(checkpoint_every: float) -> None:
@@ -131,8 +149,17 @@ class PicoCube:
         self.brownout_time: Optional[float] = None
         self.brownout_events: List[BrownoutEvent] = []
         self.resets = 0
+        # Wake-cycle state (see _build_cycle); the token tells each
+        # cycle's continuations apart, so an aborted cycle's are no-ops.
         self._cycle_active = False
-        self._cycle_process: Optional[Process] = None
+        self._cycle_token = 0
+        self._cycle_steps: List[_Step] = []
+        self._cycle_step = 0
+        self._cycle_tx_at = 0
+        self._cycle_name = ""
+        self._cycle_resume: Callable[[], None] = _idle
+        self._reading: dict = {}
+        self._packet: Optional[PicoPacket] = None
         self._started = False
         self._wake_timer: Optional[PeriodicTimer] = None
         self._recovery_timer: Optional[PeriodicTimer] = None
@@ -265,9 +292,7 @@ class PicoCube:
 
     def _abort_cycle(self) -> None:
         """Kill any in-flight sample cycle and park every load at sleep."""
-        if self._cycle_process is not None:
-            self._cycle_process.cancel()
-            self._cycle_process = None
+        self._cycle_token += 1
         if self.sensor.measuring:
             # The abandoned measurement never completed; it does not count.
             self.sensor.measuring = False
@@ -360,14 +385,9 @@ class PicoCube:
         if dt > 0.0 and hasattr(self.environment, "advance"):
             self.environment.advance(dt)
         self._last_env_update = now
-        # Thermal coupling: the cell and the MCU sleep current live at the
-        # environment's temperature (the tire warms everything with it).
-        ambient = self.ambient_c()
-        self.battery.set_temperature(ambient)
-        if not self._cycle_active:
-            self._i_mcu = self.mcu.current(
-                self.train.mcu_rail_voltage(), temperature_c=ambient
-            )
+        # Thermal coupling: the cell lives at the environment's temperature
+        # (the tire warms everything with it); the MCU at its next mode.
+        self.battery.set_temperature(self.ambient_c())
 
     # ------------------------------------------------------------------ control
 
@@ -376,6 +396,7 @@ class PicoCube:
         if self._started:
             return
         self._started = True
+        self._build_cycle()
         if self.config.sensor_kind == "tpms":
             self._wake_timer = PeriodicTimer(
                 self.engine,
@@ -394,7 +415,7 @@ class PicoCube:
         )
         for t in self.sensor.interrupt_times(self.environment, horizon + 1.0):
             if t >= self.engine.now:
-                self.engine.schedule_at(t, self._on_motion_interrupt,
+                self.engine.schedule_at(t, self._on_wake_interrupt,
                                         name="motion-irq")
 
     def run(
@@ -468,16 +489,14 @@ class PicoCube:
     def checkpoint_safe(self) -> bool:
         """True when node state is fully capturable at this instant.
 
-        Mid-cycle the sample/format/transmit generator holds live frame
-        state that cannot be serialized; between the wake interrupt and
-        the cycle's first resume, a process-start event is pending with
-        the same problem.  At every other event boundary — sleeping,
-        harvesting, browned out, mid fault storm — the node is plain
-        data.
+        From the wake interrupt to the cycle's last step the cycle is in
+        flight: its next step, its pending continuation and the reading
+        or packet it carries live only in the node's step state, which
+        checkpoints do not hold.  At every other event boundary —
+        sleeping, harvesting, browned out, mid fault storm — the node is
+        plain data.
         """
-        return not self._cycle_active and (
-            self._cycle_process is None or self._cycle_process.finished
-        )
+        return not self._cycle_active
 
     def _update_recorder_tail(self) -> None:
         """Touch channels so traces extend to the current time."""
@@ -526,60 +545,149 @@ class PicoCube:
 
     # ------------------------------------------------------------------ lifecycle
 
+    def _build_cycle(self) -> None:
+        """Build the wake cycle's step table; no cycle is in flight after.
+
+        The firmware is interrupt driven (paper §4.5): a wake cycle is a
+        fixed run of timed steps.  Each entry is ``(action, delay)``: the
+        step's load changes, then the wait before the next step.  Every
+        constant delay is computed here once, from the components the
+        node holds now.  The on-air steps depend on the packet, so the
+        radio-setup step puts them in place of the last packet's, from
+        ``_cycle_tx_at`` to the table's last two steps.  A motion node's
+        table repeats while the cube is moving,
+        ``motion_sample_interval_s`` apart.
+        """
+
+        def path(name: str) -> float:
+            return self.firmware.path(name).duration(self.mcu)
+
+        tpms = self.config.sensor_kind == "tpms"
+        table: List[_Step] = [
+            (self._step_wake if tpms else self._step_motion_wake,
+             self.mcu.wakeup_time_s + path("wake")),
+            (_idle, path("sensor-config" if tpms else "read-xyz")),
+            (self._step_sample, self.sensor.sample_duration()),
+            (self._step_read, path("sample-read" if tpms else "format-packet")),
+        ]
+        if tpms:
+            table.append((_idle, path("format-packet")))
+        table += [
+            (self._step_radio_setup,
+             path("radio-setup") + self.spi.transfer_time(16)),
+            (_idle, self.config.pa_sequencing_delay_s),
+            # PA supply sequenced; oscillator start-up before the bits.
+            (partial(self._set_radio_rf, self.tx.i_rf_on),
+             self.tx.startup_time()),
+            # ... the packet's on-air steps ...
+            (self._step_radio_off,
+             path("transmit-supervise") + path("sleep-entry")),
+            (self._step_sleep, 0.0) if tpms else
+            (self._step_motion_sleep, self.config.motion_sample_interval_s),
+        ]
+        self._cycle_steps = [
+            (action, _checked_delay(delay)) for action, delay in table
+        ]
+        self._cycle_tx_at = len(table) - 2
+        self._cycle_name = "on-cycle" if tpms else "motion-burst"
+        self._cycle_active = False
+        self._cycle_token += 1
+
     def _on_wake_interrupt(self) -> None:
+        """Timer or motion-threshold interrupt: start the wake cycle."""
         if self._cycle_active or self.browned_out:
-            return  # previous cycle still running; skip (never happens at 6 s)
-        self._cycle_process = spawn(
-            self.engine, self._sample_cycle(), name="on-cycle"
-        )
-
-    def _on_motion_interrupt(self) -> None:
-        if self._cycle_active or self.browned_out:
-            return
-        self._cycle_process = spawn(
-            self.engine, self._motion_burst(), name="motion-burst"
-        )
-
-    def _path_time(self, name: str) -> float:
-        return self.firmware.path(name).duration(self.mcu)
-
-    def _sample_cycle(self):
-        """One sample/format/transmit cycle (~14 ms for the TPMS node)."""
+            return  # previous cycle still in flight; skip (never happens at 6 s)
         self._cycle_active = True
+        self._cycle_token += 1
+        token = self._cycle_token
+        self._cycle_resume = resume = partial(self._walk_cycle, token)
+        self._cycle_step = 0
+        if self.engine._resume_after(0.0, resume, self._cycle_name + ".start"):
+            self._walk_cycle(token)
+
+    def _walk_cycle(self, token: int) -> None:
+        """Run the in-flight cycle's steps from ``_cycle_step`` on.
+
+        After each action its delay goes to :meth:`Engine._resume_after`:
+        the next step runs inline when that returns True, else the step
+        index stays stored and the pushed continuation calls back here.
+        An action returning True ends the cycle.  A cycle aborted mid-step
+        (brownout, reset) still waits out that step's delay, so its
+        continuation fires as a no-op event; ``token`` tells it apart
+        from any later cycle's.
+        """
+        if token != self._cycle_token:
+            return
+        resume_after = self.engine._resume_after
+        resume, name = self._cycle_resume, self._cycle_name
+        while True:
+            action, delay = self._cycle_steps[self._cycle_step]
+            self._cycle_step += 1
+            if (action() or not resume_after(delay, resume, name)
+                    or token != self._cycle_token):
+                return
+
+    def _step_wake(self) -> None:
+        """Wake: LPM3 -> active, housekeeping."""
         self.cycle_start_times.append(self.engine.now)
         self._advance_environment()
-        # Wake: LPM3 -> active, housekeeping.
         self._set_mcu(Mode.ACTIVE)
-        yield self.mcu.wakeup_time_s + self._path_time("wake")
-        # Configure and run the sensor; CPU parks in LPM0 while it settles.
-        first_path = (
-            "sensor-config" if self.config.sensor_kind == "tpms" else "read-xyz"
-        )
-        yield self._path_time(first_path)
+
+    def _step_motion_wake(self) -> Optional[bool]:
+        """Wake for the next sample, or end the burst once still."""
+        if not self.environment.is_moving(self.engine.now):
+            self._cycle_active = False
+            return True
+        self._step_wake()
+        return None
+
+    def _step_sample(self) -> None:
+        """Sensor configured: measure while the CPU parks in LPM0."""
         self._set_sensor_measuring(True)
         self._set_mcu(Mode.LPM0)
-        yield self.sensor.sample_duration()
-        reading = self.sensor.read(self.environment, self.engine.now)
+
+    def _step_read(self) -> None:
+        """Measurement done: read it with the CPU active again."""
+        self._reading = self.sensor.read(self.environment, self.engine.now)
         self._set_sensor_measuring(False)
         self._set_mcu(Mode.ACTIVE)
         if self.config.sensor_kind == "tpms":
             self.sensor.set_supply_reading(self.train.mcu_rail_voltage())
-            yield self._path_time("sample-read")
-        # Format + packetize.
-        yield self._path_time("format-packet")
-        packet = self._encode(reading)
-        # Radio setup: digital rail first (clean shunt edge), SPI config.
+
+    def _step_radio_setup(self) -> None:
+        """Packet formatted: digital rail first (clean shunt edge), SPI."""
+        self._packet = packet = self._encode(self._reading)
+        self._cycle_steps[self._cycle_tx_at:-2] = self._transmit_steps(packet)
         self.train.enable_radio()
         self._set_radio_digital(self.tx.i_digital)
-        yield self._path_time("radio-setup") + self.spi.transfer_time(16)
-        # PA supply sequencing, oscillator start-up, then bits on the air.
-        yield self.config.pa_sequencing_delay_s
-        yield from self._transmit(packet)
-        # Tear down and sleep.
+
+    def _transmit_steps(self, packet: PicoPacket) -> Tuple[_Step, ...]:
+        """The RF rail for one packet's bits, per the configured fidelity."""
+        bits = self._line_code_bits(packet)
+        set_rf = self._set_radio_rf
+        if self.config.fidelity == "profile":
+            v_rf_rail = self.tx.v_rf_rail
+            return tuple(
+                (partial(set_rf, power / v_rf_rail), _checked_delay(duration))
+                for duration, power in self.modulator.power_segments(
+                    bits, self.tx.p_dc_on
+                )
+            )
+        return ((
+            partial(set_rf, self.tx.ook_rf_current(ones_fraction(bits))),
+            _checked_delay(self.modulator.duration(len(bits))),
+        ),)
+
+    def _step_radio_off(self) -> None:
+        """Bits sent: tear the radio down, then supervise and sleep."""
+        self._set_radio_rf(0.0)
         self._set_radio_digital(0.0)
         self.train.disable_radio()
-        yield self._path_time("transmit-supervise") + self._path_time("sleep-entry")
+
+    def _step_sleep(self) -> bool:
+        """Back in LPM3: the packet is delivered or lost; the cycle ends."""
         self._set_mcu(Mode.LPM3)
+        packet = self._packet
         if self.packet_filter is None or self.packet_filter(
             packet, self.engine.now
         ):
@@ -591,32 +699,13 @@ class PicoCube:
         self._cycle_active = False
         if self.fast_forward is not None:
             self.fast_forward.on_cycle_complete()
+        return True
 
-    def _motion_burst(self):
-        """Motion demo: stream samples while the cube is being handled."""
+    def _step_motion_sleep(self) -> None:
+        """A burst's sample done: wait, then wake again from the top."""
+        self._step_sleep()
         self._cycle_active = True
-        while self.environment.is_moving(self.engine.now):
-            self._cycle_active = False
-            yield from self._sample_cycle()
-            self._cycle_active = True
-            yield self.config.motion_sample_interval_s
-        self._cycle_active = False
-
-    def _transmit(self, packet: PicoPacket):
-        """Drive the RF rail for one packet, per the configured fidelity."""
-        bits = self._line_code_bits(packet)
-        self._set_radio_rf(self.tx.i_rf_on)  # oscillator start-up
-        yield self.tx.startup_time()
-        if self.config.fidelity == "profile":
-            for duration, power in self.modulator.power_segments(
-                bits, self.tx.p_dc_on
-            ):
-                self._set_radio_rf(power / self.tx.v_rf_rail)
-                yield duration
-        else:
-            self._set_radio_rf(self.tx.ook_rf_current(ones_fraction(bits)))
-            yield self.modulator.duration(len(bits))
-        self._set_radio_rf(0.0)
+        self._cycle_step = 0
 
     def _line_code_bits(self, packet: PicoPacket):
         """Frame bits after line coding (what actually hits the air)."""

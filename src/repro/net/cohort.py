@@ -372,25 +372,19 @@ class _CohortMachine:
         )
         self.esr = spec.lane_multipliers("esr_multipliers")
         self.loss = spec.lane_multipliers("loss_factors")
-        # -- cycle timing template (each value is one scalar yield).
-        path = lambda name: probe.firmware.path(name).duration(probe.mcu)
+        # -- cycle timing template: the probe's own step-table delays.
         sample_packet = probe._encode(
             probe.sensor.read(probe.environment, probe.engine.now)
         )
         self.n_frame_bits = sample_packet.bit_count
         n_air_bits = len(probe._line_code_bits(sample_packet))
         self.n_air_bits = n_air_bits
+        probe._build_cycle()
+        steps = probe._cycle_steps
         delays = (
-            probe.mcu.wakeup_time_s + path("wake"),
-            path("sensor-config"),
-            probe.sensor.sample_duration(),
-            path("sample-read"),
-            path("format-packet"),
-            path("radio-setup") + probe.spi.transfer_time(16),
-            probe.config.pa_sequencing_delay_s,
-            probe.tx.startup_time(),
+            *(delay for _, delay in steps[:-2]),
             probe.modulator.duration(n_air_bits),
-            path("transmit-supervise") + path("sleep-entry"),
+            steps[-2][1],
         )
         if left_sum(delays) >= self.period:
             raise CohortFallback("sample cycle does not fit the wake period")

@@ -453,8 +453,8 @@ def _restore_node_state(node, state: NodeState) -> None:
     node._started = state.started
     node._seq = state.seq
     node._harvest_derating = state.harvest_derating
-    node._cycle_active = False
-    node._cycle_process = None
+    # A restored node may count as started without start() having run.
+    node._build_cycle()
     # Sub-components.
     node.mcu.mode = Mode[state.mcu_mode]
     node.mcu.mode_transitions = state.mcu_mode_transitions
@@ -573,7 +573,7 @@ def _restore_pending(checkpoint: Checkpoint, node, injector) -> None:
             restored_timers.add(name)
         elif name == "motion-irq":
             engine.schedule_at(
-                time_s, node._on_motion_interrupt, name="motion-irq"
+                time_s, node._on_wake_interrupt, name="motion-irq"
             )
         elif name in ("fault-on", "fault-off", "fault-reset"):
             # Transitions were armed in the schedule's canonical order;

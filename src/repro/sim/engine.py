@@ -129,7 +129,7 @@ class Engine:
     ) -> Event:
         """Create and heap-push one event; the shared scheduling core.
 
-        A process resume that must wait for the heap comes here through
+        A continuation that must wait for the heap comes here through
         :meth:`_resume_after`: it is never cancelled, so it skips the
         :class:`EventHandle`.
         """
@@ -154,17 +154,18 @@ class Engine:
     def _resume_after(
         self, delay: float, resume: Callable[[], None], name: str
     ) -> bool:
-        """Resume a process ``delay`` seconds from now; True to go on inline.
+        """Continue a stepped handler ``delay`` seconds from now; True: inline.
 
-        When the resume is the very next event the open run loop would
-        fire, it fires in place: the clock moves to it and it is credited
-        to ``events_fired``, ``sequence`` and the ``max_events`` budget
-        exactly as a heap push and pop would, and the caller runs the
-        generator on in the same callback.  That holds when its time is
+        When the continuation is the very next event the open run loop
+        would fire, it fires in place: the clock moves to it and it is
+        credited to ``events_fired``, ``sequence`` and the ``max_events``
+        budget exactly as a heap push and pop would, and the caller runs
+        its next step in the same callback.  That holds when its time is
         within the run's end time, no live pending event is due at or
         before it (ties keep the heap's priority order), the budget has
         room, and the pause hook, consulted for the event that just fired,
-        lets the run go on.  Otherwise the resume is heap-pushed.
+        lets the run go on.  Otherwise ``resume`` is heap-pushed, to be
+        called under ``name`` when its event fires.
         """
         time = self._now + delay
         if time <= self._end_time and self._budget > 0:
@@ -317,9 +318,9 @@ class Engine:
     ) -> bool:
         """The run loop of both entry points; False when the hook paused it.
 
-        Every heap event fires through :meth:`step`.  A process resume
-        that is already the next event fires inside the callback before
-        it (:meth:`_resume_after`), so the loop keeps its end time,
+        Every heap event fires through :meth:`step`.  A continuation that
+        is already the next event fires inside the callback before it
+        (:meth:`_resume_after`), so the loop keeps its end time,
         budget and pause hook on the engine.
         """
         if self._running:

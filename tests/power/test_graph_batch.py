@@ -11,7 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.errors import ConfigurationError, ElectricalError
 from repro.power.compile import kernel_metrics
@@ -165,7 +165,12 @@ _POINTS = st.fixed_dictionaries({
 _FACTORS = st.floats(0.5, 2.0)
 
 
-@settings(max_examples=150, deadline=None)
+# No shrink phase: shrinking a failure over these nested draws took
+# minutes; the first failing example is reported as found.
+@settings(
+    max_examples=150, deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+)
 @given(data=st.data())
 def test_batch_equals_scalar_loop_at_every_in_envelope_point(data):
     """Random points under per-gate open/closed/mask states and scalar

@@ -1,11 +1,10 @@
-"""Tests for PeriodicTimer, Process, and PowerRecorder."""
+"""Tests for PeriodicTimer and PowerRecorder."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.clock import PeriodicTimer
 from repro.sim.engine import Engine
-from repro.sim.process import spawn
 from repro.sim.recorder import PowerRecorder
 
 
@@ -81,90 +80,6 @@ def test_timer_restart_after_stop():
     timer.start()
     engine.run_until(7.0)
     assert ticks == [1.0, 2.0, 6.0, 7.0]
-
-
-# -- Process ----------------------------------------------------------------
-
-
-def test_process_sequential_delays():
-    engine = Engine()
-    marks = []
-
-    def body():
-        marks.append(("a", engine.now))
-        yield 1.5
-        marks.append(("b", engine.now))
-        yield 2.5
-        marks.append(("c", engine.now))
-
-    proc = spawn(engine, body())
-    engine.run_until(10.0)
-    assert marks == [("a", 0.0), ("b", 1.5), ("c", 4.0)]
-    assert proc.finished
-
-
-def test_process_start_delay():
-    engine = Engine()
-    marks = []
-
-    def body():
-        marks.append(engine.now)
-        yield 0.0
-
-    spawn(engine, body(), delay=3.0)
-    engine.run_until(10.0)
-    assert marks == [3.0]
-
-
-def test_process_negative_yield_rejected():
-    engine = Engine()
-
-    def body():
-        yield -1.0
-
-    spawn(engine, body())
-    with pytest.raises(SimulationError):
-        engine.run_until(1.0)
-
-
-@pytest.mark.parametrize("delay", [float("nan"), float("inf")])
-def test_process_non_finite_yield_rejected(delay):
-    engine = Engine()
-    resumed = []
-
-    def body():
-        yield delay
-        resumed.append(engine.now)
-
-    proc = spawn(engine, body())
-    with pytest.raises(SimulationError, match="non-finite"):
-        engine.run_until(1.0)
-    assert proc.finished
-    assert engine.pending_count == 0
-    engine.run_until(2.0)
-    assert resumed == []
-
-
-def test_process_bad_yield_type_rejected():
-    engine = Engine()
-
-    def body():
-        yield "nope"
-
-    spawn(engine, body())
-    with pytest.raises(SimulationError):
-        engine.run_until(1.0)
-
-
-def test_process_double_start_rejected():
-    engine = Engine()
-
-    def body():
-        yield 1.0
-
-    proc = spawn(engine, body())
-    with pytest.raises(SimulationError):
-        proc.start()
 
 
 # -- PowerRecorder -----------------------------------------------------------

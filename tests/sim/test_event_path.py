@@ -2,10 +2,11 @@
 
 Each shortcut on the per-event path — the CRC table, the byte-to-bits
 table, ``list.count`` mark density, the single cell read per
-``PicoCube._update``, handle-free and in-place process resumes and the
-inlined recorder write — must reproduce, bit for bit, what the straightforward
-code computes.  The references live here so the program keeps one
-implementation of each.
+``PicoCube._update``, in-place continuations (``Engine._resume_after``,
+driven here by the generator process the wake cycle once ran as) and the
+inlined recorder write — must reproduce, bit for bit, what the
+straightforward code computes.  The references live here so the program
+keeps one implementation of each.
 """
 
 import pytest
@@ -23,12 +24,13 @@ from repro.net.packet import MAX_PAYLOAD_WORDS, PicoPacket, crc8
 from repro.sim.clock import PeriodicTimer
 from repro.sim.engine import Engine
 from repro.sim.events import PRIORITY_MEASURE, PRIORITY_NORMAL, PRIORITY_SUPPLY
-from repro.sim.process import Process
 from repro.sim.recorder import PowerRecorder
 from repro.storage.base import EnergyStorage
 from repro.storage.capacitors import CapacitorStorage
 from repro.storage.nimh import NiMHCell
 from repro.storage.thin_film import ThinFilmCell
+
+from ..core.reference_cycle import HeapOnlyEngine, ReferenceProcess
 
 
 def reference_crc8(data, polynomial=0x31, init=0x00):
@@ -221,87 +223,7 @@ def test_each_update_keeps_the_traced_entry_points(monkeypatch):
         assert seen["record"] >= 1
 
 
-# -- handle-free process resumes -----------------------------------------------
-
-
-class _ScheduledProcess(Process):
-    """Resumes through ``Engine.schedule``, as every resume once did."""
-
-    def _resume(self):
-        if self.finished:
-            return
-        try:
-            yielded = next(self._body)
-        except StopIteration:
-            self.finished = True
-            return
-        self._engine.schedule(float(yielded), self._resume, name=self.name)
-
-
-def _scenario(engine, process_cls, delays, timer_periods, cancels, log):
-    def body(tag, steps):
-        for delay in steps:
-            log.append((tag, engine.now))
-            yield delay
-        log.append((tag, engine.now))
-
-    for k, steps in enumerate(delays):
-        process_cls(engine, body(f"p{k}", steps), name=f"p{k}").start(0.1 * k)
-    for k, period in enumerate(timer_periods):
-        PeriodicTimer(
-            engine, period, lambda k=k: log.append((f"t{k}", engine.now)),
-            name=f"t{k}",
-        ).start()
-    handles = [
-        engine.schedule(
-            0.25 * (k + 1), lambda k=k: log.append((f"e{k}", engine.now)),
-            name=f"e{k}", priority=5 * (k % 3),
-        )
-        for k in range(len(cancels))
-    ]
-    for handle, cancel in zip(handles, cancels):
-        if cancel:
-            handle.cancel()
-
-
-delay_lists = st.lists(
-    st.lists(
-        st.one_of(
-            st.integers(0, 3),
-            st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
-        ),
-        max_size=6,
-    ),
-    min_size=1,
-    max_size=4,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    delay_lists,
-    st.lists(st.sampled_from([0.3, 0.5, 1.0]), max_size=2),
-    st.lists(st.booleans(), max_size=5),
-)
-def test_process_resumes_queue_like_schedule(delays, timer_periods, cancels):
-    engines, logs = [Engine(), Engine()], [[], []]
-    for engine, cls, log in zip(engines, (Process, _ScheduledProcess), logs):
-        _scenario(engine, cls, delays, timer_periods, cancels, log)
-    lean, scheduled = engines
-    for _ in range(60):
-        assert lean.pending_events() == scheduled.pending_events()
-        assert lean.pending_signature() == scheduled.pending_signature()
-        assert lean.pending_count == scheduled.pending_count
-        assert lean.sequence == scheduled.sequence
-        fired = lean.step()
-        assert fired == scheduled.step()
-        assert lean.now == scheduled.now
-        if not fired:
-            break
-    assert logs[0] == logs[1]
-
-
-# -- inline process resumes ----------------------------------------------------
+# -- inline continuations ----------------------------------------------------
 
 GRID = 0.25  # every drawn time is on this grid, so same-instant ties abound
 
@@ -349,12 +271,12 @@ schedules = st.fixed_dictionaries({
 })
 
 
-def _run_schedule(process_cls, plan):
+def _run_schedule(engine_cls, plan):
     """Drive one drawn schedule through run_until and run_to_completion.
 
     Returns the log (body marks, callbacks, every pause-hook consult,
     each pause and each tripped budget) and the engine's bookkeeping."""
-    engine, log, processes, handles = Engine(), [], [], []
+    engine, log, processes, handles = engine_cls(), [], [], []
 
     def note(tag):
         return lambda: log.append((tag, engine.now))
@@ -378,7 +300,7 @@ def _run_schedule(process_cls, plan):
         log.append((f"p{k}", "end", engine.now))
 
     for k, (delay, steps) in enumerate(plan["bodies"]):
-        processes.append(process_cls(engine, body(k, steps), name=f"p{k}"))
+        processes.append(ReferenceProcess(engine, body(k, steps), name=f"p{k}"))
         processes[k].start(delay)
     for k, (period, priority) in enumerate(plan["timers"]):
         PeriodicTimer(
@@ -432,8 +354,8 @@ def test_inline_resumes_match_heap_only_resumes(plan):
     as the heap round trip does: the callback order, each pause-hook
     consult and pause, ``events_fired``, ``sequence`` and the pending
     events at every pause and end."""
-    inline_log, inline_state = _run_schedule(Process, plan)
-    heap_log, heap_state = _run_schedule(_ScheduledProcess, plan)
+    inline_log, inline_state = _run_schedule(Engine, plan)
+    heap_log, heap_state = _run_schedule(HeapOnlyEngine, plan)
     assert inline_log == heap_log
     assert inline_state == heap_state
 
@@ -450,7 +372,7 @@ def test_inline_resumes_fire_no_heap_events():
         for _ in range(5):
             yield 0.5
 
-    Process(engine, body()).start()
+    ReferenceProcess(engine, body()).start()
     engine.run_until(10.0)
     assert steps == [0.0]
     assert engine.events_fired == 6 and engine.sequence == 6
@@ -467,7 +389,7 @@ def test_zero_delay_process_loop_trips_max_events(run):
         while True:
             yield 0.0
 
-    Process(engine, spin(), name="spin").start()
+    ReferenceProcess(engine, spin(), name="spin").start()
     with pytest.raises(SimulationError, match="max_events=25"):
         if run == "run_until":
             engine.run_until(1.0, max_events=25)
