@@ -1,6 +1,6 @@
 """Power-train solve throughput.
 
-The quasi-static ``PowerTrain.solve`` runs at *every* load-changing
+The quasi-static ``GraphPowerTrain.solve`` runs at *every* load-changing
 event — twice, because ``PicoCube._update`` re-solves at the sagged
 terminal voltage — so its per-call cost multiplies into every campaign.
 This benchmark times a mixed workload over the paper's operating

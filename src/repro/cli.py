@@ -25,14 +25,12 @@ Commands
     power trains, render one as a tree, or solve an operating point.
 ``chaos``
     Monte-Carlo seeded fault storms against a recovering node.
-``perf``
-    cProfile one scenario and print the hottest functions.
 ``lint``
     Domain-aware static analysis (unit suffixes, determinism, API
     contracts) over the source tree.
 
-(The name ``perf`` — rather than an overload of ``profile`` — keeps the
-Fig-6 *power* profile command intact; see ``docs/PERF.md``.)
+Wall-clock profiling needs no command of its own: run any of these under
+``python -m cProfile`` (see ``docs/PERF.md``).
 """
 
 from __future__ import annotations
@@ -299,63 +297,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_scenario_audit(hours: float) -> None:
-    from .core.builder import build_tpms_node
-    from .core.energy_audit import audit_node
-
-    node = build_tpms_node()
-    node.run(hours * 3600.0)
-    audit_node(node)
-
-
-def _perf_scenario_steady(hours: float) -> None:
-    from .core.builder import build_steady_tpms_node
-    from .core.energy_audit import audit_node
-
-    node = build_steady_tpms_node(fast_forward=True)
-    node.run(hours * 3600.0)
-    audit_node(node)
-
-
-def _perf_scenario_deploy(hours: float) -> None:
-    from .core.builder import build_tpms_deployment
-
-    build_tpms_deployment().node.run(hours * 3600.0)
-
-
-def _perf_scenario_chaos(hours: float) -> None:
-    from .campaigns import chaos_campaign
-
-    chaos_campaign(trials=2, duration_s=hours * 3600.0, workers=1)
-
-
-PERF_SCENARIOS = {
-    "audit": _perf_scenario_audit,
-    "steady": _perf_scenario_steady,
-    "deploy": _perf_scenario_deploy,
-    "chaos": _perf_scenario_chaos,
-}
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    PERF_SCENARIOS[args.scenario](args.hours)
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.sort_stats(args.sort)
-    print(f"scenario {args.scenario!r}, {args.hours} simulated hours; "
-          f"top {args.top} by {args.sort}:")
-    stats.print_stats(args.top)
-    if args.out is not None:
-        stats.dump_stats(args.out)
-        print(f"wrote {args.out} (inspect with python -m pstats)")
-    return 0
-
-
 def _changed_files(base: str,
                    requested: "List[pathlib.Path]") -> "Optional[List[pathlib.Path]]":
     """Python files changed since ``base`` that fall under ``requested``.
@@ -606,20 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--compare", action="store_true",
                        help="run both engines and check bit-identity")
     fleet.set_defaults(handler=_cmd_fleet)
-
-    perf = sub.add_parser(
-        "perf", help="cProfile a scenario (wall-clock, not power)"
-    )
-    perf.add_argument("scenario", choices=sorted(PERF_SCENARIOS))
-    perf.add_argument("--hours", type=float, default=1.0,
-                      help="simulated hours to run under the profiler")
-    perf.add_argument("--top", type=int, default=25,
-                      help="how many functions to print")
-    perf.add_argument("--sort", choices=("cumulative", "tottime", "ncalls"),
-                      default="cumulative")
-    perf.add_argument("--out", default=None, metavar="FILE",
-                      help="also dump raw pstats data to FILE")
-    perf.set_defaults(handler=_cmd_perf)
 
     lint = sub.add_parser(
         "lint", help="domain-aware static analysis of the source tree"

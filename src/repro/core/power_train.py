@@ -8,10 +8,10 @@ data here: frozen :class:`~repro.power.graph.RailGraphSpec` values in the
 :mod:`repro.power.rail_topologies` registry, solved by the generic
 :class:`~repro.power.graph.RailGraph` walker.
 
-:class:`GraphPowerTrain` adapts any registered spec to the node-facing
-:class:`PowerTrain` interface; :class:`CotsPowerTrain` (paper §4) and
-:class:`IcPowerTrain` (paper §7.1) are thin subclasses that keep their
-historical constructor parameters and hardware-sequencing attributes.
+:class:`GraphPowerTrain` puts any registered spec behind the node's
+train API; :class:`CotsPowerTrain` (paper §4) and :class:`IcPowerTrain`
+(paper §7.1) are thin subclasses that keep their historical constructor
+parameters and the §4.5 switch sequencing.
 Their solves are **bit-identical** to the retired hand-written bodies
 (``tests/core/test_graph_equivalence.py`` pins every field to goldens
 captured from the legacy code).
@@ -23,7 +23,6 @@ the paper says dominates the 6 uW budget.
 
 from __future__ import annotations
 
-import abc
 import math
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -49,7 +48,6 @@ __all__ = [
     "check_load_currents",
     "LoadState",
     "TrainSolution",
-    "PowerTrain",
     "GraphPowerTrain",
     "CotsPowerTrain",
     "IcPowerTrain",
@@ -139,25 +137,31 @@ class TrainSolution(NamedTuple):
         return self.v_battery * self.i_battery
 
 
-class PowerTrain(abc.ABC):
-    """Common interface of every power-train implementation."""
+class GraphPowerTrain:
+    """Any registered rail-graph topology, behind the node's train API.
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    ``enable_radio`` opens the spec's ``'radio'`` gate group when the
+    spec defines one (other gate groups are driven via
+    :meth:`set_gate`).  Fault injection can address the whole train
+    (:meth:`set_degradation`) or one component by name
+    (:meth:`set_component_degradation`).
+    """
+
+    def __init__(self, spec: RailGraphSpec) -> None:
+        self.name = spec.name
         self.radio_enabled = False
         self._loss_factor = 1.0
+        self.spec = spec
+        self.graph = RailGraph(spec)
+        self._open_gates: frozenset = frozenset()
+        self._component_degradations: Dict[str, float] = {}
+        # Attribution uses each channel's own tap voltage, so topologies
+        # with non-paper rail voltages stay correctly accounted.
+        self._tap_v = tuple(self.graph.tap_voltage(c) for c in CHANNELS)
 
-    @abc.abstractmethod
-    def solve(self, v_battery: float, loads: Loads,
-              resistance: float = 0.0,
-              i_previous: float = 0.0) -> TrainSolution:
-        """Quasi-static battery draw for a load state.
-
-        ``v_battery`` is the cell's open-circuit voltage when
-        ``resistance`` (its internal resistance, ohms) is non-zero: the
-        train then takes one fixed-point pass on the terminal voltage,
-        starting from the battery current ``i_previous``.
-        """
+    def mcu_rail_voltage(self) -> float:
+        """The always-on logic rail voltage."""
+        return self.graph.tap_voltage("mcu")
 
     @property
     def loss_factor(self) -> float:
@@ -185,51 +189,17 @@ class PowerTrain(abc.ABC):
             )
         self._loss_factor = loss_factor
 
-    @abc.abstractmethod
-    def mcu_rail_voltage(self) -> float:
-        """The always-on logic rail voltage."""
-
     def enable_radio(self) -> None:
         """Power up the gated radio supplies (before a transmission)."""
+        if RADIO_GATE in self.graph._gate_set:
+            self.set_gate(RADIO_GATE, True)
         self.radio_enabled = True
 
     def disable_radio(self) -> None:
         """Gate the radio supplies off (after a transmission)."""
-        self.radio_enabled = False
-
-
-class GraphPowerTrain(PowerTrain):
-    """Any registered rail-graph topology, behind the node's train API.
-
-    ``enable_radio`` opens the spec's ``'radio'`` gate group when the
-    spec defines one (other gate groups are driven via
-    :meth:`set_gate`).  Fault injection can address the whole train
-    (:meth:`set_degradation`, inherited) or one component by name
-    (:meth:`set_component_degradation`).
-    """
-
-    def __init__(self, spec: RailGraphSpec) -> None:
-        super().__init__(spec.name)
-        self.spec = spec
-        self.graph = RailGraph(spec)
-        self._open_gates: frozenset = frozenset()
-        self._component_degradations: Dict[str, float] = {}
-        # Attribution uses each channel's own tap voltage, so topologies
-        # with non-paper rail voltages stay correctly accounted.
-        self._tap_v = tuple(self.graph.tap_voltage(c) for c in CHANNELS)
-
-    def mcu_rail_voltage(self) -> float:
-        return self.graph.tap_voltage("mcu")
-
-    def enable_radio(self) -> None:
-        if RADIO_GATE in self.graph._gate_set:
-            self.set_gate(RADIO_GATE, True)
-        super().enable_radio()
-
-    def disable_radio(self) -> None:
         if RADIO_GATE in self.graph._gate_set:
             self.set_gate(RADIO_GATE, False)
-        super().disable_radio()
+        self.radio_enabled = False
 
     def set_gate(self, gate: str, conducting: bool) -> None:
         """Open or close one of the spec's gate groups by name."""
@@ -439,7 +409,7 @@ class IcPowerTrain(GraphPowerTrain):
         super().disable_radio()
 
 
-def make_power_train(kind: str) -> PowerTrain:
+def make_power_train(kind: str) -> GraphPowerTrain:
     """Build a registered power train: ``'cots'`` (paper §4), ``'ic'``
     (paper §7.1), or any exploratory topology in
     :func:`repro.power.rail_topologies.rail_topology_names`.

@@ -10,8 +10,8 @@ actual numpy arithmetic.  This module removes it by *compiling the
 plan*:
 
 * :func:`generate_kernel_source` turns a ``RailGraph``'s plan plus a
-  **gate signature** (each gate group resolved to uniformly-open,
-  uniformly-closed, or per-point mask) into straight-line numpy source —
+  **gate signature** (each gate group resolved to open or closed for the
+  whole batch) into straight-line numpy source —
   the component loop unrolled, dispatch tags resolved at compile time,
   temporaries reused, and every envelope check hoisted into one
   vectorized ``_bad.any()`` pass;
@@ -36,18 +36,17 @@ seed, cascades solved at the parent's nominal rail, squares as
 multiplications, constants pre-folded only where scalar CPython folds
 them).  The first batch each cached kernel serves is checked against
 that walk loop at every point — ``i_source`` plus every component
-current the walk visits there; components behind a gate closed at a
-point are never compared.  A divergence permanently retires the kernel,
+current it reports.  A divergence permanently retires the kernel,
 and every batch a kernel cannot serve (unsupported plan, disabled
 converter, retired kernel, unexpected kernel error) is answered by the
 walk loop itself.
 :func:`kernel_metrics` counts each such fallback.
 
 **Error semantics.**  Envelope checks are hoisted into one per-point
-``_bad`` mask (ancestor gate masks folded in).  When ``_bad.any()``, the
-kernel raises and the lowest flagged point is re-solved with the walk,
-which raises exactly the :class:`~repro.errors.ElectricalError` a loop
-of solves would raise first.
+``_bad`` mask.  When ``_bad.any()``, the kernel raises and the lowest
+flagged point is re-solved with the walk, which raises exactly the
+:class:`~repro.errors.ElectricalError` a loop of solves would raise
+first.
 
 **Workspace.**  A batch kernel writes every temporary it does not return
 (partial sums, gain selects, envelope masks) into reused buffers with
@@ -69,8 +68,7 @@ import json
 import math
 import re
 import threading
-from collections.abc import Mapping as MappingABC
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,14 +90,13 @@ from .workspace import Workspace, fill, lower_to_workspace, select
 #: Bump when the generated source or the kernel signature changes: it
 #: keys the kernel cache, so an old kernel is never called with a newer
 #: argument list.
-KERNEL_CODE_VERSION = 5
+KERNEL_CODE_VERSION = 6
 
 #: Gate-signature states: each gate group of a topology is resolved at
 #: compile time to one of these, and one kernel is compiled per distinct
 #: (topology, signature) pair.
 GATE_OPEN = "open"
 GATE_CLOSED = "closed"
-GATE_MASK = "mask"
 
 #: Kernel dialects :func:`generate_kernel_source` writes: numpy batch
 #: kernels behind ``solve_batch``, float point kernels behind ``solve``.
@@ -114,7 +111,6 @@ __all__ = [
     "DIALECT_FLOAT",
     "DIALECT_NUMPY",
     "GATE_CLOSED",
-    "GATE_MASK",
     "GATE_OPEN",
     "KERNEL_CODE_VERSION",
     "CompiledKernel",
@@ -264,47 +260,19 @@ def clear_kernel_cache() -> None:
 # ---------------------------------------------------------------------------
 
 
-def resolve_gates(graph: RailGraph, open_gates,
-                  shape: Optional[tuple] = None
-                  ) -> Tuple[tuple, Dict[str, np.ndarray]]:
-    """Resolve a gate input to ``(signature, masks)``.
+def resolve_gates(graph: RailGraph, open_gates) -> tuple:
+    """The gate signature of a collection of open gate names.
 
-    ``open_gates`` is either a collection of gate names conducting at
-    every point (names the graph does not define are inert, as in the
-    scalar walk) or a mapping of gate name to a boolean scalar or
-    per-point mask (an undefined name raises).  The signature holds each
-    of the graph's gates with its compile-time state, in plan order;
-    ``masks`` holds the per-point masks, broadcast to ``shape`` when one
-    is given.  Gates a mapping omits are closed.
+    The signature holds each of the graph's gates, in plan order, with
+    :data:`GATE_OPEN` when ``open_gates`` names it and :data:`GATE_CLOSED`
+    otherwise; names the graph does not define are inert, as in the
+    walk.  A string or a mapping raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    masks: Dict[str, np.ndarray] = {}
-    if not isinstance(open_gates, MappingABC):
-        open_gates = frozenset(open_gates)
-        return tuple((gate, GATE_OPEN if gate in open_gates else GATE_CLOSED)
-                     for gate in graph._gate_names), masks
-    states: Dict[str, Any] = {}
-    for gate, state in open_gates.items():
-        graph._require_gate(gate)
-        if state is not True and state is not False:
-            arr = np.asarray(state)
-            if arr.ndim == 0:
-                state = bool(arr)
-            else:
-                state = arr if arr.dtype == np.bool_ else arr.astype(bool)
-                if shape is not None and state.shape != shape:
-                    state = np.broadcast_to(state, shape)
-        states[gate] = state
-    signature = []
-    for gate in graph._gate_names:
-        state = states.get(gate, False)
-        if state is True:
-            signature.append((gate, GATE_OPEN))
-        elif state is False:
-            signature.append((gate, GATE_CLOSED))
-        else:
-            signature.append((gate, GATE_MASK))
-            masks[gate] = state
-    return tuple(signature), masks
+    graph._check_gates(open_gates)
+    open_gates = frozenset(open_gates)
+    return tuple((gate, GATE_OPEN if gate in open_gates else GATE_CLOSED)
+                 for gate in graph._gate_names)
 
 
 def generate_kernel_source(graph: RailGraph, signature: tuple,
@@ -312,8 +280,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
     """Emit straight-line fused source for one (plan, signature) pair.
 
     Raises :class:`KernelUnsupported` when the plan holds a converter
-    type this compiler has no emitter for (or a float signature holds
-    a per-point mask).
+    type this compiler has no emitter for.
 
     :data:`DIALECT_FLOAT` writes ``_float_kernel(v, i_mcu, i_sensor,
     i_radio_digital, i_radio_rf, factors)`` on plain floats: numpy calls
@@ -332,9 +299,6 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
     """
     scalar = dialect == DIALECT_FLOAT
     states = dict(signature)
-    if scalar and GATE_MASK in states.values():
-        raise KernelUnsupported(f"{graph.spec.name}: float kernels take "
-                                f"no per-point gate masks")
     comp_kind = {comp.name: comp.kind for comp in graph.spec.components}
     lines: List[str] = []
     order: List[Tuple[str, str]] = []       # currents insertion order
@@ -376,24 +340,20 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         name = _FLOAT_CALLS[fn] if scalar else f"_np.{fn}"
         return f"{name}({', '.join(args)})"
 
-    def flag(bad: str, active: Optional[str]) -> None:
-        # One stage's envelope mask, limited to the points its gates
-        # energise (the scalar walk never visits the others), merged
-        # into the hoisted _bad.  A float kernel returns None instead:
-        # the walk raises there.
+    def flag(bad: str) -> None:
+        # One stage's envelope mask, merged into the hoisted _bad.  A
+        # float kernel returns None instead: the walk raises there.
         if scalar:
             emit(f"if {bad}:")
             emit("return None", depth=1)
             return
-        if active is not None:
-            bad = f"({bad} & {active})"
         if not bad_seen[0]:
             bad_seen[0] = True
             emit(f"_bad = {bad}")
         else:
             emit(f"_bad = _bad | {bad}")
 
-    def emit_charge_pump(name, conv, v_expr, s_var, active, v_const):
+    def emit_charge_pump(name, conv, v_expr, s_var, v_const):
         bad = new("b")
         rng = conv.input_range
         emit(f"{bad} = ({s_var} < 0.0) | ({v_expr} < {rng.minimum!r})")
@@ -429,7 +389,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
                         f"{threshold!r})")
                 emit(f"{gain} = {where(test, repr(cand), gain)}")
         emit(f"{bad} = {bad} | ({gain} == 0.0)")
-        flag(bad, active)
+        flag(bad)
         house = new("h")
         emit(f"{house} = " + where(
             f"{s_var} <= {conv.snooze_load_threshold!r}",
@@ -438,7 +398,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         emit(f"{i_var} = {gain} * {s_var} + {house}")
         return i_var
 
-    def emit_sc_converter(name, conv, v_expr, s_var, active, v_const):
+    def emit_sc_converter(name, conv, v_expr, s_var, v_const):
         # Only the SC stage divides/sqrts through possibly-invalid
         # intermediates (at points the scalar walk would reject or never
         # visit); plans without one skip the errstate context.
@@ -474,7 +434,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         v_sag = new("vs")
         emit(f"{v_sag} = {v_ideal} - {s_var} * {r_out}")
         emit(f"{bad} |= {loaded} & ({v_sag} < {conv.v_target - 1e-9!r})")
-        flag(bad, active)
+        flag(bad)
         v_sq = new("vv")
         emit(f"{v_sq} = {v_expr} * {v_expr}")
         p_gate = new("pg")
@@ -488,7 +448,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
              f" / {v_expr} + {conv.i_controller!r}")
         return i_var
 
-    def emit_ldo(name, conv, v_expr, s_var, active, v_const):
+    def emit_ldo(name, conv, v_expr, s_var, v_const):
         # Under a converter rail the input voltage is one compile-time
         # constant at every point (the scalar walk passes the nominal
         # rail), so its window comparison folds to a scalar bool: OR-ing
@@ -503,12 +463,12 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         else:
             emit(f"{bad} = {s_var} < 0.0")
         emit(f"{bad} |= {s_var} > {conv.i_max!r}")
-        flag(bad, active)
+        flag(bad)
         i_var = new("i")
         emit(f"{i_var} = {s_var} + {conv.i_ground!r}")
         return i_var
 
-    def emit_shunt(name, conv, v_expr, s_var, active, v_const):
+    def emit_shunt(name, conv, v_expr, s_var, v_const):
         bad = new("b")
         supply = new("sup")
         if v_const is None:
@@ -530,7 +490,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         shunted = new("sh")
         emit(f"{shunted} = {supply_expr} - {s_var}")
         emit(f"{bad} |= {shunted} < {conv.i_bias_min!r}")
-        flag(bad, active)
+        flag(bad)
         i_var = new("i")
         emit(f"{i_var} = {supply}")
         return i_var
@@ -542,18 +502,18 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         (ShuntRegulator, emit_shunt),
     )
 
-    def emit_converter(name, conv, v_expr, s_var, active, v_const):
+    def emit_converter(name, conv, v_expr, s_var, v_const):
         for cls, emitter in _EMITTERS:
             if isinstance(conv, cls):
-                return emitter(name, conv, v_expr, s_var, active, v_const)
+                return emitter(name, conv, v_expr, s_var, v_const)
         raise KernelUnsupported(
             f"{graph.spec.name}: no fused emitter for "
             f"{type(conv).__name__} ({name!r})"
         )
 
-    # Hoisted per-call bindings: the shared zeros seed, one local per
-    # tapped channel, one local per per-point gate mask.  A float kernel
-    # takes each load as a parameter and seeds sums with 0.0.
+    # Hoisted per-call bindings: the shared zeros seed and one local per
+    # tapped channel.  A float kernel takes each load as a parameter and
+    # seeds sums with 0.0.
     zero = "0.0" if scalar else "_z"
     load_vars: Dict[str, str] = {}
     if not scalar:
@@ -563,52 +523,31 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         load_vars[channel] = var.replace("_L", "i", 1) if scalar else var
         if not scalar:
             emit(f"{var} = loads[{channel!r}]")
-    mask_vars: Dict[str, str] = {}
-    for gate, state in signature:
-        if state == GATE_MASK:
-            var = f"_m{len(mask_vars)}"
-            mask_vars[gate] = var
-            emit(f"{var} = masks[{gate!r}]")
 
-    def branch(name: str, v_expr: str, active: Optional[str],
-               v_const: Optional[float]) -> str:
+    def branch(name: str, v_expr: str, v_const: Optional[float]) -> str:
         gate, leak, (tag, arg) = graph._plan[name]
-        state = states.get(gate) if gate is not None else None
         emit(f"# {name} ({comp_kind[name]})")
-        if gate is not None and state == GATE_CLOSED:
+        if states.get(gate) == GATE_CLOSED:
             i_var = new("i")
             emit(f"{i_var} = {const_array(leak)}")
+        elif tag == RailGraph._TAP:
+            i_var = new("i")
+            emit(f"{i_var} = {load_vars[arg]}")
+        elif tag == RailGraph._DRAIN:
+            i_var = new("i")
+            emit(f"{i_var} = {const_array(arg)}")
+        elif tag == RailGraph._SWITCH:
+            i_var = child_sum(name, v_expr, v_const)
         else:
-            child_active = active
-            mask_var = None
-            if gate is not None and state == GATE_MASK:
-                mask_var = mask_vars[gate]
-                if active is None:
-                    child_active = mask_var
-                else:
-                    child_active = new("a")
-                    emit(f"{child_active} = {active} & {mask_var}")
-            if tag == RailGraph._TAP:
-                i_var = new("i")
-                emit(f"{i_var} = {load_vars[arg]}")
-            elif tag == RailGraph._DRAIN:
-                i_var = new("i")
-                emit(f"{i_var} = {const_array(arg)}")
-            elif tag == RailGraph._SWITCH:
-                i_var = child_sum(name, v_expr, child_active, v_const)
-            else:
-                v_out, converter = arg
-                v_rail = new("vr")
-                # The nominal-rail array is only materialized when some
-                # descendant expression actually reads it — resolved
-                # after the whole body is emitted.
-                rail_at = len(lines)
-                s_var = child_sum(name, v_rail, child_active, v_out)
-                i_var = emit_converter(name, converter, v_expr, s_var,
-                                       child_active, v_const)
-                deferred_rails.append((rail_at, v_rail, v_out))
-            if mask_var is not None:
-                emit(f"{i_var} = _np.where({mask_var}, {i_var}, {leak!r})")
+            v_out, converter = arg
+            v_rail = new("vr")
+            # The nominal-rail array is only materialized when some
+            # descendant expression actually reads it — resolved after
+            # the whole body is emitted.
+            rail_at = len(lines)
+            s_var = child_sum(name, v_rail, v_out)
+            i_var = emit_converter(name, converter, v_expr, s_var, v_const)
+            deferred_rails.append((rail_at, v_rail, v_out))
         factor = new("f")
         if scalar:  # the walk's rule, on the caller's mapping
             emit("if factors is not None:")
@@ -622,15 +561,14 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         order.append((name, i_var))
         return i_var
 
-    def child_sum(name: str, v_expr: str, active: Optional[str],
-                  v_const: Optional[float]) -> str:
+    def child_sum(name: str, v_expr: str, v_const: Optional[float]) -> str:
         s_var = new("s")
         children = graph._child_names[name]
         if not children:
             emit(f"{s_var} = {zero}")
             return s_var
         for index, child in enumerate(children):
-            c_var = branch(child, v_expr, active, v_const)
+            c_var = branch(child, v_expr, v_const)
             seed = zero if index == 0 else s_var
             emit(f"{s_var} = {seed} + {c_var}")
         return s_var
@@ -638,7 +576,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
     for index, child in enumerate(
         graph._child_names[graph.spec.source.name]
     ):
-        c_var = branch(child, "v", None, None)
+        c_var = branch(child, "v", None)
         seed = zero if index == 0 else "_i_src"
         emit(f"_i_src = {seed} + {c_var}")
 
@@ -670,7 +608,7 @@ def generate_kernel_source(graph: RailGraph, signature: tuple,
         f'{graph.spec.name!r}, gates [{sig_text or "none"}], '
         f'code version {KERNEL_CODE_VERSION}."""',
         f"def _float_kernel(v, {params}, factors):" if scalar
-        else "def _kernel(v, loads, masks, factors, shape, work, _np=np):",
+        else "def _kernel(v, loads, factors, shape, work, _np=np):",
     ]
     if uses_errstate[0] and not scalar:
         header.append('    with _np.errstate(divide="ignore", '
@@ -685,24 +623,23 @@ def kernel_source(graph: RailGraph, open_gates=frozenset(),
     """The generated kernel source for a graph under a gate state.
 
     Debugging/inspection entry point (``--emit-kernel`` on the CLI):
-    pure codegen, no caching, no ``exec``.  ``open_gates`` takes the
-    same frozenset-or-mapping forms as :meth:`RailGraph.solve_batch`.
+    pure codegen, no caching, no ``exec``.  ``open_gates`` is a
+    collection of open gate names, as :meth:`RailGraph.solve_batch` takes.
     """
-    return generate_kernel_source(graph, resolve_gates(graph, open_gates)[0],
+    return generate_kernel_source(graph, resolve_gates(graph, open_gates),
                                   dialect)
 
 
 def iter_registered_kernel_sources():
     """Every kernel this compiler can emit for the registered topologies.
 
-    Yields ``(kind, signature, source, failure)`` for each
-    registered rail topology crossed with every gate-state combination
-    (open/closed/mask per gate), then the float-dialect kernel of every
-    open/closed combination — the full space the runtime kernel cache
+    Yields ``(kind, signature, source, failure)`` for each registered
+    rail topology crossed with every open/closed gate combination, batch
+    dialect then float dialect — the full space the runtime kernel cache
     can ever hold.  The two dialects define differently named kernel
-    functions (``_kernel`` and ``_float_kernel``).  The lint kernel auditor
-    (``repro lint --kernels``) parses each emitted source and checks its
-    hygiene; keeping enumeration here means the auditor
+    functions (``_kernel`` and ``_float_kernel``).  The lint kernel
+    auditor (``repro lint --kernels``) parses each emitted source and
+    checks its hygiene; keeping enumeration here means the auditor
     never has to know how plans, signatures, or gates are spelled.
 
     Pure codegen: no caching, no ``exec``.  ``failure`` is ``None`` for
@@ -718,11 +655,8 @@ def iter_registered_kernel_sources():
     for kind in rail_topology_names():
         graph = RailGraph(get_rail_spec(kind))
         gate_names = graph._gate_names
-        for dialect, states in (
-            (DIALECT_NUMPY, (GATE_OPEN, GATE_CLOSED, GATE_MASK)),
-            (DIALECT_FLOAT, (GATE_OPEN, GATE_CLOSED)),
-        ):
-            for combo in itertools.product(states,
+        for dialect in (DIALECT_NUMPY, DIALECT_FLOAT):
+            for combo in itertools.product((GATE_OPEN, GATE_CLOSED),
                                            repeat=len(gate_names)):
                 signature = tuple(zip(gate_names, combo))
                 try:
@@ -812,7 +746,7 @@ def compiled_kernel_for(graph: RailGraph,
     on first use).  Diagnostic API: tests and tooling use it to inspect
     source, verification state, and failure reasons.
     """
-    return _kernel_entry(graph, resolve_gates(graph, open_gates)[0])
+    return _kernel_entry(graph, resolve_gates(graph, open_gates))
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +754,7 @@ def compiled_kernel_for(graph: RailGraph,
 # ---------------------------------------------------------------------------
 
 
-def _solve_point(graph: RailGraph, v, loads, signature, masks, factors,
+def _solve_point(graph: RailGraph, v, loads, signature, factors,
                  index: int) -> GraphSolution:
     """The reference walk (:meth:`RailGraph.solve_reference`) at one
     point of kernel inputs.  Not scalar ``solve``: that is served by
@@ -829,23 +763,17 @@ def _solve_point(graph: RailGraph, v, loads, signature, masks, factors,
     return graph.solve_reference(
         float(v[index]),
         {channel: float(amps[index]) for channel, amps in loads.items()},
-        open_gates=frozenset(
-            gate for gate, state in signature
-            if state == GATE_OPEN
-            or (state == GATE_MASK and masks[gate][index])
-        ),
-        degradation={
-            name: factor if type(factor) is float else float(factor[index])
-            for name, factor in factors.items()
-        },
+        open_gates=frozenset(gate for gate, state in signature
+                             if state == GATE_OPEN),
+        degradation=factors,
     )
 
 
 def _walk_order(graph: RailGraph, signature: tuple) -> List[str]:
     """The components a kernel reports, in scalar-walk record order.
 
-    That is every component but those behind a gate closed at every
-    point, which neither the kernel nor the scalar walk descends into.
+    That is every component but those behind a closed gate, which
+    neither the kernel nor the scalar walk descends into.
     """
     closed = {gate for gate, state in signature if state == GATE_CLOSED}
     order: List[str] = []
@@ -861,52 +789,40 @@ def _walk_order(graph: RailGraph, signature: tuple) -> List[str]:
     return order
 
 
-def _scalar_loop(graph: RailGraph, v, loads, signature, masks, factors,
-                 shape) -> Tuple[GraphSolutionBatch, Dict[str, np.ndarray]]:
+def _scalar_loop(graph: RailGraph, v, loads, signature, factors,
+                 shape) -> GraphSolutionBatch:
     """Solve every batch point with the reference walk.
 
-    Returns the batch and, per component, the mask of points the scalar
-    walk visited; a component behind a gate closed at a point is not
-    visited there and reads ``0.0``.  Raises the first point's
-    :class:`~repro.errors.ElectricalError`, exactly as the loop would.
+    Raises the first point's :class:`~repro.errors.ElectricalError`,
+    exactly as the loop would.
     """
     size = shape[0]
     i_source = np.zeros(size)
     currents = {name: np.zeros(size)
                 for name in _walk_order(graph, signature)}
-    visited = {name: np.zeros(size, dtype=bool) for name in currents}
     for index in range(size):
-        solution = _solve_point(graph, v, loads, signature, masks, factors,
-                                index)
+        solution = _solve_point(graph, v, loads, signature, factors, index)
         i_source[index] = solution.i_source
         for name, amps in solution.component_i_in.items():
             currents[name][index] = amps
-            visited[name][index] = True
-    batch = GraphSolutionBatch(
+    return GraphSolutionBatch(
         v_source=v, i_source=i_source,
         component_i_in=FrozenMapping._adopt(currents),
     )
-    return batch, visited
 
 
 def _bitwise_equal(i_source, currents: Dict[str, np.ndarray],
-                   reference: GraphSolutionBatch,
-                   visited: Dict[str, np.ndarray]) -> bool:
-    """Kernel output vs the scalar loop, at every point each visited."""
-    if np.shape(i_source) != reference.i_source.shape \
-            or np.asarray(i_source).tobytes() != \
-            reference.i_source.tobytes():
+                   reference: GraphSolutionBatch) -> bool:
+    """Kernel output vs the scalar loop, every current at every point."""
+    expected = reference.component_i_in
+    if list(currents) != list(expected):
         return False
-    if list(currents) != list(reference.component_i_in):
-        return False
-    for name, amps in currents.items():
-        seen = visited[name]
-        if np.shape(amps) != seen.shape:
-            return False
-        if np.asarray(amps)[seen].tobytes() != \
-                reference.component_i_in[name][seen].tobytes():
-            return False
-    return True
+    return all(
+        np.shape(got) == want.shape
+        and np.asarray(got).tobytes() == want.tobytes()
+        for got, want in zip((i_source, *currents.values()),
+                             (reference.i_source, *expected.values()))
+    )
 
 
 def _retire(entry: CompiledKernel, reason: str,
@@ -921,7 +837,7 @@ def _retire(entry: CompiledKernel, reason: str,
 def _fall_back(graph: RailGraph, inputs: tuple) -> GraphSolutionBatch:
     """Answer a batch with the scalar loop."""
     _bump("fallbacks")
-    return _scalar_loop(graph, *inputs)[0]
+    return _scalar_loop(graph, *inputs)
 
 
 #: Workspaces a graph keeps, one per batch shape (the oldest goes first).
@@ -940,16 +856,16 @@ def _workspace(graph: RailGraph, shape: tuple) -> Workspace:
 
 
 def _serve(graph: RailGraph, entry: CompiledKernel, v, loads, signature,
-           masks, factors, shape) -> GraphSolutionBatch:
+           factors, shape) -> GraphSolutionBatch:
     """Run one batch through a live kernel, verifying its first use."""
-    inputs = (v, loads, signature, masks, factors, shape)
+    inputs = (v, loads, signature, factors, shape)
     first_bad: Optional[int] = None
     work = _workspace(graph, shape)
     if not work.lock.acquire(blocking=False):
         work = Workspace(shape)  # in use (another thread): a private one
         work.lock.acquire()
     try:
-        i_source, currents = entry.fn(v, loads, masks, factors, shape, work)
+        i_source, currents = entry.fn(v, loads, factors, shape, work)
     except _OutOfEnvelope as flagged:
         # Read the mask before the buffers it may live in are released.
         first_bad = int(np.argmax(flagged.bad))
@@ -962,17 +878,17 @@ def _serve(graph: RailGraph, entry: CompiledKernel, v, loads, signature,
     if first_bad is not None:
         # Raises the scalar loop's first error: the lowest flagged point
         # is the first point the loop would fail at.
-        _solve_point(graph, v, loads, signature, masks, factors, first_bad)
+        _solve_point(graph, v, loads, signature, factors, first_bad)
         _retire(entry, "kernel flagged a point the scalar solve accepts")
         return _fall_back(graph, inputs)
     if not entry.verified:
         try:
-            reference, visited = _scalar_loop(graph, *inputs)
+            reference = _scalar_loop(graph, *inputs)
         except ElectricalError:
             _retire(entry, "kernel missed a point the scalar solve rejects")
             raise
         _bump("verifications")
-        if not _bitwise_equal(i_source, currents, reference, visited):
+        if not _bitwise_equal(i_source, currents, reference):
             _retire(entry, "kernel result diverged bitwise from the scalar "
                            "solve")
             _bump("fallbacks")
@@ -986,20 +902,20 @@ def _serve(graph: RailGraph, entry: CompiledKernel, v, loads, signature,
     )
 
 
-def solve_batch_compiled(graph: RailGraph, v, loads, signature, masks,
-                         factors, shape) -> GraphSolutionBatch:
+def solve_batch_compiled(graph: RailGraph, v, loads, signature, factors,
+                         shape) -> GraphSolutionBatch:
     """Serve a batch from the kernel for its gate signature.
 
     Arguments are kernel inputs, built by ``RailGraph.solve_batch``: the
     voltage and a load array per tapped channel on the batch ``shape``,
-    the :func:`resolve_gates` signature and masks, and the degradation
+    the :func:`resolve_gates` signature, and the float degradation
     factors other than ``1.0``.  A kernel's first batch is verified
     against the scalar loop; when no kernel can serve (disabled
     converter, unsupported or retired kernel) the scalar loop answers,
     counted in :func:`kernel_metrics`.  Out-of-envelope points raise the
     scalar loop's first :class:`~repro.errors.ElectricalError`.
     """
-    inputs = (v, loads, signature, masks, factors, shape)
+    inputs = (v, loads, signature, factors, shape)
     # enable()/disable() mutate runtime state the kernels bake in as
     # constants, so any disabled stage routes to the scalar loop.
     for converter in graph._converter_list:
@@ -1021,10 +937,8 @@ def solve_batch_compiled(graph: RailGraph, v, loads, signature, masks,
 def _float_entry(graph: RailGraph, open_gates) -> CompiledKernel:
     """The shared float kernel for a gate state, kept in the graph's
     table by the ``open_gates`` value itself: a gate state written
-    directly (as checkpoint restore does) never meets a stale kernel.
-    The walk reads any collection by membership (a mapping by its
-    keys), so the gates resolve as the set of names it holds."""
-    signature = resolve_gates(graph, frozenset(open_gates))[0]
+    directly (as checkpoint restore does) never meets a stale kernel."""
+    signature = resolve_gates(graph, open_gates)
     entry = _kernel_entry(graph, signature, DIALECT_FLOAT)
     floats = graph._kernels.floats
     try:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import weakref
 from collections.abc import Mapping as MappingABC
 from typing import (
@@ -475,10 +476,7 @@ class GraphSolutionBatch:
     """A vectorized solve of one rail graph over a batch of points.
 
     Shapes are ``(n,)`` along the batch axis.  Values are bitwise equal
-    to the scalar :class:`GraphSolution` of each point; where a
-    per-point gate mask closes a subtree, the descendants' entries in
-    :attr:`component_i_in` are meaningful only at the points where the
-    gate is open (the scalar walk does not visit them elsewhere).
+    to the scalar :class:`GraphSolution` of each point.
     """
 
     v_source: np.ndarray
@@ -714,15 +712,17 @@ class RailGraph:
         """Quasi-static source current for one operating point.
 
         ``loads`` maps channel names to amperes (missing channels draw
-        zero); ``open_gates`` lists the gate groups currently conducting;
-        ``degradation`` multiplies named components' input currents (its
-        keys must name graph components).  Raises
+        zero); ``open_gates`` is a collection of the gate group names
+        currently conducting (not a string or a mapping; names the graph
+        does not define are inert); ``degradation`` multiplies named
+        components' input currents (its keys must name graph components,
+        its values be finite numbers).  Raises
         :class:`~repro.errors.ElectricalError` (from the component
         models) when any stage is out of its operating envelope.  Served
         by a float kernel verified against :meth:`solve_reference`, whose
         results and errors it returns bit for bit.
         """
-        self._check_inputs(loads, degradation)
+        self._check_inputs(loads, open_gates, degradation)
         names, values = self._solve_currents(
             v_source, *[loads.get(channel, 0.0) for channel in CHANNELS],
             open_gates, degradation or {})
@@ -734,7 +734,7 @@ class RailGraph:
         """:meth:`solve` by walking the dispatch plan: the one definition
         of a solve, pinned by the 440 float-hex goldens; every compiled
         kernel is verified bitwise against it."""
-        self._check_inputs(loads, degradation)
+        self._check_inputs(loads, open_gates, degradation)
         currents: Dict[str, float] = {}
         i_source = self._walk_children(self.spec.source.name, v_source,
                                        loads, open_gates, degradation or {},
@@ -742,7 +742,7 @@ class RailGraph:
         return GraphSolution(v_source, i_source,
                              FrozenMapping._adopt(currents))
 
-    def _check_inputs(self, loads: Mapping, degradation) -> None:
+    def _check_inputs(self, loads: Mapping, open_gates, degradation) -> None:
         for channel, amps in loads.items():
             if channel not in self._taps:
                 raise ConfigurationError(
@@ -754,8 +754,10 @@ class RailGraph:
                     f"{self.spec.name}: load {channel!r} must be finite "
                     f"and >= 0, got {amps!r}"
                 )
+        self._check_gates(open_gates)
         if degradation:
             self._check_degradation_keys(degradation)
+            self._check_degradation_factors(degradation)
 
     def _solve_currents(self, v_source, i_mcu, i_sensor, i_radio_digital,
                         i_radio_rf, open_gates, degradation):
@@ -808,6 +810,39 @@ class RailGraph:
                     f"components: {', '.join(self.component_names())}"
                 )
 
+    def _check_degradation_factors(self, degradation: Mapping) -> None:
+        """Reject a degradation factor that is not one finite number.
+
+        Mirrors ``GraphPowerTrain.set_component_degradation``; a batch
+        applies each factor to all of its points.
+        """
+        for name, factor in degradation.items():
+            if type(factor) is not float \
+                    and not isinstance(factor, numbers.Real):
+                raise ConfigurationError(
+                    f"{self.spec.name}: degradation factor for {name!r} "
+                    f"must be a number, got {type(factor).__name__}"
+                )
+            if not math.isfinite(factor):
+                raise ConfigurationError(
+                    f"{self.spec.name}: degradation factor for {name!r} "
+                    f"must be finite, got {factor!r}"
+                )
+
+    def _check_gates(self, open_gates) -> None:
+        """Reject a gate input that is not a collection of gate names.
+
+        A ``str`` (or ``bytes``) would read as its characters and a
+        mapping as its keys, whatever its values say, so each raises on
+        every solve path.
+        """
+        if type(open_gates) is not frozenset \
+                and isinstance(open_gates, (str, bytes, MappingABC)):
+            raise ConfigurationError(
+                f"{self.spec.name}: open_gates must be a collection of "
+                f"gate names, got {type(open_gates).__name__}"
+            )
+
     def _require_gate(self, gate: str) -> None:
         """Reject a gate group name the spec does not define."""
         if gate not in self._gate_set:
@@ -856,24 +891,26 @@ class RailGraph:
         self,
         v_source,
         loads: Mapping,
-        open_gates: Union[FrozenSet[str], Mapping] = frozenset(),
-        degradation: Optional[Mapping] = None,
+        open_gates: FrozenSet[str] = frozenset(),
+        degradation: Optional[Mapping[str, float]] = None,
     ) -> GraphSolutionBatch:
         """Vectorized :meth:`solve` over a batch of operating points.
 
         The solve runs through a fused straight-line kernel that
         :mod:`repro.power.compile` generates from the dispatch plan, so
-        a sweep over thousands of (loads, degradation, voltage) points
-        pays component arithmetic, not Python walk overhead.  Inputs
-        broadcast along one batch axis:
+        a sweep over thousands of (voltage, loads) points pays
+        component arithmetic, not Python walk overhead.  Inputs:
 
         * ``v_source`` — scalar or ``(n,)`` array of source voltages;
         * ``loads`` — channel name to scalar or ``(n,)`` amperes;
-        * ``open_gates`` — either a frozenset of gate names conducting at
-          every point (the scalar semantics), or a mapping of gate name
-          to a boolean scalar / ``(n,)`` mask for per-point gating;
-        * ``degradation`` — component name to a scalar or ``(n,)``
-          multiplier.
+        * ``open_gates`` — the gate names conducting at every point, as
+          :meth:`solve` takes them;
+        * ``degradation`` — component name to one finite multiplier for
+          every point, as :meth:`solve` takes it.
+
+        The voltage and loads broadcast along one batch axis.  The PicoCube
+        switches its rails once per wake-cycle phase (paper §4.5), so a
+        batch holds one gate state and one set of factors.
 
         The result is bitwise equal to a loop of :meth:`solve` calls,
         one per point: each kernel's first batch is checked against that
@@ -918,20 +955,6 @@ class RailGraph:
                     amps = float(amps)
             shapes.append(() if type(amps) is float else amps.shape)
             values[channel] = amps
-        if isinstance(open_gates, MappingABC):
-            for state in open_gates.values():
-                if state is not True and state is not False:
-                    arr = np.asarray(state)
-                    if arr.ndim == 1:
-                        shapes.append(arr.shape)
-        factors: Dict[str, Any] = {}
-        if degradation:
-            for component, factor in degradation.items():
-                if type(factor) is not float and type(factor) is not int:
-                    factor = np.asarray(factor, dtype=np.float64)
-                    if factor.ndim == 1:
-                        shapes.append(factor.shape)
-                factors[component] = factor
         distinct = set(shapes)
         distinct.discard(())
         if len(distinct) == 1:
@@ -970,19 +993,16 @@ class RailGraph:
             for channel in self._taps:
                 kernel_loads.setdefault(channel, zero)
         compiler = _compile_module()
-        signature, masks = compiler.resolve_gates(self, open_gates, shape)
-        kernel_factors: Dict[str, Any] = {}
-        if factors:
-            self._check_degradation_keys(factors)
-            for component, factor in factors.items():
-                if type(factor) is np.ndarray and factor.ndim:
-                    kernel_factors[component] = factor \
-                        if factor.shape == shape \
-                        else np.broadcast_to(factor, shape)
-                elif float(factor) != 1.0:
-                    kernel_factors[component] = float(factor)
+        signature = compiler.resolve_gates(self, open_gates)
+        factors: Dict[str, float] = {}
+        if degradation:
+            self._check_degradation_keys(degradation)
+            self._check_degradation_factors(degradation)
+            for component, factor in degradation.items():
+                if factor != 1.0:
+                    factors[component] = float(factor)
         return compiler.solve_batch_compiled(
-            self, v, kernel_loads, signature, masks, kernel_factors, shape
+            self, v, kernel_loads, signature, factors, shape
         )
 
     def _reject_load(self, channel: str, amps: float, index: int) -> None:

@@ -312,10 +312,8 @@ def save_checkpoint(
     train_state = TrainState(
         radio_enabled=train.radio_enabled,
         loss_factor=train.loss_factor,
-        open_gates=tuple(sorted(getattr(train, "_open_gates", ()))),
-        component_degradations=dict(
-            getattr(train, "_component_degradations", {})
-        ),
+        open_gates=tuple(sorted(train._open_gates)),
+        component_degradations=dict(train._component_degradations),
     )
     charger_state = None
     if node._charger is not None:
@@ -485,11 +483,8 @@ def _restore_node_state(node, state: NodeState) -> None:
     train = state.train
     node.train.radio_enabled = train.radio_enabled
     node.train._loss_factor = train.loss_factor
-    if hasattr(node.train, "_open_gates"):
-        node.train._open_gates = frozenset(train.open_gates)
-        node.train._component_degradations = dict(
-            train.component_degradations
-        )
+    node.train._open_gates = frozenset(train.open_gates)
+    node.train._component_degradations = dict(train.component_degradations)
     if state.environment is not None:
         env = node.environment
         env.speed_kmh = state.environment.speed_kmh

@@ -42,8 +42,10 @@ def test_registry_emits_every_topology_and_signature():
     kinds = {kind for kind, _sig, _src, _failure in seen}
     assert {"cots", "ic", "direct-ldo", "single-sc"} <= kinds
     assert all(source is not None for _k, _s, source, _failure in seen)
-    # three gate states per gate, at least one gate per topology
-    assert len(seen) >= 3 * len(kinds)
+    assert {state for _k, sig, _src, _failure in seen
+            for _gate, state in sig} == {"open", "closed"}
+    # one gate per topology: open and closed, batch and float dialect
+    assert len(seen) == 4 * len(kinds) == 16
 
 
 def test_unparseable_kernel_fails(sample_kernel):
@@ -95,9 +97,7 @@ def test_registry_emits_a_float_kernel_per_open_closed_signature():
               if source is not None and "def _float_kernel(" in source]
     kinds = {kind for kind, _sig in floats}
     assert {"cots", "ic", "direct-ldo", "single-sc"} <= kinds
-    assert all(state != "mask" for _kind, sig in floats
-               for _gate, state in sig)
-    assert len(floats) >= 2 * len(kinds)
+    assert len(floats) == 2 * len(kinds)
 
 
 def test_float_kernel_findings_are_labelled_float(float_kernel):

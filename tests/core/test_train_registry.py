@@ -170,7 +170,7 @@ def test_cli_train_emit_kernel_prints_fused_source(capsys):
 def test_cli_train_emit_kernel_prints_both_dialects(capsys):
     assert cli_main(["train", "--solve", "cots", "--emit-kernel"]) == 0
     out = capsys.readouterr().out
-    batch = out.index("def _kernel(v, loads, masks, factors, shape")
+    batch = out.index("def _kernel(v, loads, factors, shape")
     point = out.index("def _float_kernel(v, i_mcu, i_sensor, "
                       "i_radio_digital, i_radio_rf, factors):")
     assert batch < point

@@ -105,23 +105,3 @@ def test_fleet_compare_engines(capsys):
 def test_fleet_invalid_engine_rejected():
     with pytest.raises(SystemExit):
         main(["fleet", "--engine", "warp"])
-
-
-def test_perf_command(capsys):
-    code, out = run_cli(capsys, "perf", "audit", "--hours", "0.02",
-                        "--top", "5")
-    assert code == 0
-    assert "cumulative" in out
-    assert "function calls" in out
-
-
-def test_perf_command_writes_pstats(capsys, tmp_path):
-    out_file = tmp_path / "profile.pstats"
-    code, out = run_cli(capsys, "perf", "steady", "--hours", "0.02",
-                        "--out", str(out_file))
-    assert code == 0
-    assert out_file.exists()
-    import pstats
-
-    stats = pstats.Stats(str(out_file))
-    assert stats.total_calls > 0
